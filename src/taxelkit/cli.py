@@ -4,7 +4,8 @@ Subcommands: sweep, calibrate, synth, train, eval, ablate, viz — one per
 pipeline artifact (flux curves, calibration table, dataset, checkpoint,
 evaluation report, ablation report, force-field figures).
 
-Exit codes: 0 success, 2 config error, 3 missing input, 4 numerical failure.
+Exit codes: 0 success, 2 config error, 3 missing input, 4 numerical failure,
+5 malformed .tgk/.tgkm file.
 """
 from __future__ import annotations
 
@@ -392,6 +393,9 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError, FloatingPointError) as e:
         log.error("numerical failure: %s", e)
         return 4
+    except dataio.FormatError as e:
+        log.error("malformed file: %s", e)
+        return 5
 
 
 if __name__ == "__main__":

@@ -65,17 +65,23 @@ def load_dataset(path) -> list[GestureRecording]:
         raise FormatError(f"{path}: unexpected tensor dims {frames}x{taxels}")
     offset = _DATASET_HEADER.size
     block = frames * taxels * 3 * 4
+    expected = offset + n_rec * (_RECORD_HEADER.size + block)
+    if len(data) < expected:
+        raise FormatError(f"{path}: truncated: {n_rec} recordings need {expected} bytes, "
+                          f"file has {len(data)}")
+    if len(data) > expected:
+        raise FormatError(f"{path}: {len(data) - expected} trailing bytes")
     recordings = []
     for i in range(n_rec):
         label, user_id, seed = _RECORD_HEADER.unpack_from(data, offset)
+        if label >= len(GestureClass):
+            raise FormatError(f"{path}: recording {i} has unknown label {label}")
         offset += _RECORD_HEADER.size
         frames_arr = np.frombuffer(data, dtype="<f4", count=frames * taxels * 3, offset=offset)
         offset += block
         recordings.append(GestureRecording(
             frames=frames_arr.reshape(frames, taxels, 3).copy(),
             label=GestureClass(label), user_id=user_id, recording_id=i, seed=seed))
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes")
     return recordings
 
 
@@ -98,6 +104,8 @@ def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict
 
 def load_checkpoint(path, shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], int]:
     data = Path(path).read_bytes()
+    if len(data) < _CHECKPOINT_HEADER.size:
+        raise FormatError(f"{path}: truncated header")
     magic, version, c_in = _CHECKPOINT_HEADER.unpack_from(data, 0)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")

@@ -26,23 +26,32 @@ class ShapeError(ValueError):
 # layers (functional, cache-returning)
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W)."""
+    """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W).
+
+    The (N*H*W, C*9) im2col matrix is cached: conv2d_backward multiplies
+    it into the weight gradient.
+    """
     n, c, h, wd = x.shape
     k_out, c_k, kh, kw = w.shape
     if c != c_k:
         raise ShapeError(f"conv input has {c} channels, kernel expects {c_k}")
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (N, C, H, W, kh, kw)
-    y = np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3]))  # (N, H, W, K)
-    y = np.transpose(y, (0, 3, 1, 2)) + b[None, :, None, None]
-    return y, (windows, w, x.shape)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, c * kh * kw)
+    y = np.dot(cols, w.transpose(1, 2, 3, 0).reshape(c * kh * kw, k_out))  # (N*H*W, K)
+    y = np.transpose(y.reshape(n, h, wd, k_out), (0, 3, 1, 2)) + b[None, :, None, None]
+    return y, (cols, w)
 
 
-def conv2d_backward(dy: np.ndarray, cache):
-    windows, w, x_shape = cache
+def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
+    """Returns (dx, dw, db); dx is None when need_dx is False."""
+    cols, w = cache
+    k_out = dy.shape[1]
     db = dy.sum(axis=(0, 2, 3))
-    # dW[k,c,i,j] = sum_{n,h,w} dy[n,k,h,w] * windows[n,c,h,w,i,j]
-    dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))  # (K, C, kh, kw)
+    # dW[k, (c,i,j)] = sum_{n,h,w} dy[n,k,h,w] * cols[(n,h,w), (c,i,j)]
+    dw = np.dot(dy.transpose(1, 0, 2, 3).reshape(k_out, -1), cols).reshape(w.shape)
+    if not need_dx:
+        return None, dw, db
     # dx via full correlation of dy with the kernel
     dyp = np.pad(dy, ((0, 0), (0, 0), (1, 1), (1, 1)))
     dy_windows = sliding_window_view(dyp, (3, 3), axis=(2, 3))  # (N, K, H, W, 3, 3)
@@ -67,9 +76,12 @@ def maxpool2_backward(dy: np.ndarray, cache):
     x_shape, arg = cache
     n, c, ho, wo = dy.shape
     dx = np.zeros(x_shape)
-    di, dj = np.divmod(arg, 2)
-    ni, ci, hi, wi = np.indices(dy.shape, sparse=False)
-    np.add.at(dx, (ni, ci, hi + di, wi + dj), dy)
+    # Window offset a = 2*di + dj. Overlapping windows of one pixel are summed
+    # in the order a = 3, 2, 1, 0, the row-major order of the windows, so the
+    # result equals the np.add.at scatter bit for bit.
+    for a in (3, 2, 1, 0):
+        di, dj = divmod(a, 2)
+        dx[:, :, di:di + ho, dj:dj + wo] += np.where(arg == a, dy, 0.0)
     return dx
 
 
@@ -212,7 +224,7 @@ class CnnModel:
         dd1 = maxpool2_backward(dpool, pool_cache)
         dr1 = dropout_backward(dd1, drop_cache)
         dc1 = relu_backward(dr1, r1_mask)
-        _, grads["conv_w"], grads["conv_b"] = conv2d_backward(dc1, conv_cache)
+        _, grads["conv_w"], grads["conv_b"] = conv2d_backward(dc1, conv_cache, need_dx=False)
         return grads
 
     def loss_and_grads(self, x, labels, train=True, dropout_rng=None, dropout_masks=None):
@@ -245,19 +257,38 @@ class AdamState:
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    # two per-parameter work buffers, reused across steps
+    _work: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """Updates m, v and params in place, with the textbook operation order."""
         if not self.m:
             self.m = {k: np.zeros_like(v) for k, v in params.items()}
             self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        if not self._work:
+            self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.step_count += 1
         t = self.step_count
+        c1 = 1 - self.beta1**t
+        c2 = 1 - self.beta2**t
         for k, p in params.items():
             g = grads[k]
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {k}")
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / (1 - self.beta1**t)
-            v_hat = self.v[k] / (1 - self.beta2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+            m, v = self.m[k], self.v[k]
+            upd, den = self._work[k]
+            np.multiply(g, 1 - self.beta1, out=upd)
+            m *= self.beta1
+            m += upd
+            np.multiply(g, 1 - self.beta2, out=upd)
+            upd *= g
+            v *= self.beta2
+            v += upd
+            np.divide(v, c2, out=den)  # v_hat
+            np.sqrt(den, out=den)
+            den += self.epsilon
+            np.divide(m, c1, out=upd)  # m_hat
+            upd *= self.lr
+            upd /= den
+            p -= upd

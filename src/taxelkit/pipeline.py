@@ -8,15 +8,17 @@ ablation keeps just the z channel of every frame, so C is 366 or 122.
 from __future__ import annotations
 
 import enum
+import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import GRID
 from .gestures import N_FRAMES, GestureRecording
-from .nn import AdamState, CnnModel, softmax_cross_entropy
+from .nn import N_CLASSES, AdamState, CnnModel
 
-N_CLASSES = 13
+log = logging.getLogger("taxelkit")
 
 # Full-scale split of the 3861-recording study: 3081 / 390 / 390.
 SPLIT_RATIO = (3081, 390, 390)
@@ -188,6 +190,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
     best_acc = -1.0
     best_params = model.clone_params()
     for epoch in range(config.epochs):
+        t0 = time.perf_counter()
         perm = rng.permutation(len(train_x))
         losses = []
         for i in range(0, len(perm), config.batch_size):
@@ -202,6 +205,10 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
             losses.append(loss)
         val_acc = float(np.mean(_predict_batched(model, val_x) == val_y)) if len(val_y) else 0.0
         history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)), val_acc=val_acc))
+        seconds = time.perf_counter() - t0
+        log.info("epoch %d/%d (C=%d): train loss %.4f, val acc %.3f, %.2f s, %.0f samples/s",
+                 epoch + 1, config.epochs, train_x.shape[1], history[-1].train_loss, val_acc,
+                 seconds, len(train_x) / seconds)
         if val_acc > best_acc:
             best_acc = val_acc
             best_params = model.clone_params()

@@ -157,6 +157,25 @@ class TestExitCodes:
     def test_missing_dataset(self, tmp_path, tiny_config):
         assert run("train", "--config", tiny_config, "--out", str(tmp_path / "empty")) == 3
 
+    def test_truncated_dataset(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "out"
+        run("synth", "--config", tiny_config, "--out", str(out))
+        data = out / "dataset.tgk"
+        data.write_bytes(data.read_bytes()[:-1000])
+        assert run("train", "--config", tiny_config, "--out", str(out)) == 5
+        assert run("viz", "--config", tiny_config, "--out", str(out),
+                   "--recording-id", "0") == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_truncated_checkpoint(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "out"
+        run("synth", "--config", tiny_config, "--out", str(out))
+        assert run("train", "--config", tiny_config, "--out", str(out)) == 0
+        ckpt = out / "model.tgkm"
+        ckpt.write_bytes(ckpt.read_bytes()[:6])
+        assert run("eval", "--config", tiny_config, "--out", str(out)) == 5
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_recording_id(self, tmp_path, tiny_config):
         out = tmp_path / "out"
         run("synth", "--config", tiny_config, "--out", str(out))

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, FormatError,
                              load_checkpoint, load_dataset, save_checkpoint,
@@ -89,6 +91,15 @@ class TestDataset:
         with pytest.raises(FormatError, match="trailing"):
             load_dataset(path)
 
+    def test_unknown_label(self, recordings, tmp_path):
+        path = tmp_path / "label.tgk"
+        save_dataset(recordings[:1], path)
+        raw = bytearray(path.read_bytes())
+        raw[20] = 13  # first record's label byte
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="label"):
+            load_dataset(path)
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -145,3 +156,36 @@ class TestCheckpoint:
         logits_a, _ = model.forward(x, train=False)
         logits_b, _ = clone.forward(x, train=False)
         assert np.array_equal(logits_a, logits_b)
+
+
+@pytest.fixture(scope="module")
+def saved_files(recordings, tmp_path_factory):
+    root = tmp_path_factory.mktemp("truncation")
+    save_dataset(recordings[:2], root / "data.tgk")
+    model = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4)
+    save_checkpoint(model.params, 3, root / "model.tgkm")
+    return root, model.shapes()
+
+
+class TestTruncation:
+    """Cutting a file at any offset gives FormatError, never struct/numpy errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dataset(self, saved_files, data):
+        root, _ = saved_files
+        raw = (root / "data.tgk").read_bytes()
+        cut = root / "cut.tgk"
+        cut.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(FormatError):
+            load_dataset(cut)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_checkpoint(self, saved_files, data):
+        root, shapes = saved_files
+        raw = (root / "model.tgkm").read_bytes()
+        cut = root / "cut.tgkm"
+        cut.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut, shapes)

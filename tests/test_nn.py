@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from taxelkit import nn
 from taxelkit.nn import (AdamState, CnnModel, ShapeError, conv2d_backward,
                          conv2d_forward, dropout_backward, dropout_forward,
                          dropout_mask, linear_backward, linear_forward,
@@ -75,6 +77,75 @@ class TestConv:
         assert rel_err(dx, numeric_grad(loss, x)) < 1e-7
         assert rel_err(dw, numeric_grad(loss, w)) < 1e-7
         assert rel_err(db, numeric_grad(loss, b)) < 1e-7
+
+    def test_no_dx_same_weight_grads(self):
+        x = RNG.normal(size=(4, 5, 5, 10))
+        w = RNG.normal(size=(6, 5, 3, 3))
+        dy = RNG.normal(size=(4, 6, 5, 10))
+        _, cache = conv2d_forward(x, w, RNG.normal(size=6))
+        dx, dw, db = conv2d_backward(dy, cache)
+        none, dw2, db2 = conv2d_backward(dy, cache, need_dx=False)
+        assert dx is not None and none is None
+        assert dw.tobytes() == dw2.tobytes() and db.tobytes() == db2.tobytes()
+
+
+# Reference kernels: the window-view tensordot convolution and the np.add.at
+# maxpool scatter that the optimized layers must reproduce bit for bit.
+
+def ref_conv2d_forward(x, w, b):
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))
+    y = np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3]))
+    return np.transpose(y, (0, 3, 1, 2)) + b[None, :, None, None], (windows, w)
+
+
+def ref_conv2d_backward(dy, cache, need_dx=True):
+    # CnnModel discards the input-layer dx, so the reference does not build it
+    windows, w = cache
+    dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+    return None, dw, dy.sum(axis=(0, 2, 3))
+
+
+def ref_maxpool2_backward(dy, cache):
+    x_shape, arg = cache
+    dx = np.zeros(x_shape)
+    di, dj = np.divmod(arg, 2)
+    ni, ci, hi, wi = np.indices(dy.shape)
+    np.add.at(dx, (ni, ci, hi + di, wi + dj), dy)
+    return dx
+
+
+class TestReferenceEquivalence:
+    def test_maxpool_backward_matches_add_at_with_ties(self):
+        rng = np.random.default_rng(11)
+        # small integers make tied maxima common, so windows share argmax pixels
+        x = rng.integers(-2, 3, size=(4, 3, 5, 10)).astype(float)
+        dy = rng.integers(-3, 4, size=(4, 3, 4, 9)) + rng.normal(size=(4, 3, 4, 9))
+        _, cache = maxpool2_forward(x)
+        assert np.array_equal(maxpool2_backward(dy, cache), ref_maxpool2_backward(dy, cache))
+
+    def test_conv_forward_matches_tensordot(self):
+        x = RNG.normal(size=(8, 122, 5, 10))
+        w = RNG.normal(size=(122, 122, 3, 3))
+        b = RNG.normal(size=122)
+        y, _ = conv2d_forward(x, w, b)
+        assert y.tobytes() == ref_conv2d_forward(x, w, b)[0].tobytes()
+
+    @pytest.mark.parametrize("channels", [122, 366])
+    def test_loss_and_grads_bit_identical(self, channels, monkeypatch):
+        rng = np.random.default_rng(channels)
+        x = rng.normal(size=(32, channels, 5, 10))
+        labels = rng.integers(0, 13, size=32)
+        masks = dropout_mask((32, 122, 5, 10), 0.5, rng)
+        model = CnnModel(in_channels=channels, seed=1)
+        loss, grads = model.loss_and_grads(x, labels, dropout_masks=masks)
+        monkeypatch.setattr(nn, "conv2d_forward", ref_conv2d_forward)
+        monkeypatch.setattr(nn, "conv2d_backward", ref_conv2d_backward)
+        monkeypatch.setattr(nn, "maxpool2_backward", ref_maxpool2_backward)
+        ref_loss, ref_grads = model.loss_and_grads(x, labels, dropout_masks=masks)
+        assert loss == ref_loss
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestMaxpool:
@@ -301,6 +372,23 @@ class TestAdam:
                 ref[k] -= 1e-3 * mh / (np.sqrt(vh) + 1e-8)
         for k in ref:
             assert np.allclose(params[k], ref[k], atol=1e-12)
+
+    def test_bit_identical_to_out_of_place_update(self):
+        rng = np.random.default_rng(9)
+        params = {"w": rng.normal(size=(40, 30)), "b": rng.normal(size=30)}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(val) for k, val in ref.items()}
+        opt = AdamState(lr=1e-3)
+        for t in range(1, 6):
+            grads = {k: rng.normal(size=val.shape) for k, val in ref.items()}
+            opt.step(params, grads)
+            for k in ref:
+                m[k] = 0.9 * m[k] + (1 - 0.9) * grads[k]
+                v[k] = 0.999 * v[k] + (1 - 0.999) * grads[k] * grads[k]
+                ref[k] -= 1e-3 * (m[k] / (1 - 0.9**t)) / (np.sqrt(v[k] / (1 - 0.999**t)) + 1e-8)
+            for k in ref:
+                assert params[k].tobytes() == ref[k].tobytes(), (t, k)
 
     def test_zero_grad_no_move(self):
         params = {"w": np.array([1.0, 2.0])}

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,14 @@ class TestTrain:
         assert h1 == h2
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
+
+    def test_logs_one_line_per_epoch(self, caplog):
+        x, y = self.small_data()
+        with caplog.at_level(logging.INFO, logger="taxelkit"):
+            train(x, y, x, y, TrainConfig(epochs=3, batch_size=8, seed=5))
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
+        assert [line.split()[1] for line in lines] == ["1/3", "2/3", "3/3"]
+        assert all("val acc" in line and "samples/s" in line for line in lines)
 
     def test_learns_separable_toy(self):
         x, y = self.small_data(n=52)
