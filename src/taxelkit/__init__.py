@@ -13,6 +13,6 @@ from .gestures import (GestureClass, GestureRecording, UserProfile,
 from .nn import AdamState, CnnModel, softmax_cross_entropy
 from .pipeline import (AblationMode, ConfusionMatrix, DatasetSplit, TrainConfig,
                        ablate, assemble_tensor, apply_normalization, evaluate,
-                       fit_normalization, split_dataset, train)
+                       fit_normalization, prepare, split_dataset, train)
 
 __version__ = "0.1.0"

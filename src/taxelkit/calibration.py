@@ -17,10 +17,6 @@ from .magnetics import FluxSample
 N_FEATURES = 9
 FEATURE_NAMES = ["bx", "by", "bz", "bx^2", "by^2", "bz^2", "bx*by", "bx*bz", "by*bz"]
 
-# Conditioning threshold above which the normal-equation solve falls back
-# to a rank-revealing least-squares solve.
-COND_LIMIT = 1e12
-
 
 class DegenerateFitError(ValueError):
     """Feature matrix is rank-deficient; carries the unidentifiable directions."""
@@ -78,16 +74,12 @@ def fit_taxel(samples: list[CalibrationSample]) -> CalibrationModel:
     if len(samples) < N_FEATURES:
         raise ValueError(f"need at least {N_FEATURES} samples, got {len(samples)}")
     A, F = _feature_matrix(samples)
-    svals = np.linalg.svd(A, compute_uv=False)
-    if svals[-1] <= svals[0] * 1e-10:
-        _, _, vt = np.linalg.svd(A)
-        null = vt[np.sum(svals > svals[0] * 1e-10):]
-        raise DegenerateFitError(null)
-    gram = A.T @ A
-    if np.linalg.cond(gram) < COND_LIMIT:
-        coeffs = np.linalg.solve(gram, A.T @ F).T
-    else:
-        coeffs = np.linalg.lstsq(A, F, rcond=None)[0].T
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.sum(s > s[0] * 1e-10))
+    if rank < N_FEATURES:
+        raise DegenerateFitError(vt[rank:])
+    # pseudo-inverse solve through the same decomposition
+    coeffs = (vt.T @ ((u.T @ F) / s[:, None])).T
     return CalibrationModel(coeffs=coeffs)
 
 

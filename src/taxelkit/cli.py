@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import calibration as cal
 from . import dataio, gestures, magnetics, pipeline, svgplot
 from .config import FULL_SCALE_SYNTH, ConfigError, RunConfig
 from .geometry import ForceVector
-from .gestures import GestureClass
+from .gestures import N_FRAMES, GestureClass
 from .nn import CnnModel
 
 log = logging.getLogger("taxelkit")
@@ -33,24 +34,6 @@ CLASS_NAMES = [c.name.capitalize() for c in GestureClass]
 
 class MissingInputError(FileNotFoundError):
     pass
-
-
-def _geom(cfg: RunConfig) -> magnetics.TaxelGeometry:
-    g = cfg.geometry
-    return magnetics.TaxelGeometry(
-        wall_thickness=g.wall_thickness_mm, width=g.width_mm,
-        cavity_height=g.cavity_height_mm, magnet_height=g.magnet_height_mm,
-        chip_offset=g.chip_offset_mm)
-
-
-def _dip(cfg: RunConfig) -> magnetics.DipoleParams:
-    return magnetics.DipoleParams(moment=cfg.dipole.moment_am2,
-                                  direction=tuple(cfg.dipole.direction))
-
-
-def _stiff(cfg: RunConfig) -> magnetics.StiffnessModel:
-    s = cfg.stiffness
-    return magnetics.StiffnessModel(kx=s.kx_n_per_mm, ky=s.ky_n_per_mm, kz=s.kz_n_per_mm)
 
 
 def _outdir(args, cfg: RunConfig) -> Path:
@@ -69,7 +52,7 @@ def _outdir(args, cfg: RunConfig) -> Path:
 def cmd_sweep(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
     heights = [float(h) for h in args.heights.split(",")]
-    curves = magnetics.flux_sweep(heights, args.max_shear, args.steps, _geom(cfg), _dip(cfg))
+    curves = magnetics.flux_sweep(heights, args.max_shear, args.steps, cfg.geometry, cfg.dipole)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -91,13 +74,10 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 def _calibration_samples(cfg: RunConfig, taxel: int, n: int, noise: float, source: str):
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, taxel, 0x43414C]))
-    geom, dip = _geom(cfg), _dip(cfg)
-    s = cfg.stiffness
+    geom, dip, s = cfg.geometry, cfg.dipole, cfg.stiffness
     # per-taxel fabrication spread on the compliance
     jitter = rng.uniform(0.9, 1.1, size=3)
-    stiff = magnetics.StiffnessModel(kx=s.kx_n_per_mm * jitter[0],
-                                     ky=s.ky_n_per_mm * jitter[1],
-                                     kz=s.kz_n_per_mm * jitter[2])
+    stiff = replace(s, kx=s.kx * jitter[0], ky=s.ky * jitter[1], kz=s.kz * jitter[2])
     baseline = magnetics.simulate_taxel(ForceVector(0, 0, 0), geom, dip, stiff).as_array()
     fx = rng.uniform(-2.0, 2.0, size=n)
     fy = rng.uniform(-2.0, 2.0, size=n)
@@ -197,13 +177,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     split = pipeline.split_dataset(recs, seed=cfg.seed)
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
-    train_x, train_y = pipeline.assemble_tensor(pipeline.select(recs, split.train), mode,
-                                                dtype=np.float32)
-    stats = pipeline.fit_normalization(train_x, mode)
-    train_x = pipeline.apply_normalization(stats, train_x).astype(np.float32)
-    val_x, val_y = pipeline.assemble_tensor(pipeline.select(recs, split.val), mode,
-                                            dtype=np.float32)
-    val_x = pipeline.apply_normalization(stats, val_x).astype(np.float32)
+    train_x, train_y, stats = pipeline.prepare(recs, split.train, mode)
+    val_x, val_y, _ = pipeline.prepare(recs, split.val, mode, stats)
     model, history = pipeline.train(train_x, train_y, val_x, val_y, tconf)
     ckpt = out / cfg.paths.checkpoint
     dataio.save_checkpoint(model.params, model.in_channels, ckpt, config={
@@ -217,17 +192,35 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _load_model(ckpt_path):
+    """A checkpoint's model, its normalization stats and its split seed."""
     ckpt_path = Path(ckpt_path)
     if not ckpt_path.exists():
         raise MissingInputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
     manifest_path = ckpt_path.with_suffix(ckpt_path.suffix + ".json")
     if not manifest_path.exists():
         raise MissingInputError(f"checkpoint manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    model = CnnModel(in_channels=manifest["c_in"])
-    params, _ = dataio.load_checkpoint(ckpt_path, model.shapes())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        c_in, mconf = manifest["c_in"], manifest["config"]
+        mode = pipeline.AblationMode(mconf["mode"])
+        stats = pipeline.NormalizationStats(mode=mode,
+                                            mean=np.array(mconf["norm_mean"], dtype=float),
+                                            std=np.array(mconf["norm_std"], dtype=float))
+        split_seed = mconf["split_seed"]
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise dataio.FormatError(f"{manifest_path}: unreadable manifest: {e!r}")
+    axes = (pipeline.channels_for(mode) // N_FRAMES,)
+    if (c_in != pipeline.channels_for(mode) or stats.mean.shape != axes
+            or stats.std.shape != axes or not isinstance(split_seed, int) or split_seed < 0):
+        raise dataio.FormatError(f"{manifest_path}: c_in, normalization stats or split seed "
+                                 f"do not fit mode {mode.value}")
+    model = CnnModel(in_channels=c_in)
+    params, header_c_in = dataio.load_checkpoint(ckpt_path, model.shapes())
+    if header_c_in != c_in:
+        raise dataio.FormatError(f"{ckpt_path}: header has {header_c_in} input channels, "
+                                 f"manifest {c_in}")
     model.set_params(params)
-    return model, manifest
+    return model, stats, split_seed
 
 
 def _confusion_outputs(result: pipeline.EvaluationResult, out: Path, stem: str) -> dict:
@@ -249,17 +242,11 @@ def _confusion_outputs(result: pipeline.EvaluationResult, out: Path, stem: str) 
 def cmd_eval(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
-    model, manifest = _load_model(args.checkpoint or out / cfg.paths.checkpoint)
-    mconf = manifest["config"]
-    mode = pipeline.AblationMode(mconf["mode"])
-    stats = pipeline.NormalizationStats(mode=mode, mean=np.array(mconf["norm_mean"]),
-                                        std=np.array(mconf["norm_std"]))
-    split = pipeline.split_dataset(recs, seed=mconf["split_seed"])
-    test_x, test_y = pipeline.assemble_tensor(pipeline.select(recs, split.test), mode,
-                                              dtype=np.float32)
-    test_x = pipeline.apply_normalization(stats, test_x).astype(np.float32)
+    model, stats, split_seed = _load_model(args.checkpoint or out / cfg.paths.checkpoint)
+    split = pipeline.split_dataset(recs, seed=split_seed)
+    test_x, test_y, _ = pipeline.prepare(recs, split.test, stats.mode, stats)
     result = pipeline.evaluate(model, test_x, test_y)
-    report = {"mode": mode.value, "test_size": len(test_y),
+    report = {"mode": stats.mode.value, "test_size": len(test_y),
               **_confusion_outputs(result, out, "confusion")}
     (out / "evaluation.json").write_text(json.dumps(report, indent=1))
     log.info("test accuracy %.3f (macro %.3f)", result.overall_accuracy, result.macro_accuracy)

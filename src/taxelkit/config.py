@@ -1,13 +1,19 @@
 """Run configuration: a JSON document with fixed sections and strict keys.
 
-Unknown keys are rejected so typos fail loudly; every field has a default.
-Commands echo the effective config beside their outputs.
+The geometry, dipole and stiffness sections are the magnetics parameter
+dataclasses themselves, keyed by their field names (units in their
+docstrings). Unknown keys are rejected so typos fail loudly, and every
+section checks its values on construction, so a bad value is a ConfigError
+at load time. Every field has a default. Commands echo the effective config
+beside their outputs.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+
+from .magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 
 
 class ConfigError(ValueError):
@@ -18,30 +24,17 @@ def _build(cls, data: dict, section: str):
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    return cls(**data)
+        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)} "
+                          f"(known: {sorted(known)})")
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value in '{section}': {e}")
 
 
-@dataclass(frozen=True)
-class GeometrySection:
-    wall_thickness_mm: float = 2.5
-    width_mm: float = 12.0
-    cavity_height_mm: float = 1.5875
-    magnet_height_mm: float = 6.0
-    chip_offset_mm: float = 1.5
-
-
-@dataclass(frozen=True)
-class DipoleSection:
-    moment_am2: float = 0.01
-    direction: tuple = (0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class StiffnessSection:
-    kx_n_per_mm: float = 1.5
-    ky_n_per_mm: float = 1.5
-    kz_n_per_mm: float = 5.0
+def _require_int(value, name: str, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,11 +43,19 @@ class SynthSection:
     n_blocks: int = 3
     reps_per_block: int = 3
 
+    def __post_init__(self):
+        for f in fields(self):
+            _require_int(getattr(self, f.name), f.name, 1)
+
 
 @dataclass(frozen=True)
 class TrainSection:
     epochs: int = 60
     batch_size: int = 32
+
+    def __post_init__(self):
+        _require_int(self.epochs, "epochs", 0)
+        _require_int(self.batch_size, "batch_size", 1)
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,11 @@ class PathsSection:
     dataset: str = "dataset.tgk"
     checkpoint: str = "model.tgkm"
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), str) or not getattr(self, f.name):
+                raise ValueError(f"{f.name} must be a non-empty string")
+
 
 # full-scale study protocol: 11 users x 9 blocks x 3 reps
 FULL_SCALE_SYNTH = SynthSection(n_users=11, n_blocks=9, reps_per_block=3)
@@ -70,9 +76,9 @@ FULL_SCALE_SYNTH = SynthSection(n_users=11, n_blocks=9, reps_per_block=3)
 
 @dataclass(frozen=True)
 class RunConfig:
-    geometry: GeometrySection = field(default_factory=GeometrySection)
-    dipole: DipoleSection = field(default_factory=DipoleSection)
-    stiffness: StiffnessSection = field(default_factory=StiffnessSection)
+    geometry: TaxelGeometry = field(default_factory=TaxelGeometry)
+    dipole: DipoleParams = field(default_factory=DipoleParams)
+    stiffness: StiffnessModel = field(default_factory=StiffnessModel)
     synth: SynthSection = field(default_factory=SynthSection)
     train: TrainSection = field(default_factory=TrainSection)
     paths: PathsSection = field(default_factory=PathsSection)
@@ -80,14 +86,9 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        sections = {
-            "geometry": GeometrySection,
-            "dipole": DipoleSection,
-            "stiffness": StiffnessSection,
-            "synth": SynthSection,
-            "train": TrainSection,
-            "paths": PathsSection,
-        }
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
+        sections = {f.name: f.default_factory for f in fields(cls) if f.name != "seed"}
         unknown = set(data) - set(sections) - {"seed"}
         if unknown:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
@@ -96,12 +97,11 @@ class RunConfig:
             raw = data.get(name, {})
             if not isinstance(raw, dict):
                 raise ConfigError(f"section '{name}' must be an object")
-            if name == "dipole" and "direction" in raw:
+            if name == "dipole" and isinstance(raw.get("direction"), list):
                 raw = dict(raw, direction=tuple(raw["direction"]))
             kwargs[name] = _build(section_cls, raw, name)
         seed = data.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError("seed must be an integer")
+        _require_int(seed, "seed", 0)
         return cls(seed=seed, **kwargs)
 
     @classmethod

@@ -8,7 +8,8 @@ stationary at dx = 2*z0, and field magnitude falls off as 1/z0^3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +26,13 @@ class SingularFieldError(ValueError):
     """Magnet center coincides with the sensor location."""
 
 
+def _require_positive(obj, *names: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
+            raise ValueError(f"{name} must be a positive number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TaxelGeometry:
     """Structural dimensions of one taxel, mm."""
@@ -36,9 +44,8 @@ class TaxelGeometry:
     chip_offset: float = CHIP_OFFSET_MM
 
     def __post_init__(self):
-        for name in ("wall_thickness", "width", "cavity_height", "magnet_height", "chip_offset"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_positive(self, "wall_thickness", "width", "cavity_height", "magnet_height",
+                          "chip_offset")
 
     @property
     def sensor_standoff(self) -> float:
@@ -54,11 +61,10 @@ class DipoleParams:
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.moment <= 0:
-            raise ValueError("moment must be positive")
-        norm = float(np.linalg.norm(self.direction))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError("direction must be unit-norm")
+        _require_positive(self, "moment")
+        direction = np.asarray(self.direction, dtype=float)
+        if direction.shape != (3,) or not abs(float(np.linalg.norm(direction)) - 1.0) <= 1e-9:
+            raise ValueError("direction must be a unit-norm 3-vector")
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,7 @@ class StiffnessModel:
     kz: float = 5.0
 
     def __post_init__(self):
-        if min(self.kx, self.ky, self.kz) <= 0:
-            raise ValueError("stiffnesses must be positive")
+        _require_positive(self, "kx", "ky", "kz")
 
 
 def dipole_flux(
@@ -138,13 +143,7 @@ def flux_sweep(
     shears = np.linspace(0.0, shear_max, steps)
     curves = []
     for h in heights:
-        g = TaxelGeometry(
-            wall_thickness=geom.wall_thickness,
-            width=geom.width,
-            cavity_height=geom.cavity_height,
-            magnet_height=h,
-            chip_offset=geom.chip_offset,
-        )
+        g = replace(geom, magnet_height=h)
         samples = [dipole_flux((d, 0.0, 0.0), g, dip) for d in shears]
         curves.append(
             SweepCurve(

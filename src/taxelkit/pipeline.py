@@ -156,6 +156,20 @@ def apply_normalization(stats: NormalizationStats, tensor: np.ndarray) -> np.nda
     return out.reshape(tensor.shape)
 
 
+def prepare(recordings: list[GestureRecording], ids: list[int], mode: AblationMode,
+            stats: NormalizationStats | None = None
+            ) -> tuple[np.ndarray, np.ndarray, NormalizationStats]:
+    """One arm's float32 input tensor and labels for the recordings ``ids``.
+
+    The tensor is normalized by ``stats``; when None, the stats are fitted
+    on these recordings (the training split) and returned for the others.
+    """
+    x, y = assemble_tensor(select(recordings, ids), mode, dtype=np.float32)
+    if stats is None:
+        stats = fit_normalization(x, mode)
+    return apply_normalization(stats, x).astype(np.float32, copy=False), y, stats
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
@@ -286,17 +300,10 @@ class AblationReport:
 
 
 def run_arm(recordings: list[GestureRecording], split: DatasetSplit, mode: AblationMode,
-            config: TrainConfig, dtype=np.float32) -> AblationArm:
-    tr = select(recordings, split.train)
-    va = select(recordings, split.val)
-    te = select(recordings, split.test)
-    train_x, train_y = assemble_tensor(tr, mode, dtype=dtype)
-    stats = fit_normalization(train_x, mode)
-    train_x = apply_normalization(stats, train_x).astype(dtype)
-    val_x, val_y = assemble_tensor(va, mode, dtype=dtype)
-    val_x = apply_normalization(stats, val_x).astype(dtype)
-    test_x, test_y = assemble_tensor(te, mode, dtype=dtype)
-    test_x = apply_normalization(stats, test_x).astype(dtype)
+            config: TrainConfig) -> AblationArm:
+    train_x, train_y, stats = prepare(recordings, split.train, mode)
+    val_x, val_y, _ = prepare(recordings, split.val, mode, stats)
+    test_x, test_y, _ = prepare(recordings, split.test, mode, stats)
     model, history = train(train_x, train_y, val_x, val_y, config)
     return AblationArm(mode=mode, result=evaluate(model, test_x, test_y), history=history)
 

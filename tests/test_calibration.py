@@ -84,6 +84,18 @@ class TestFitTaxel:
             fit_taxel(samples)
         assert "by" in str(err.value)
 
+    def test_ill_conditioned_exact_recovery(self):
+        # bz tracks bx to 1e-3: full rank, but cond(A^T A) is far above 1e12,
+        # where a normal-equation solve loses the coefficients
+        rng = np.random.default_rng(5)
+        fluxes = random_fluxes(40, rng)
+        fluxes[:, 2] = fluxes[:, 0] + 1e-3 * rng.normal(size=40)
+        truth = rng.normal(size=(3, 9))
+        samples = make_samples(truth, fluxes)
+        A = np.stack([quadratic_features(b) for b in fluxes])
+        assert np.linalg.cond(A.T @ A) > 1e12
+        assert np.allclose(fit_taxel(samples).coeffs, truth, rtol=0, atol=1e-6)
+
     def test_identifiability_from_nine_samples(self):
         rng = np.random.default_rng(11)
         truth = rng.normal(size=(3, 9))

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from taxelkit.cli import main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset
+from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 
 
 @pytest.fixture()
@@ -48,6 +50,26 @@ class TestConfig:
     def test_unknown_top_level(self):
         with pytest.raises(ConfigError, match="trian"):
             RunConfig.from_dict({"trian": {}})
+
+    def test_sections_are_model_parameters(self):
+        cfg = RunConfig()
+        assert cfg.geometry == TaxelGeometry()
+        assert cfg.dipole == DipoleParams()
+        assert cfg.stiffness == StiffnessModel()
+        cfg = RunConfig.from_dict({"geometry": {"magnet_height": 4.0},
+                                   "dipole": {"moment": 0.02, "direction": [1, 0, 0]},
+                                   "stiffness": {"kz": 3.0}})
+        assert cfg.geometry == TaxelGeometry(magnet_height=4.0)
+        assert cfg.dipole == DipoleParams(moment=0.02, direction=(1, 0, 0))
+        assert cfg.stiffness == StiffnessModel(kz=3.0)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("section,key", [("geometry", "magnet_height_mm"),
+                                             ("dipole", "moment_am2"),
+                                             ("stiffness", "kx_n_per_mm")])
+    def test_unit_suffixed_key_rejected(self, section, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig.from_dict({section: {key: 1.0}})
 
     def test_load_missing_file(self):
         with pytest.raises(ConfigError):
@@ -154,6 +176,23 @@ class TestExitCodes:
         bad2.write_text(json.dumps({"nonsense": {}}))
         assert run("synth", "--config", str(bad2), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("bad", [
+        {"geometry": {"magnet_height": -1}},
+        {"dipole": {"direction": 5}},
+        {"dipole": {"direction": [0, 0, 2]}},
+        {"stiffness": {"kx": "a"}},
+        {"synth": {"n_users": 0}},
+        {"train": {"batch_size": 0}},
+        {"seed": -1},
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        # rejected at load time, also by commands that never read the value
+        for command in ("synth", "sweep"):
+            assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_missing_dataset(self, tmp_path, tiny_config):
         assert run("train", "--config", tiny_config, "--out", str(tmp_path / "empty")) == 3
 
@@ -181,3 +220,36 @@ class TestExitCodes:
         run("synth", "--config", tiny_config, "--out", str(out))
         assert run("viz", "--config", tiny_config, "--out", str(out),
                    "--recording-id", "999") == 3
+
+
+class TestCheckpointManifest:
+    @pytest.fixture()
+    def trained(self, tmp_path, tiny_config):
+        out = tmp_path / "out"
+        assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
+        assert run("train", "--config", tiny_config, "--out", str(out)) == 0
+        return out
+
+    def eval_exit(self, out, tiny_config, capsys):
+        code = run("eval", "--config", tiny_config, "--out", str(out))
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    def test_unparsable_manifest(self, trained, tiny_config, capsys):
+        (trained / "model.tgkm.json").write_text("{not json")
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+
+    def test_manifest_missing_key(self, trained, tiny_config, capsys):
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        del manifest["config"]["norm_mean"]
+        path.write_text(json.dumps(manifest))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+
+    def test_header_channels_disagree_with_manifest(self, trained, tiny_config, capsys):
+        ckpt = trained / "model.tgkm"
+        data = bytearray(ckpt.read_bytes())
+        assert struct.unpack_from("<I", data, 8) == (366,)
+        struct.pack_into("<I", data, 8, 122)
+        ckpt.write_bytes(bytes(data))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5

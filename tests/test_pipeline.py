@@ -2,12 +2,15 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxelkit.gestures import synth_dataset
-from taxelkit.pipeline import (AblationMode, ConfusionMatrix, TrainConfig,
+from taxelkit.gestures import GestureClass, GestureRecording, synth_dataset
+from taxelkit.pipeline import (SPLIT_RATIO, AblationMode, ConfusionMatrix,
+                               NormalizationStats, TrainConfig,
                                TrainingDivergedError, assemble_tensor,
                                apply_normalization, channels_for, evaluate,
-                               fit_normalization, select, split_dataset, train)
+                               fit_normalization, prepare, select, split_dataset, train)
 from taxelkit.nn import CnnModel
 
 
@@ -91,6 +94,26 @@ class TestSplitDataset:
         with pytest.raises(ValueError):
             split_dataset([], seed=0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(per_user=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_partition_at_global_target(self, per_user, seed, data):
+        users = [u for u, n in enumerate(per_user) for _ in range(n)]
+        users = data.draw(st.permutations(users))
+        frames = np.zeros((122, 49, 3), dtype=np.float32)
+        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u,
+                                 recording_id=i, seed=i) for i, u in enumerate(users)]
+        split = split_dataset(recs, seed=seed)
+        parts = (split.train, split.val, split.test)
+        assert sorted(split.train + split.val + split.test) == list(range(len(recs)))
+        # global largest-remainder allocation of SPLIT_RATIO (ties to the earlier split)
+        n = len(recs)
+        quotas = [n * r / sum(SPLIT_RATIO) for r in SPLIT_RATIO]
+        target = [int(q) for q in quotas]
+        for k in sorted(range(3), key=lambda k: -(quotas[k] - target[k]))[:n - sum(target)]:
+            target[k] += 1
+        assert [len(p) for p in parts] == target
+
     def test_select(self, recordings):
         split = split_dataset(recordings, seed=0)
         picked = select(recordings, split.val)
@@ -131,6 +154,34 @@ class TestNormalization:
     def test_empty(self):
         with pytest.raises(ValueError):
             fit_normalization(np.zeros((0, 122, 5, 10)), AblationMode.NORMAL_ONLY)
+
+
+class TestPrepare:
+    def test_matches_assemble_then_normalize(self, recordings):
+        split = split_dataset(recordings, seed=0)
+        mode = AblationMode.NORMAL_AND_SHEAR
+        x, y, stats = prepare(recordings, split.train, mode)
+        raw, raw_y = assemble_tensor(select(recordings, split.train), mode, dtype=np.float32)
+        ref = fit_normalization(raw, mode)
+        assert x.dtype == np.float32
+        assert np.array_equal(y, raw_y)
+        assert np.array_equal(stats.mean, ref.mean) and np.array_equal(stats.std, ref.std)
+        assert np.array_equal(x, apply_normalization(ref, raw).astype(np.float32))
+
+    def test_reuses_given_stats(self, recordings):
+        split = split_dataset(recordings, seed=0)
+        mode = AblationMode.NORMAL_ONLY
+        _, _, stats = prepare(recordings, split.train, mode)
+        x, y, same = prepare(recordings, split.val, mode, stats)
+        assert same is stats
+        assert x.shape == (len(split.val), 122, 5, 10) and len(y) == len(split.val)
+        raw, _ = assemble_tensor(select(recordings, split.val), mode, dtype=np.float32)
+        assert np.array_equal(x, apply_normalization(stats, raw).astype(np.float32))
+        # stats read back from a checkpoint manifest are float64
+        stats64 = NormalizationStats(mode=mode, mean=np.array(stats.mean.tolist()),
+                                     std=np.array(stats.std.tolist()))
+        x64, _, _ = prepare(recordings, split.val, mode, stats64)
+        assert x64.dtype == np.float32
 
 
 class TestTrain:
