@@ -3,11 +3,11 @@ bias-free quadratic calibration, synthetic 13-class gesture datasets, and
 a from-scratch CNN classifier with a normal-vs-normal+shear ablation
 harness.
 """
-from .geometry import GRID, ForceVector, TactileFrame, TaxelGrid, from_grid, to_grid
-from .magnetics import (DipoleParams, FluxSample, StiffnessModel, TaxelGeometry,
-                        dipole_flux, flux_sweep, force_to_displacement, simulate_taxel)
-from .calibration import (CalibrationModel, CalibrationSample, fit_taxel,
-                          predict_force, quadratic_features, rms_error)
+from .geometry import GRID, TaxelGrid, from_grid, to_grid
+from .magnetics import (DipoleParams, StiffnessModel, TaxelGeometry, dipole_flux,
+                        flux_sweep, force_to_displacement, simulate_taxel)
+from .calibration import (CalibrationModel, fit_taxel, predict_force,
+                          quadratic_features, rms_error)
 from .gestures import (GestureClass, GestureRecording, UserProfile,
                        synth_dataset, synth_recording, user_profile)
 from .nn import AdamState, CnnModel, softmax_cross_entropy

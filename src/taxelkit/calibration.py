@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ForceVector
-from .magnetics import FluxSample
-
 N_FEATURES = 9
 FEATURE_NAMES = ["bx", "by", "bz", "bx^2", "by^2", "bz^2", "bx*by", "bx*bz", "by*bz"]
 
@@ -28,12 +25,6 @@ class DegenerateFitError(ValueError):
             for vec in null_directions
         )
         super().__init__(f"degenerate calibration fit, unidentifiable feature directions: {named}")
-
-
-@dataclass(frozen=True)
-class CalibrationSample:
-    flux: FluxSample
-    force: ForceVector
 
 
 @dataclass(frozen=True)
@@ -54,47 +45,48 @@ class CalibrationModel:
         return cls(coeffs=np.asarray(d["coeffs"], dtype=float).reshape(3, N_FEATURES))
 
 
-def quadratic_features(b: FluxSample | np.ndarray) -> np.ndarray:
-    """[bx, by, bz, bx^2, by^2, bz^2, bx*by, bx*bz, by*bz]."""
-    bx, by, bz = b.as_array() if isinstance(b, FluxSample) else np.asarray(b, dtype=float)
-    return np.array([bx, by, bz, bx * bx, by * by, bz * bz, bx * by, bx * bz, by * bz])
+def quadratic_features(flux) -> np.ndarray:
+    """[bx, by, bz, bx^2, by^2, bz^2, bx*by, bx*bz, by*bz] of (..., 3) flux, as (..., 9)."""
+    bx, by, bz = np.moveaxis(np.asarray(flux, dtype=float), -1, 0)
+    return np.stack([bx, by, bz, bx * bx, by * by, bz * bz, bx * by, bx * bz, by * bz], axis=-1)
 
 
-def _feature_matrix(samples: list[CalibrationSample]) -> tuple[np.ndarray, np.ndarray]:
-    A = np.stack([quadratic_features(s.flux) for s in samples])
-    F = np.stack([s.force.as_array() for s in samples])
-    return A, F
+def _pairs(flux, force) -> tuple[np.ndarray, np.ndarray]:
+    flux, force = np.asarray(flux, dtype=float), np.asarray(force, dtype=float)
+    if flux.ndim != 2 or flux.shape[1] != 3 or force.shape != flux.shape:
+        raise ValueError(f"flux and force must both be (n, 3), got {flux.shape} and {force.shape}")
+    return flux, force
 
 
-def fit_taxel(samples: list[CalibrationSample]) -> CalibrationModel:
+def fit_taxel(flux, force) -> CalibrationModel:
     """Ordinary least squares per output axis, no intercept.
 
+    ``flux`` (mT) and ``force`` (N) are (n, 3) arrays of paired samples.
     Raises DegenerateFitError when the feature matrix is rank-deficient.
     """
-    if len(samples) < N_FEATURES:
-        raise ValueError(f"need at least {N_FEATURES} samples, got {len(samples)}")
-    A, F = _feature_matrix(samples)
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    flux, force = _pairs(flux, force)
+    if len(flux) < N_FEATURES:
+        raise ValueError(f"need at least {N_FEATURES} samples, got {len(flux)}")
+    u, s, vt = np.linalg.svd(quadratic_features(flux), full_matrices=False)
     rank = int(np.sum(s > s[0] * 1e-10))
     if rank < N_FEATURES:
         raise DegenerateFitError(vt[rank:])
     # pseudo-inverse solve through the same decomposition
-    coeffs = (vt.T @ ((u.T @ F) / s[:, None])).T
+    coeffs = (vt.T @ ((u.T @ force) / s[:, None])).T
     return CalibrationModel(coeffs=coeffs)
 
 
-def predict_force(model: CalibrationModel, b: FluxSample | np.ndarray) -> ForceVector:
-    fx, fy, fz = model.coeffs @ quadratic_features(b)
-    return ForceVector(float(fx), float(fy), float(fz))
+def predict_force(model: CalibrationModel, flux) -> np.ndarray:
+    """Force (..., 3) N for flux (..., 3) mT."""
+    return quadratic_features(flux) @ model.coeffs.T
 
 
-def rms_error(model: CalibrationModel, samples: list[CalibrationSample]) -> tuple[float, float, float]:
-    """Per-axis RMS of predicted minus ground-truth force, N."""
-    if not samples:
+def rms_error(model: CalibrationModel, flux, force) -> tuple[float, float, float]:
+    """Per-axis RMS of predicted minus ground-truth force over (n, 3) samples, N."""
+    flux, force = _pairs(flux, force)
+    if len(flux) == 0:
         raise ValueError("rms_error needs at least one sample")
-    A, F = _feature_matrix(samples)
-    residuals = A @ model.coeffs.T - F
-    rms = np.sqrt(np.mean(residuals**2, axis=0))
+    rms = np.sqrt(np.mean((predict_force(model, flux) - force) ** 2, axis=0))
     return (float(rms[0]), float(rms[1]), float(rms[2]))
 
 

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +24,6 @@ import numpy as np
 from . import calibration as cal
 from . import dataio, gestures, magnetics, pipeline, svgplot
 from .config import FULL_SCALE_SYNTH, ConfigError, RunConfig
-from .geometry import ForceVector
 from .gestures import N_FRAMES, GestureClass
 from .nn import CnnModel
 
@@ -51,8 +51,8 @@ def _outdir(args, cfg: RunConfig) -> Path:
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
-    heights = [float(h) for h in args.heights.split(",")]
-    curves = magnetics.flux_sweep(heights, args.max_shear, args.steps, cfg.geometry, cfg.dipole)
+    curves = magnetics.flux_sweep(args.heights, args.max_shear, args.steps,
+                                  cfg.geometry, cfg.dipole)
     csv_path = out / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -72,33 +72,28 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # calibrate
 
-def _calibration_samples(cfg: RunConfig, taxel: int, n: int, noise: float, source: str):
+def _calibration_samples(cfg: RunConfig, taxel: int, n: int, noise: float, source: str
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(flux, force) arrays of n samples for one taxel, (n, 3) each."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, taxel, 0x43414C]))
-    geom, dip, s = cfg.geometry, cfg.dipole, cfg.stiffness
+    s = cfg.stiffness
     # per-taxel fabrication spread on the compliance
     jitter = rng.uniform(0.9, 1.1, size=3)
     stiff = replace(s, kx=s.kx * jitter[0], ky=s.ky * jitter[1], kz=s.kz * jitter[2])
-    baseline = magnetics.simulate_taxel(ForceVector(0, 0, 0), geom, dip, stiff).as_array()
     fx = rng.uniform(-2.0, 2.0, size=n)
     fy = rng.uniform(-2.0, 2.0, size=n)
     fz = rng.uniform(-7.0, 0.0, size=n)
-    fluxes = np.stack([
-        magnetics.simulate_taxel(ForceVector(x, y, z), geom, dip, stiff).as_array() - baseline
-        for x, y, z in zip(fx, fy, fz)])
+    forces = np.stack([fx, fy, fz], axis=1)
+    # row 0 is the zero-force baseline that every flux reading is taken against
+    flux = magnetics.simulate_taxel(np.vstack([np.zeros(3), forces]),
+                                    cfg.geometry, cfg.dipole, stiff)
+    flux = flux[1:] - flux[0]
     if source == "quadratic":
         truth = rng.normal(0.0, 0.5, size=(3, cal.N_FEATURES))
-        forces = fluxes_to_quadratic_forces(truth, fluxes)
-    else:
-        forces = np.stack([fx, fy, fz], axis=1)
+        forces = cal.quadratic_features(flux) @ truth.T
     if noise > 0:
         forces = forces + rng.normal(0.0, noise, size=forces.shape)
-    return [cal.CalibrationSample(flux=magnetics.FluxSample(*b), force=ForceVector(*f))
-            for b, f in zip(fluxes, forces)]
-
-
-def fluxes_to_quadratic_forces(coeffs: np.ndarray, fluxes: np.ndarray) -> np.ndarray:
-    feats = np.stack([cal.quadratic_features(b) for b in fluxes])
-    return feats @ coeffs.T
+    return flux, forces
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
@@ -107,15 +102,15 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     per_taxel_rms = {}
     failures = {}
     for taxel in range(49):
-        samples = _calibration_samples(cfg, taxel, args.samples, args.noise, args.source)
+        flux, force = _calibration_samples(cfg, taxel, args.samples, args.noise, args.source)
         try:
-            model = cal.fit_taxel(samples)
+            model = cal.fit_taxel(flux, force)
         except cal.DegenerateFitError as e:
             failures[taxel] = str(e)
             log.warning("taxel %d: %s", taxel, e)
             continue
         models[taxel] = model
-        per_taxel_rms[taxel] = cal.rms_error(model, samples)
+        per_taxel_rms[taxel] = cal.rms_error(model, flux, force)
     cal.save_models(models, out / "calibration.json")
     rms = np.array([per_taxel_rms[i] for i in sorted(per_taxel_rms)])
     with open(out / "rms.csv", "w", newline="") as fh:
@@ -203,9 +198,12 @@ def _load_model(ckpt_path):
         manifest = json.loads(manifest_path.read_text())
         c_in, mconf = manifest["c_in"], manifest["config"]
         mode = pipeline.AblationMode(mconf["mode"])
-        stats = pipeline.NormalizationStats(mode=mode,
-                                            mean=np.array(mconf["norm_mean"], dtype=float),
-                                            std=np.array(mconf["norm_std"], dtype=float))
+        # float32, as fitted by ``train``: eval then normalizes exactly like ``ablate``;
+        # a value that overflows float32 is rejected below as non-finite
+        with np.errstate(over="ignore"):
+            stats = pipeline.NormalizationStats(
+                mode=mode, mean=np.array(mconf["norm_mean"], dtype=np.float32),
+                std=np.array(mconf["norm_std"], dtype=np.float32))
         split_seed = mconf["split_seed"]
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise dataio.FormatError(f"{manifest_path}: unreadable manifest: {e!r}")
@@ -214,6 +212,9 @@ def _load_model(ckpt_path):
             or stats.std.shape != axes or not isinstance(split_seed, int) or split_seed < 0):
         raise dataio.FormatError(f"{manifest_path}: c_in, normalization stats or split seed "
                                  f"do not fit mode {mode.value}")
+    if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0)).all()):
+        raise dataio.FormatError(f"{manifest_path}: normalization stats must be finite float32 "
+                                 f"values with std > 0")
     model = CnnModel(in_channels=c_in)
     params, header_c_in = dataio.load_checkpoint(ckpt_path, model.shapes())
     if header_c_in != c_in:
@@ -302,6 +303,27 @@ def cmd_viz(args, cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _number(cast, minimum, strict: bool = False):
+    """argparse type: a finite ``cast`` value >= minimum (> minimum when strict)."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}")
+        if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number {'>' if strict else '>='} {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+_positive = _number(float, 0.0, strict=True)
+
+
+def _heights(text: str) -> list[float]:
+    return [_positive(h) for h in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="taxelkit",
                                      description="tri-axial tactile gesture toolkit")
@@ -314,15 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="flux vs shear curves per magnet height")
     common(p)
-    p.add_argument("--heights", default="2,4,6,10", help="comma-separated magnet heights, mm")
-    p.add_argument("--max-shear", type=float, default=5.0)
-    p.add_argument("--steps", type=int, default=101)
+    p.add_argument("--heights", type=_heights, default="2,4,6,10",
+                   help="comma-separated magnet heights, mm")
+    p.add_argument("--max-shear", type=_positive, default=5.0)
+    p.add_argument("--steps", type=_number(int, 2), default=101)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("calibrate", help="fit all 49 taxels on synthetic sweeps")
     common(p)
-    p.add_argument("--samples", type=int, default=120, help="samples per taxel")
-    p.add_argument("--noise", type=float, default=0.12, help="force noise sigma, N")
+    p.add_argument("--samples", type=_number(int, cal.N_FEATURES), default=120,
+                   help="samples per taxel")
+    p.add_argument("--noise", type=_number(float, 0.0), default=0.12,
+                   help="force noise sigma, N")
     p.add_argument("--source", choices=["dipole", "quadratic"], default="dipole",
                    help="ground-truth generator: dipole forward model, or an exact "
                         "quadratic map (for recovery checks)")

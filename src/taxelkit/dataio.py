@@ -77,10 +77,13 @@ def load_dataset(path) -> list[GestureRecording]:
         if label >= len(GestureClass):
             raise FormatError(f"{path}: recording {i} has unknown label {label}")
         offset += _RECORD_HEADER.size
+        # a read-only view into ``data``: the file is held in memory once
         frames_arr = np.frombuffer(data, dtype="<f4", count=frames * taxels * 3, offset=offset)
+        if not np.isfinite(frames_arr).all():
+            raise FormatError(f"{path}: recording {i} has non-finite forces")
         offset += block
         recordings.append(GestureRecording(
-            frames=frames_arr.reshape(frames, taxels, 3).copy(),
+            frames=frames_arr.reshape(frames, taxels, 3),
             label=GestureClass(label), user_id=user_id, recording_id=i, seed=seed))
     return recordings
 

@@ -65,36 +65,12 @@ class TaxelGrid:
 GRID = TaxelGrid()
 
 
-@dataclass(frozen=True)
-class ForceVector:
-    """Tri-axial force in N. fz <= 0 means compression."""
-
-    fx: float
-    fy: float
-    fz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.fx, self.fy, self.fz])
-
-
-@dataclass(frozen=True)
-class TactileFrame:
-    """One 25 Hz sample of all 49 taxels, in taxel-index order."""
-
-    forces: np.ndarray  # (49, 3) float
-    timestamp: int = 0
-
-    def __post_init__(self):
-        if self.forces.shape != (N_TAXELS, 3):
-            raise ValueError(f"frame must be (49, 3), got {self.forces.shape}")
-
-
-def to_grid(frame: TactileFrame | np.ndarray, grid: TaxelGrid = GRID) -> np.ndarray:
-    """Scatter a 49-taxel frame onto a (3, 5, 10) force image.
+def to_grid(frame: np.ndarray, grid: TaxelGrid = GRID) -> np.ndarray:
+    """Scatter a (49, 3) frame of forces (N) onto a (3, 5, 10) force image.
 
     Channel order is (x, y, z); the phantom cell stays zero.
     """
-    forces = frame.forces if isinstance(frame, TactileFrame) else np.asarray(frame)
+    forces = np.asarray(frame)
     if forces.shape != (N_TAXELS, 3):
         raise ValueError(f"expected (49, 3) forces, got {forces.shape}")
     image = np.zeros((3, grid.rows, grid.cols), dtype=forces.dtype)

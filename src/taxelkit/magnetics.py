@@ -13,8 +13,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import ForceVector
-
 MU0_OVER_4PI = 1e-7  # T*m/A
 
 # mm, vertical gap between cavity ceiling and the Hall chip die. Chosen so
@@ -68,18 +66,6 @@ class DipoleParams:
 
 
 @dataclass(frozen=True)
-class FluxSample:
-    """Flux density at the chip, mT."""
-
-    bx: float
-    by: float
-    bz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.bx, self.by, self.bz])
-
-
-@dataclass(frozen=True)
 class StiffnessModel:
     """Diagonal compliance of the silicone structure, N/mm.
 
@@ -96,26 +82,34 @@ class StiffnessModel:
         _require_positive(self, "kx", "ky", "kz")
 
 
+def _xyz(a) -> np.ndarray:
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (3,):
+        raise ValueError(f"expected a trailing axis of 3, got shape {a.shape}")
+    return a
+
+
 def dipole_flux(
-    displacement: tuple[float, float, float],
+    displacement,
     geom: TaxelGeometry = TaxelGeometry(),
     dip: DipoleParams = DipoleParams(),
-) -> FluxSample:
-    """Flux at the chip for a magnet displaced (dx, dy, dz) mm from rest.
+) -> np.ndarray:
+    """Flux (mT) at the chip for magnets displaced (dx, dy, dz) mm from rest.
 
-    B(r) = (mu0/4pi) * (3(m.rhat)rhat - m) / |r|^3 with r the sensor-to-
-    magnet-center vector; vertical component of r is z0 - dz.
+    ``displacement`` is (..., 3); the result has the same shape, columns
+    (bx, by, bz). B(r) = (mu0/4pi) * (3(m.rhat)rhat - m) / |r|^3 with r the
+    sensor-to-magnet-center vector; vertical component of r is z0 - dz.
     """
-    dx, dy, dz = displacement
-    r = np.array([dx, dy, geom.sensor_standoff - dz]) * 1e-3  # m
-    dist = float(np.linalg.norm(r))
-    if dist == 0.0:
+    d = _xyz(displacement)
+    r = np.stack([d[..., 0], d[..., 1], geom.sensor_standoff - d[..., 2]], axis=-1) * 1e-3  # m
+    dist = np.linalg.norm(r, axis=-1, keepdims=True)
+    if (dist == 0.0).any():
         raise SingularFieldError("magnet center coincides with the sensor")
     rhat = r / dist
     m_vec = dip.moment * np.asarray(dip.direction, dtype=float)
-    b_tesla = MU0_OVER_4PI * (3.0 * np.dot(m_vec, rhat) * rhat - m_vec) / dist**3
-    bx, by, bz = (b_tesla * 1e3).tolist()  # mT
-    return FluxSample(bx, by, bz)
+    m_dot_rhat = np.sum(m_vec * rhat, axis=-1, keepdims=True)
+    b_tesla = MU0_OVER_4PI * (3.0 * m_dot_rhat * rhat - m_vec) / dist**3
+    return b_tesla * 1e3  # mT
 
 
 @dataclass(frozen=True)
@@ -141,31 +135,28 @@ def flux_sweep(
     if shear_max <= 0:
         raise ValueError("shear_max must be positive")
     shears = np.linspace(0.0, shear_max, steps)
+    displacement = np.zeros((steps, 3))
+    displacement[:, 0] = shears
     curves = []
     for h in heights:
-        g = replace(geom, magnet_height=h)
-        samples = [dipole_flux((d, 0.0, 0.0), g, dip) for d in shears]
-        curves.append(
-            SweepCurve(
-                magnet_height=h,
-                shear_mm=shears,
-                bx=np.array([s.bx for s in samples]),
-                bz=np.array([s.bz for s in samples]),
-            )
-        )
+        b = dipole_flux(displacement, replace(geom, magnet_height=h), dip)
+        curves.append(SweepCurve(magnet_height=h, shear_mm=shears, bx=b[:, 0], bz=b[:, 2]))
     return curves
 
 
-def force_to_displacement(f: ForceVector, k: StiffnessModel = StiffnessModel()) -> tuple[float, float, float]:
-    """Linear compliance: displacement (mm) per axis is force / stiffness."""
-    return (f.fx / k.kx, f.fy / k.ky, f.fz / k.kz)
+def force_to_displacement(force, k: StiffnessModel = StiffnessModel()) -> np.ndarray:
+    """Linear compliance: displacement (mm) per axis is force (N) / stiffness.
+
+    ``force`` is (..., 3), columns (fx, fy, fz); the result has the same shape.
+    """
+    return _xyz(force) / np.array([k.kx, k.ky, k.kz])
 
 
 def simulate_taxel(
-    f: ForceVector,
+    force,
     geom: TaxelGeometry = TaxelGeometry(),
     dip: DipoleParams = DipoleParams(),
     k: StiffnessModel = StiffnessModel(),
-) -> FluxSample:
-    """Force -> displacement -> flux forward model for one taxel."""
-    return dipole_flux(force_to_displacement(f, k), geom, dip)
+) -> np.ndarray:
+    """Force (..., 3) N -> displacement -> flux (..., 3) mT for one taxel."""
+    return dipole_flux(force_to_displacement(force, k), geom, dip)

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from taxelkit.cli import main
+from taxelkit import pipeline
+from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
@@ -193,6 +194,21 @@ class TestExitCodes:
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--steps", "1"),
+        ("sweep", "--heights", "0"),
+        ("sweep", "--heights", "abc"),
+        ("sweep", "--max-shear", "0"),
+        ("calibrate", "--samples", "5"),
+        ("calibrate", "--noise", "-1"),
+    ], ids=["steps-1", "heights-0", "heights-abc", "max-shear-0", "samples-5", "noise-neg"])
+    def test_bad_numeric_flag(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            run(*argv, "--out", str(tmp_path / "o"))
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[1]}:" in err and "Traceback" not in err
+
     def test_missing_dataset(self, tmp_path, tiny_config):
         assert run("train", "--config", tiny_config, "--out", str(tmp_path / "empty")) == 3
 
@@ -201,6 +217,18 @@ class TestExitCodes:
         run("synth", "--config", tiny_config, "--out", str(out))
         data = out / "dataset.tgk"
         data.write_bytes(data.read_bytes()[:-1000])
+        assert run("train", "--config", tiny_config, "--out", str(out)) == 5
+        assert run("viz", "--config", tiny_config, "--out", str(out),
+                   "--recording-id", "0") == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_non_finite_force(self, tmp_path, tiny_config, capsys):
+        out = tmp_path / "out"
+        run("synth", "--config", tiny_config, "--out", str(out))
+        data = out / "dataset.tgk"
+        raw = bytearray(data.read_bytes())
+        struct.pack_into("<f", raw, 20 + 11 + 4 * 1000, float("nan"))
+        data.write_bytes(bytes(raw))
         assert run("train", "--config", tiny_config, "--out", str(out)) == 5
         assert run("viz", "--config", tiny_config, "--out", str(out),
                    "--recording-id", "0") == 5
@@ -246,6 +274,15 @@ class TestCheckpointManifest:
         path.write_text(json.dumps(manifest))
         assert self.eval_exit(trained, tiny_config, capsys) == 5
 
+    @pytest.mark.parametrize("key,value", [("norm_std", 0.0), ("norm_std", -1.0),
+                                           ("norm_std", 1e300), ("norm_mean", 1e300)])
+    def test_unusable_normalization_stats(self, trained, tiny_config, capsys, key, value):
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = [value] * len(manifest["config"][key])
+        path.write_text(json.dumps(manifest))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+
     def test_header_channels_disagree_with_manifest(self, trained, tiny_config, capsys):
         ckpt = trained / "model.tgkm"
         data = bytearray(ckpt.read_bytes())
@@ -253,3 +290,19 @@ class TestCheckpointManifest:
         struct.pack_into("<I", data, 8, 122)
         ckpt.write_bytes(bytes(data))
         assert self.eval_exit(trained, tiny_config, capsys) == 5
+
+    @pytest.mark.parametrize("mode", ["normal-only", "normal-and-shear"])
+    def test_eval_normalizes_like_ablate(self, tmp_path, tiny_config, mode):
+        out = tmp_path / "out"
+        assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
+        assert run("train", "--config", tiny_config, "--out", str(out), "--mode", mode) == 0
+        _, stats, split_seed = _load_model(out / "model.tgkm")
+        recs = load_dataset(out / "dataset.tgk")
+        split = pipeline.split_dataset(recs, seed=split_seed)
+        _, _, fitted = pipeline.prepare(recs, split.train, stats.mode)
+        assert stats.mean.tobytes() == fitted.mean.tobytes()
+        assert stats.std.tobytes() == fitted.std.tobytes()
+        from_manifest, _, _ = pipeline.prepare(recs, split.test, stats.mode, stats)
+        in_process, _, _ = pipeline.prepare(recs, split.test, stats.mode, fitted)
+        assert from_manifest.dtype == np.float32
+        assert from_manifest.tobytes() == in_process.tobytes()

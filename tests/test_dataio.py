@@ -31,6 +31,26 @@ class TestDataset:
             assert a.seed == b.seed
             assert a.recording_id == b.recording_id
 
+    def test_loaded_frames_are_read_only_views(self, recordings, tmp_path):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings, path)
+        loaded = load_dataset(path)
+        assert not any(r.frames.flags.writeable for r in loaded)
+        again = tmp_path / "again.tgk"
+        save_dataset(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_force(self, recordings, tmp_path, value):
+        path = tmp_path / "nan.tgk"
+        save_dataset(recordings[:2], path)
+        raw = bytearray(path.read_bytes())
+        # a float in the second record's frames
+        struct.pack_into("<f", raw, 20 + 2 * 11 + 122 * 49 * 3 * 4 + 400, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="recording 1 has non-finite"):
+            load_dataset(path)
+
     def test_sidecar(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
         save_dataset(recordings, path, config={"reps": 1})

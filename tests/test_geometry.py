@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxelkit.geometry import GRID, TactileFrame, from_grid, to_grid
+from taxelkit.geometry import GRID, from_grid, to_grid
 
 
 class TestTaxelIndex:
@@ -42,14 +42,14 @@ class TestTaxelIndex:
 
 class TestToGrid:
     def test_all_zero(self):
-        image = to_grid(TactileFrame(forces=np.zeros((49, 3))))
+        image = to_grid(np.zeros((49, 3)))
         assert image.shape == (3, 5, 10)
         assert not image.any()
 
     def test_single_site(self):
         forces = np.zeros((49, 3))
         forces[0, 2] = 1.0
-        image = to_grid(TactileFrame(forces=forces))
+        image = to_grid(forces)
         assert image[2, 0, 0] == 1.0
         image[2, 0, 0] = 0.0
         assert not image.any()
