@@ -5,7 +5,7 @@ pipeline artifact (flux curves, calibration table, dataset, checkpoint,
 evaluation report, ablation report, force-field figures).
 
 Exit codes: 0 success, 2 config error, 3 missing input, 4 numerical failure,
-5 malformed .tgk/.tgkm file.
+5 malformed .tgk/.tgkm file (also a dataset with no recordings).
 """
 from __future__ import annotations
 
@@ -149,7 +149,10 @@ def _load_recordings(path) -> list:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
-    return dataio.load_dataset(path)
+    recordings = dataio.load_dataset(path)
+    if not recordings:
+        raise dataio.FormatError(f"{path}: dataset has no recordings")
+    return recordings
 
 
 def _mode(name: str) -> pipeline.AblationMode:

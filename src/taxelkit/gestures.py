@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N, TaxelGrid
+from .geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N
 
 N_FRAMES = 122
 FPS = 25.0
@@ -27,6 +27,8 @@ DEFAULT_NOISE_N = 0.05
 _TAG_PROFILE = 0x50524F46  # "PROF"
 _TAG_RECORDING = 0x52454344  # "RECD"
 _TAG_BLOCK = 0x424C4F43  # "BLOC"
+
+_POS = GRID.positions_cm()  # (49, 2) taxel (x, y) cm
 
 
 class GestureClass(enum.IntEnum):
@@ -169,21 +171,21 @@ class _PatchTrack:
         self.shear = shear  # (T, 2) N
         self.y_gradient = y_gradient
 
-    def rasterize(self, grid: TaxelGrid) -> np.ndarray:
-        """(T, 49, 3) force contribution via a truncated Gaussian footprint."""
-        pos = grid.positions_cm()  # (49, 2)
-        diff = self.centers[:, None, :] - pos[None, :, :]  # (T, 49, 2)
-        d2 = np.sum(diff**2, axis=-1)
+    def add_to(self, forces: np.ndarray) -> None:
+        """Add this patch's (x, y, z) force to a channel-first (3, T, 49) buffer
+        through a truncated Gaussian footprint."""
+        centers = self.centers
+        if (centers == centers[0]).all():
+            centers = centers[:1]  # one (1, 49) footprint serves every frame
+        d2 = (centers[:, 0:1] - _POS[:, 0]) ** 2 + (centers[:, 1:2] - _POS[:, 1]) ** 2
         w = np.exp(-d2 / (2.0 * self.sigma**2))
         w[d2 > (3.0 * self.sigma) ** 2] = 0.0
         if self.y_gradient != 0.0:
-            rel_y = pos[None, :, 1] - self.centers[:, None, 1]
+            rel_y = _POS[:, 1] - centers[:, 1:2]
             w = w * np.clip(1.0 + self.y_gradient * rel_y, 0.0, None)
-        out = np.empty((self.centers.shape[0], pos.shape[0], 3))
-        out[:, :, 0] = w * self.shear[:, 0:1]
-        out[:, :, 1] = w * self.shear[:, 1:2]
-        out[:, :, 2] = -w * self.amp[:, None]
-        return out
+        forces[0] += w * self.shear[:, 0:1]
+        forces[1] += w * self.shear[:, 1:2]
+        forces[2] += -w * self.amp[:, None]
 
 
 def _base_trajectory(tmpl: GestureTemplate, t, rng, profile) -> np.ndarray:
@@ -221,9 +223,28 @@ def _base_trajectory(tmpl: GestureTemplate, t, rng, profile) -> np.ndarray:
 def synth_recording(gesture: GestureClass, profile: UserProfile, recording_seed: int,
                     recording_id: int = 0) -> GestureRecording:
     """Generate one 122-frame recording of the given class for one user."""
-    tmpl = TEMPLATES[gesture]
     rng = np.random.default_rng(
         np.random.SeedSequence([recording_seed, int(gesture), profile.seed, _TAG_RECORDING]))
+    # channel-first, so each track and each clamp works on contiguous (T, 49) blocks
+    forces = np.zeros((3, N_FRAMES, 49))
+    for track in _tracks(gesture, profile, rng):
+        track.add_to(forces)
+
+    # range safety before noise, clamp again after noise
+    _clamp(forces)
+    if profile.noise_level > 0:
+        forces += rng.normal(0.0, profile.noise_level, size=(N_FRAMES, 49, 3)).transpose(2, 0, 1)
+        _clamp(forces)
+
+    return GestureRecording(frames=forces.transpose(1, 2, 0).astype(np.float32, order="C"),
+                            label=gesture, user_id=profile.user_id,
+                            recording_id=recording_id, seed=recording_seed)
+
+
+def _tracks(gesture: GestureClass, profile: UserProfile,
+            rng: np.random.Generator) -> list[_PatchTrack]:
+    """The contact patches of one recording, drawn from its generator."""
+    tmpl = TEMPLATES[gesture]
     t = np.arange(N_FRAMES, dtype=float)
 
     amp_lo, amp_hi = tmpl.amp_range_n
@@ -232,38 +253,26 @@ def synth_recording(gesture: GestureClass, profile: UserProfile, recording_seed:
     sigma = rng.uniform(*tmpl.patch_sigma_cm)
 
     if gesture is GestureClass.PINCH:
-        tracks = _pinch_tracks(t, rng, profile, sigma, base_amp, ratio)
-    elif gesture in (GestureClass.GRAB, GestureClass.SHAKE):
-        tracks = _grab_tracks(t, rng, profile, sigma, base_amp, ratio,
-                              shake=(gesture is GestureClass.SHAKE))
-    else:
-        base = _base_trajectory(tmpl, t, rng, profile)
-        n_patches = int(rng.integers(tmpl.patch_count[0], tmpl.patch_count[1] + 1))
-        per_patch_amp = base_amp / n_patches if tmpl.split_amp else base_amp
-        tracks = []
-        for k in range(n_patches):
-            offset = rng.uniform(-0.6, 0.6, size=2) if n_patches > 1 else np.zeros(2)
-            centers = _clip_center(base + offset)
-            tracks.append(_generic_track(gesture, t, rng, tmpl, centers, sigma,
-                                         per_patch_amp, ratio))
+        return _pinch_tracks(t, rng, profile, sigma, base_amp, ratio)
+    if gesture in (GestureClass.GRAB, GestureClass.SHAKE):
+        return _grab_tracks(t, rng, profile, sigma, base_amp, ratio,
+                            shake=(gesture is GestureClass.SHAKE))
+    base = _base_trajectory(tmpl, t, rng, profile)
+    n_patches = int(rng.integers(tmpl.patch_count[0], tmpl.patch_count[1] + 1))
+    per_patch_amp = base_amp / n_patches if tmpl.split_amp else base_amp
+    tracks = []
+    for k in range(n_patches):
+        offset = rng.uniform(-0.6, 0.6, size=2) if n_patches > 1 else np.zeros(2)
+        centers = _clip_center(base + offset)
+        tracks.append(_generic_track(gesture, t, rng, tmpl, centers, sigma,
+                                     per_patch_amp, ratio))
+    return tracks
 
-    frames = np.zeros((N_FRAMES, 49, 3))
-    for track in tracks:
-        frames += track.rasterize(GRID)
 
-    # range safety before noise, clamp again after noise
-    np.clip(frames[:, :, 0], -SHEAR_MAX_N, SHEAR_MAX_N, out=frames[:, :, 0])
-    np.clip(frames[:, :, 1], -SHEAR_MAX_N, SHEAR_MAX_N, out=frames[:, :, 1])
-    np.clip(frames[:, :, 2], NORMAL_MIN_N, 0.0, out=frames[:, :, 2])
-    if profile.noise_level > 0:
-        frames = frames + rng.normal(0.0, profile.noise_level, size=frames.shape)
-        np.clip(frames[:, :, 0], -SHEAR_MAX_N, SHEAR_MAX_N, out=frames[:, :, 0])
-        np.clip(frames[:, :, 1], -SHEAR_MAX_N, SHEAR_MAX_N, out=frames[:, :, 1])
-        np.clip(frames[:, :, 2], NORMAL_MIN_N, 0.0, out=frames[:, :, 2])
-
-    return GestureRecording(frames=frames.astype(np.float32), label=gesture,
-                            user_id=profile.user_id, recording_id=recording_id,
-                            seed=recording_seed)
+def _clamp(forces: np.ndarray) -> None:
+    """Clamp a channel-first (3, T, 49) buffer to the sensor's force range in place."""
+    np.clip(forces[:2], -SHEAR_MAX_N, SHEAR_MAX_N, out=forces[:2])
+    np.clip(forces[2], NORMAL_MIN_N, 0.0, out=forces[2])
 
 
 def _generic_track(gesture, t, rng, tmpl, centers, sigma, amp_peak, ratio) -> _PatchTrack:

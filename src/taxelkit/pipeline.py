@@ -152,7 +152,8 @@ def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> Normaliza
 
 def apply_normalization(stats: NormalizationStats, tensor: np.ndarray) -> np.ndarray:
     view = _axis_view(tensor, stats.mode)
-    out = (view - stats.mean[None, None, :, None, None]) / stats.std[None, None, :, None, None]
+    out = view - stats.mean[None, None, :, None, None]
+    out /= stats.std[None, None, :, None, None]  # in place: no second tensor-sized temporary
     return out.reshape(tensor.shape)
 
 

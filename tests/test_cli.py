@@ -8,7 +8,7 @@ import pytest
 from taxelkit import pipeline
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
-from taxelkit.dataio import load_dataset
+from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 
 
@@ -232,6 +232,16 @@ class TestExitCodes:
         assert run("train", "--config", tiny_config, "--out", str(out)) == 5
         assert run("viz", "--config", tiny_config, "--out", str(out),
                    "--recording-id", "0") == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "eval", "viz", "ablate"])
+    def test_empty_dataset(self, tmp_path, tiny_config, capsys, caplog, command):
+        data = tmp_path / "empty.tgk"
+        save_dataset([], data)
+        extra = ["--recording-id", "0"] if command == "viz" else []
+        assert run(command, "--dataset", str(data), *extra, "--config", tiny_config,
+                   "--out", str(tmp_path / "out")) == 5
+        assert "has no recordings" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
     def test_truncated_checkpoint(self, tmp_path, tiny_config, capsys):

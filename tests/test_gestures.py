@@ -1,12 +1,52 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from taxelkit.geometry import GRID
+from taxelkit import gestures
+from taxelkit.geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N
 from taxelkit.gestures import (N_FRAMES, GestureClass, UserProfile, synth_dataset,
                                synth_recording, user_profile)
 
 QUIET = UserProfile(user_id=0, amplitude_scale=1.0, speed_scale=1.0,
                     location_bias=(0.0, 0.0), noise_level=0.0, seed=1234)
+
+
+def reference_rasterize(track):
+    """(T, 49, 3) force contribution of one patch, assembled frame-major."""
+    pos = GRID.positions_cm()
+    diff = track.centers[:, None, :] - pos[None, :, :]
+    d2 = np.sum(diff**2, axis=-1)
+    w = np.exp(-d2 / (2.0 * track.sigma**2))
+    w[d2 > (3.0 * track.sigma) ** 2] = 0.0
+    if track.y_gradient != 0.0:
+        rel_y = pos[None, :, 1] - track.centers[:, None, 1]
+        w = w * np.clip(1.0 + track.y_gradient * rel_y, 0.0, None)
+    out = np.empty((track.centers.shape[0], pos.shape[0], 3))
+    out[:, :, 0] = w * track.shear[:, 0:1]
+    out[:, :, 1] = w * track.shear[:, 1:2]
+    out[:, :, 2] = -w * track.amp[:, None]
+    return out
+
+
+def reference_clamp(frames):
+    np.clip(frames[:, :, 0], -SHEAR_MAX_N, SHEAR_MAX_N, out=frames[:, :, 0])
+    np.clip(frames[:, :, 1], -SHEAR_MAX_N, SHEAR_MAX_N, out=frames[:, :, 1])
+    np.clip(frames[:, :, 2], NORMAL_MIN_N, 0.0, out=frames[:, :, 2])
+
+
+def reference_frames(gesture, profile, recording_seed):
+    """A recording's frames from the same draws, one (T, 49, 3) array per patch."""
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [recording_seed, int(gesture), profile.seed, gestures._TAG_RECORDING]))
+    frames = np.zeros((N_FRAMES, 49, 3))
+    for track in gestures._tracks(gesture, profile, rng):
+        frames += reference_rasterize(track)
+    reference_clamp(frames)
+    if profile.noise_level > 0:
+        frames = frames + rng.normal(0.0, profile.noise_level, size=frames.shape)
+        reference_clamp(frames)
+    return frames.astype(np.float32)
 
 
 def grid_image(frame):
@@ -146,6 +186,17 @@ class TestSynthRecording:
         # disjoint opposing-shear metric
         assert poke_opp.max() < pinch_opp.min()
 
+    @settings(max_examples=150, deadline=None)
+    @given(gesture=st.sampled_from(list(GestureClass)),
+           user=st.one_of(st.none(), st.integers(0, 50)),
+           master_seed=st.integers(0, 2**32 - 1),
+           recording_seed=st.integers(0, 2**64 - 1))
+    def test_matches_frame_major_reference(self, gesture, user, master_seed, recording_seed):
+        profile = QUIET if user is None else user_profile(user, master_seed)
+        frames = synth_recording(gesture, profile, recording_seed).frames
+        assert frames.dtype == np.float32 and frames.flags.c_contiguous
+        assert frames.tobytes() == reference_frames(gesture, profile, recording_seed).tobytes()
+
     def test_label_integrity(self):
         for gesture in GestureClass:
             rec = synth_recording(gesture, QUIET, 3)
@@ -180,6 +231,13 @@ class TestSynthDataset:
         recs = synth_dataset(2, 1, 2, 3)
         assert [r.recording_id for r in recs] == list(range(len(recs)))
         assert {r.user_id for r in recs} == {0, 1}
+
+    def test_desk_scale_matches_frame_major_reference(self):
+        recs = synth_dataset(4, 3, 3, 0)  # the default (desk) protocol: 468 recordings
+        assert len(recs) == 468
+        for rec in recs:
+            ref = reference_frames(rec.label, user_profile(rec.user_id, 0), rec.seed)
+            assert rec.frames.tobytes() == ref.tobytes(), rec.recording_id
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):

@@ -145,6 +145,23 @@ class TestNormalization:
         zb = apply_normalization(stats, xb)
         assert np.allclose(zb, (xb - stats.mean[0]) / stats.std[0])
 
+    @pytest.mark.parametrize("mode", list(AblationMode))
+    @pytest.mark.parametrize("stats_dtype", [np.float32, np.float64])
+    def test_in_place_matches_one_expression(self, recordings, mode, stats_dtype):
+        x, _ = assemble_tensor(recordings[:10], mode, dtype=np.float32)
+        fitted = fit_normalization(x, mode)
+        stats = NormalizationStats(mode=mode, mean=fitted.mean.astype(stats_dtype),
+                                   std=fitted.std.astype(stats_dtype))
+        before = x.copy()
+        z = apply_normalization(stats, x)
+        n, c, h, w = x.shape
+        view = x.reshape(n, c // len(stats.mean), len(stats.mean), h, w)
+        ref = ((view - stats.mean[None, None, :, None, None])
+               / stats.std[None, None, :, None, None]).reshape(x.shape)
+        assert z.dtype == ref.dtype and z.shape == x.shape
+        assert z.tobytes() == ref.tobytes()
+        assert x.tobytes() == before.tobytes()
+
     def test_constant_channel_std_floor(self):
         x = np.full((4, 122, 5, 10), 2.0)
         stats = fit_normalization(x, AblationMode.NORMAL_ONLY)
