@@ -5,7 +5,8 @@ pipeline artifact (flux curves, calibration table, dataset, checkpoint,
 evaluation report, ablation report, force-field figures).
 
 Exit codes: 0 success, 2 config error, 3 missing input, 4 numerical failure,
-5 malformed .tgk/.tgkm file (also a dataset with no recordings).
+5 malformed .tgk/.tgkm file (also a dataset with no recordings), 6 a
+checkpoint evaluated on a dataset or split it was not trained on.
 """
 from __future__ import annotations
 
@@ -34,6 +35,10 @@ CLASS_NAMES = [c.name.capitalize() for c in GestureClass]
 
 class MissingInputError(FileNotFoundError):
     pass
+
+
+class DatasetMismatchError(ValueError):
+    """The dataset or split differs from the one a checkpoint was trained on."""
 
 
 def _outdir(args, cfg: RunConfig) -> Path:
@@ -182,7 +187,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
     dataio.save_checkpoint(model.params, model.in_channels, ckpt, config={
         "mode": mode.value, "split_seed": cfg.seed, "epochs": tconf.epochs,
         "batch_size": tconf.batch_size,
-        "norm_mean": stats.mean.tolist(), "norm_std": stats.std.tolist()})
+        "norm_mean": stats.mean.tolist(), "norm_std": stats.std.tolist(),
+        "dataset_id": dataio.dataset_id(recs), "split_digest": split.digest()})
     _write_history(history, out / "history.csv")
     log.info("wrote %s (best val acc %.3f)", ckpt,
              max((h.val_acc for h in history), default=0.0))
@@ -190,7 +196,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 
 
 def _load_model(ckpt_path):
-    """A checkpoint's model, its normalization stats and its split seed."""
+    """A checkpoint's model, normalization stats, split seed and the
+    (dataset_id, split_digest) it was trained on."""
     ckpt_path = Path(ckpt_path)
     if not ckpt_path.exists():
         raise MissingInputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
@@ -208,6 +215,7 @@ def _load_model(ckpt_path):
                 mode=mode, mean=np.array(mconf["norm_mean"], dtype=np.float32),
                 std=np.array(mconf["norm_std"], dtype=np.float32))
         split_seed = mconf["split_seed"]
+        trained_on = mconf["dataset_id"], mconf["split_digest"]
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise dataio.FormatError(f"{manifest_path}: unreadable manifest: {e!r}")
     axes = (pipeline.channels_for(mode) // N_FRAMES,)
@@ -224,7 +232,7 @@ def _load_model(ckpt_path):
         raise dataio.FormatError(f"{ckpt_path}: header has {header_c_in} input channels, "
                                  f"manifest {c_in}")
     model.set_params(params)
-    return model, stats, split_seed
+    return model, stats, split_seed, trained_on
 
 
 def _confusion_outputs(result: pipeline.EvaluationResult, out: Path, stem: str) -> dict:
@@ -246,8 +254,14 @@ def _confusion_outputs(result: pipeline.EvaluationResult, out: Path, stem: str) 
 def cmd_eval(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
-    model, stats, split_seed = _load_model(args.checkpoint or out / cfg.paths.checkpoint)
+    ckpt = args.checkpoint or out / cfg.paths.checkpoint
+    model, stats, split_seed, trained_on = _load_model(ckpt)
     split = pipeline.split_dataset(recs, seed=split_seed)
+    found = dataio.dataset_id(recs), split.digest()
+    if found != trained_on:
+        raise DatasetMismatchError(
+            f"{ckpt} was trained on dataset {trained_on[0]} with split {trained_on[1]}, "
+            f"but this dataset is {found[0]} with split {found[1]}")
     test_x, test_y, _ = pipeline.prepare(recs, split.test, stats.mode, stats)
     result = pipeline.evaluate(model, test_x, test_y)
     report = {"mode": stats.mode.value, "test_size": len(test_y),
@@ -411,6 +425,9 @@ def main(argv=None) -> int:
     except dataio.FormatError as e:
         log.error("malformed file: %s", e)
         return 5
+    except DatasetMismatchError as e:
+        log.error("dataset mismatch: %s", e)
+        return 6
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ TGKM layout:
 """
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -53,39 +55,54 @@ def save_dataset(recordings: list[GestureRecording], path, config: dict | None =
 
 
 def load_dataset(path) -> list[GestureRecording]:
-    data = Path(path).read_bytes()
-    if len(data) < _DATASET_HEADER.size:
-        raise FormatError(f"{path}: truncated header")
-    magic, version, n_rec, frames, taxels = _DATASET_HEADER.unpack_from(data, 0)
-    if magic != DATASET_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if frames != N_FRAMES or taxels != 49:
-        raise FormatError(f"{path}: unexpected tensor dims {frames}x{taxels}")
-    offset = _DATASET_HEADER.size
-    block = frames * taxels * 3 * 4
-    expected = offset + n_rec * (_RECORD_HEADER.size + block)
-    if len(data) < expected:
-        raise FormatError(f"{path}: truncated: {n_rec} recordings need {expected} bytes, "
-                          f"file has {len(data)}")
-    if len(data) > expected:
-        raise FormatError(f"{path}: {len(data) - expected} trailing bytes")
-    recordings = []
-    for i in range(n_rec):
-        label, user_id, seed = _RECORD_HEADER.unpack_from(data, offset)
-        if label >= len(GestureClass):
-            raise FormatError(f"{path}: recording {i} has unknown label {label}")
-        offset += _RECORD_HEADER.size
-        # a read-only view into ``data``: the file is held in memory once
-        frames_arr = np.frombuffer(data, dtype="<f4", count=frames * taxels * 3, offset=offset)
-        if not np.isfinite(frames_arr).all():
-            raise FormatError(f"{path}: recording {i} has non-finite forces")
-        offset += block
-        recordings.append(GestureRecording(
-            frames=frames_arr.reshape(frames, taxels, 3),
-            label=GestureClass(label), user_id=user_id, recording_id=i, seed=seed))
-    return recordings
+    """Read a TGK1 file; the frames are rows of one aligned, read-only block."""
+    with open(path, "rb") as fh:
+        header = fh.read(_DATASET_HEADER.size)
+        if len(header) < _DATASET_HEADER.size:
+            raise FormatError(f"{path}: truncated header")
+        magic, version, n_rec, frames, taxels = _DATASET_HEADER.unpack(header)
+        if magic != DATASET_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}")
+        if frames != N_FRAMES or taxels != 49:
+            raise FormatError(f"{path}: unexpected tensor dims {frames}x{taxels}")
+        size = os.fstat(fh.fileno()).st_size
+        expected = _DATASET_HEADER.size + n_rec * (_RECORD_HEADER.size + frames * taxels * 3 * 4)
+        if size < expected:
+            raise FormatError(f"{path}: truncated: {n_rec} recordings need {expected} bytes, "
+                              f"file has {size}")
+        if size > expected:
+            raise FormatError(f"{path}: {size - expected} trailing bytes")
+        # the size check above bounds this allocation by the file's size
+        block = np.empty((n_rec, frames, taxels, 3), dtype="<f4")
+        record = bytearray(_RECORD_HEADER.size)
+        headers = []
+        for i, row in enumerate(block):
+            if fh.readinto(record) != len(record) or fh.readinto(row) != row.nbytes:
+                raise FormatError(f"{path}: truncated at recording {i}")
+            label, user_id, seed = _RECORD_HEADER.unpack(record)
+            if label >= len(GestureClass):
+                raise FormatError(f"{path}: recording {i} has unknown label {label}")
+            if not np.isfinite(row).all():
+                raise FormatError(f"{path}: recording {i} has non-finite forces")
+            headers.append((label, user_id, seed))
+    block.flags.writeable = False  # rows taken from here on are read-only too
+    return [GestureRecording(frames=block[i], label=GestureClass(label), user_id=user_id,
+                             recording_id=i, seed=seed)
+            for i, (label, user_id, seed) in enumerate(headers)]
+
+
+def dataset_id(recordings: list[GestureRecording]) -> str:
+    """SHA-256 over the record count and each record's (label, user, seed) header.
+
+    Recording seeds derive from the master seed, so the headers tell datasets
+    apart without hashing the frames.
+    """
+    digest = hashlib.sha256(struct.pack("<I", len(recordings)))
+    for rec in recordings:
+        digest.update(_RECORD_HEADER.pack(int(rec.label), rec.user_id, rec.seed))
+    return digest.hexdigest()
 
 
 def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict | None = None) -> None:

@@ -8,6 +8,8 @@ ablation keeps just the z channel of every frame, so C is 366 or 122.
 from __future__ import annotations
 
 import enum
+import hashlib
+import json
 import logging
 import time
 from dataclasses import dataclass, field
@@ -39,6 +41,13 @@ def channels_for(mode: AblationMode) -> int:
     return N_FRAMES if mode is AblationMode.NORMAL_ONLY else 3 * N_FRAMES
 
 
+# The taxels are the first 49 grid cells in row-major order and the phantom
+# cell comes after them, so a frame's taxels fill one slice of the flat grid.
+_TAXELS = slice(0, int(GRID.valid_mask.sum()))
+if not GRID.valid_mask.ravel()[_TAXELS].all():
+    raise RuntimeError("the valid grid cells must be a row-major prefix of the grid")
+
+
 def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
     """Stack each recording's frames along the channel axis via the grid map."""
@@ -47,16 +56,18 @@ def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
             raise ValueError(f"recording {rec.recording_id} has {rec.frames.shape[0]} frames")
     n = len(recordings)
     labels = np.array([int(r.label) for r in recordings], dtype=np.int64)
-    rr, cc = np.nonzero(GRID.valid_mask)
     c = channels_for(mode)
-    tensor = np.zeros((n, c, GRID.rows, GRID.cols), dtype=dtype)
-    for i, rec in enumerate(recordings):
-        if mode is AblationMode.NORMAL_AND_SHEAR:
-            vals = rec.frames.transpose(0, 2, 1).reshape(c, 49)  # (366, 49)
-        else:
-            vals = rec.frames[:, :, 2]  # (122, 49)
-        tensor[i][:, rr, cc] = vals
-    return tensor, labels
+    cells = GRID.rows * GRID.cols
+    tensor = np.zeros((n, c, cells), dtype=dtype)
+    if mode is AblationMode.NORMAL_AND_SHEAR:
+        taxels = tensor.reshape(n, N_FRAMES, 3, cells)[..., _TAXELS]  # (n, 122, 3, 49)
+        for i, rec in enumerate(recordings):
+            taxels[i] = rec.frames.transpose(0, 2, 1)
+    else:
+        taxels = tensor[..., _TAXELS]  # (n, 122, 49)
+        for i, rec in enumerate(recordings):
+            taxels[i] = rec.frames[:, :, 2]
+    return tensor.reshape(n, c, GRID.rows, GRID.cols), labels
 
 
 @dataclass(frozen=True)
@@ -64,6 +75,10 @@ class DatasetSplit:
     train: list[int]
     val: list[int]
     test: list[int]
+
+    def digest(self) -> str:
+        """SHA-256 over the train, val and test id lists."""
+        return hashlib.sha256(json.dumps([self.train, self.val, self.test]).encode()).hexdigest()
 
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
@@ -145,8 +160,12 @@ def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> Normaliza
         raise ValueError("empty training tensor")
     view = _axis_view(train_tensor, mode)
     axes = (0, 1, 3, 4)
-    mean = view.mean(axis=axes)
-    std = np.maximum(view.std(axis=axes), STD_FLOOR)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        mean = view.mean(axis=axes)
+        std = np.maximum(view.std(axis=axes), STD_FLOOR)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise FloatingPointError(f"normalization stats overflow {train_tensor.dtype}: "
+                                 f"mean {mean.tolist()}, std {std.tolist()}")
     return NormalizationStats(mode=mode, mean=mean, std=std)
 
 

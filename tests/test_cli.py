@@ -1,14 +1,20 @@
 import csv
 import json
+import shutil
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from taxelkit import pipeline
+from taxelkit import dataio, pipeline
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
+from taxelkit.gestures import synth_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 
 
@@ -234,6 +240,18 @@ class TestExitCodes:
                    "--recording-id", "0") == 5
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_overflowing_force(self, tmp_path, tiny_config, capsys, caplog):
+        out = tmp_path / "out"
+        run("synth", "--config", tiny_config, "--out", str(out))
+        data = out / "dataset.tgk"
+        raw = bytearray(data.read_bytes())
+        struct.pack_into("<f", raw, 20 + 11 + 4 * 2, 3e38)  # frame 0, taxel 0, z
+        data.write_bytes(bytes(raw))
+        assert run("train", "--config", tiny_config, "--out", str(out)) == 4
+        assert "normalization stats overflow" in caplog.text
+        assert not (out / "model.tgkm").exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["train", "eval", "viz", "ablate"])
     def test_empty_dataset(self, tmp_path, tiny_config, capsys, caplog, command):
         data = tmp_path / "empty.tgk"
@@ -306,7 +324,7 @@ class TestCheckpointManifest:
         out = tmp_path / "out"
         assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
         assert run("train", "--config", tiny_config, "--out", str(out), "--mode", mode) == 0
-        _, stats, split_seed = _load_model(out / "model.tgkm")
+        _, stats, split_seed, _ = _load_model(out / "model.tgkm")
         recs = load_dataset(out / "dataset.tgk")
         split = pipeline.split_dataset(recs, seed=split_seed)
         _, _, fitted = pipeline.prepare(recs, split.train, stats.mode)
@@ -316,3 +334,101 @@ class TestCheckpointManifest:
         in_process, _, _ = pipeline.prepare(recs, split.test, stats.mode, fitted)
         assert from_manifest.dtype == np.float32
         assert from_manifest.tobytes() == in_process.tobytes()
+
+
+class TestTrainedOn:
+    """eval refuses a dataset or split its checkpoint was not trained on."""
+
+    @pytest.fixture()
+    def trained(self, tmp_path, tiny_config):
+        out = tmp_path / "out"
+        assert run("synth", "--config", tiny_config, "--out", str(out), "--seed", "0") == 0
+        assert run("train", "--config", tiny_config, "--out", str(out), "--seed", "0") == 0
+        return out
+
+    def test_manifest_binds_dataset_and_split(self, trained):
+        config = json.loads((trained / "model.tgkm.json").read_text())["config"]
+        recs = load_dataset(trained / "dataset.tgk")
+        assert config["dataset_id"] == dataio.dataset_id(recs)
+        assert config["split_digest"] == pipeline.split_dataset(recs, seed=0).digest()
+
+    def test_other_dataset(self, trained, tmp_path, tiny_config, capsys, caplog):
+        other = tmp_path / "other"
+        assert run("synth", "--config", tiny_config, "--out", str(other), "--seed", "1") == 0
+        assert run("eval", "--config", tiny_config, "--out", str(trained),
+                   "--dataset", str(other / "dataset.tgk")) == 6
+        assert "Traceback" not in capsys.readouterr().err
+        config = json.loads((trained / "model.tgkm.json").read_text())["config"]
+        other_id = dataio.dataset_id(load_dataset(other / "dataset.tgk"))
+        assert config["dataset_id"] in caplog.text and other_id in caplog.text
+
+    def test_other_split(self, trained, tiny_config, capsys, caplog):
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["split_seed"] = 1
+        path.write_text(json.dumps(manifest))
+        assert run("eval", "--config", tiny_config, "--out", str(trained)) == 6
+        assert "Traceback" not in capsys.readouterr().err
+        assert manifest["config"]["split_digest"] in caplog.text
+
+    @pytest.mark.parametrize("key", ["dataset_id", "split_digest"])
+    def test_manifest_missing_key(self, trained, tiny_config, capsys, key):
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        del manifest["config"][key]
+        path.write_text(json.dumps(manifest))
+        assert run("eval", "--config", tiny_config, "--out", str(trained)) == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+
+DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A valid 2-recording dataset and the checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 3}))
+    save_dataset(synth_dataset(n_users=2, n_blocks=1, reps_per_block=1, master_seed=3)[:2],
+                 root / "dataset.tgk")
+    assert main(["train", "--config", str(config), "--out", str(root)]) == 0
+    return root
+
+
+class TestBitFlips:
+    """Any one flipped byte in a .tgk, .tgkm or manifest gives a documented exit code."""
+
+    def flipped(self, root: Path, name: str, data) -> Path:
+        work = Path(tempfile.mkdtemp(dir=root))
+        for f in ("config.json", "dataset.tgk", "model.tgkm", "model.tgkm.json"):
+            shutil.copy(root / f, work / f)
+        raw = bytearray((work / name).read_bytes())
+        at = data.draw(st.one_of(st.integers(0, 63), st.integers(0, len(raw) - 1)), label="at")
+        raw[at] ^= data.draw(st.integers(1, 255), label="mask")
+        (work / name).write_bytes(bytes(raw))
+        return work
+
+    def check_exit(self, work: Path, *argv: str) -> None:
+        code = main([*argv, "--config", str(work / "config.json"), "--out", str(work)])
+        assert code in DOCUMENTED_EXIT_CODES
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_dataset(self, fuzz_files, data):
+        work = self.flipped(fuzz_files, "dataset.tgk", data)
+        try:
+            self.check_exit(work, "eval")
+            self.check_exit(work, "viz", "--recording-id", "1")
+            self.check_exit(work, "train")
+        finally:
+            shutil.rmtree(work)
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), name=st.sampled_from(["model.tgkm", "model.tgkm.json"]))
+    def test_checkpoint(self, fuzz_files, data, name):
+        work = self.flipped(fuzz_files, name, data)
+        try:
+            self.check_exit(work, "eval")
+        finally:
+            shutil.rmtree(work)

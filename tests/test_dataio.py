@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, FormatError,
-                             load_checkpoint, load_dataset, save_checkpoint,
-                             save_dataset)
+                             dataset_id, load_checkpoint, load_dataset,
+                             save_checkpoint, save_dataset)
 from taxelkit.gestures import synth_dataset
 from taxelkit.nn import CnnModel
 
@@ -39,6 +40,47 @@ class TestDataset:
         again = tmp_path / "again.tgk"
         save_dataset(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_loaded_frames_are_rows_of_one_block(self, recordings, tmp_path):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings, path)
+        loaded = load_dataset(path)
+        block = loaded[0].frames.base
+        assert block.shape == (len(recordings), 122, 49, 3) and block.dtype == np.dtype("<f4")
+        assert block.flags.c_contiguous and block.flags.aligned
+        assert not block.flags.writeable
+        for i, rec in enumerate(loaded):
+            assert rec.frames.base is block
+            assert rec.frames.__array_interface__["data"][0] == \
+                block.__array_interface__["data"][0] + i * block.strides[0]
+            assert rec.frames.flags.c_contiguous and rec.frames.flags.aligned
+
+    def test_size_checked_before_allocation(self, recordings, tmp_path):
+        path = tmp_path / "huge.tgk"
+        save_dataset(recordings[:1], path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<I", raw, 8, 2**32 - 1)  # n_recordings
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated: 4294967295 recordings"):
+                load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # not even one (122, 49, 3) float32 block
+
+    def test_dataset_id_covers_record_headers(self, recordings, tmp_path):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings, path)
+        loaded = load_dataset(path)
+        assert dataset_id(loaded) == dataset_id(recordings)
+        assert dataset_id(loaded[:-1]) != dataset_id(loaded)
+        assert dataset_id(loaded[::-1]) != dataset_id(loaded)
+        raw = bytearray(path.read_bytes())
+        raw[20 + 3] ^= 1  # a bit of the first record's seed
+        path.write_bytes(bytes(raw))
+        assert dataset_id(load_dataset(path)) != dataset_id(loaded)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_force(self, recordings, tmp_path, value):

@@ -5,13 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxelkit.dataio import load_dataset, save_dataset
+from taxelkit.geometry import GRID
 from taxelkit.gestures import GestureClass, GestureRecording, synth_dataset
-from taxelkit.pipeline import (SPLIT_RATIO, AblationMode, ConfusionMatrix,
+from taxelkit.pipeline import (SPLIT_RATIO, AblationMode, ConfusionMatrix, DatasetSplit,
                                NormalizationStats, TrainConfig,
                                TrainingDivergedError, assemble_tensor,
                                apply_normalization, channels_for, evaluate,
                                fit_normalization, prepare, select, split_dataset, train)
 from taxelkit.nn import CnnModel
+
+
+def reference_tensor(recordings, mode, dtype):
+    """The grid-map scatter ``tensor[i][:, rr, cc] = vals`` over the valid cells."""
+    rr, cc = np.nonzero(GRID.valid_mask)
+    c = channels_for(mode)
+    tensor = np.zeros((len(recordings), c, GRID.rows, GRID.cols), dtype=dtype)
+    for i, rec in enumerate(recordings):
+        if mode is AblationMode.NORMAL_AND_SHEAR:
+            vals = rec.frames.transpose(0, 2, 1).reshape(c, 49)  # (366, 49)
+        else:
+            vals = rec.frames[:, :, 2]  # (122, 49)
+        tensor[i][:, rr, cc] = vals
+    return tensor
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +66,28 @@ class TestAssembleTensor:
         both, _ = assemble_tensor(recordings[:8], AblationMode.NORMAL_AND_SHEAR)
         normal, _ = assemble_tensor(recordings[:8], AblationMode.NORMAL_ONLY)
         assert np.array_equal(normal, both[:, 2::3])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(0, 6), mode=st.sampled_from(AblationMode),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_grid_map_scatter(self, n, mode, dtype, seed):
+        rng = np.random.default_rng(seed)
+        recs = [GestureRecording(frames=rng.normal(size=(122, 49, 3)).astype(np.float32),
+                                 label=GestureClass(int(rng.integers(13))), user_id=0,
+                                 recording_id=i, seed=i) for i in range(n)]
+        x, y = assemble_tensor(recs, mode, dtype=dtype)
+        ref = reference_tensor(recs, mode, dtype)
+        assert x.dtype == ref.dtype and x.shape == ref.shape
+        assert x.tobytes() == ref.tobytes()
+        assert y.tolist() == [int(r.label) for r in recs]
+
+    def test_loaded_frames_match_grid_map_scatter(self, recordings, tmp_path):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings, path)
+        loaded = load_dataset(path)
+        for mode in AblationMode:
+            x, _ = assemble_tensor(loaded, mode, dtype=np.float32)
+            assert x.tobytes() == reference_tensor(loaded, mode, np.float32).tobytes()
 
     def test_wrong_frame_count(self, recordings):
         with pytest.raises(ValueError):
@@ -114,6 +152,14 @@ class TestSplitDataset:
             target[k] += 1
         assert [len(p) for p in parts] == target
 
+    def test_digest_names_the_id_lists(self, recordings):
+        split = split_dataset(recordings, seed=0)
+        assert split.digest() == split_dataset(recordings, seed=0).digest()
+        assert split.digest() != split_dataset(recordings, seed=1).digest()
+        moved = DatasetSplit(train=split.train[1:], val=split.train[:1] + split.val,
+                             test=split.test)
+        assert moved.digest() != split.digest()
+
     def test_select(self, recordings):
         split = split_dataset(recordings, seed=0)
         picked = select(recordings, split.val)
@@ -167,6 +213,12 @@ class TestNormalization:
         stats = fit_normalization(x, AblationMode.NORMAL_ONLY)
         assert stats.std[0] >= 1e-8
         assert np.isfinite(apply_normalization(stats, x)).all()
+
+    def test_overflowing_stats(self):
+        x = np.zeros((2, 122, 5, 10), dtype=np.float32)
+        x[0, 0, 0, 0] = 3e38  # finite, but its square overflows float32
+        with pytest.raises(FloatingPointError, match="overflow"):
+            fit_normalization(x, AblationMode.NORMAL_ONLY)
 
     def test_empty(self):
         with pytest.raises(ValueError):
