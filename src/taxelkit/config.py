@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .gestures import protocol_size
 from .magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 
 
@@ -46,6 +47,10 @@ class SynthSection:
     def __post_init__(self):
         for f in fields(self):
             _require_int(getattr(self, f.name), f.name, 1)
+        try:
+            protocol_size(self.n_users, self.n_blocks, self.reps_per_block)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
 
 
 @dataclass(frozen=True)

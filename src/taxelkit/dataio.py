@@ -42,7 +42,7 @@ def save_dataset(recordings: list[GestureRecording], path, config: dict | None =
         fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES, 49))
         for rec in recordings:
             fh.write(_RECORD_HEADER.pack(int(rec.label), rec.user_id, rec.seed))
-            fh.write(np.ascontiguousarray(rec.frames, dtype="<f4").tobytes())
+            fh.write(np.ascontiguousarray(rec.frames, dtype="<f4"))
     sidecar = {
         "format": "TGK1",
         "version": FORMAT_VERSION,

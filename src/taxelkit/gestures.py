@@ -8,11 +8,20 @@ shear pattern, so removing the shear channels measurably hurts a
 downstream classifier.
 
 All randomness flows through numpy SeedSequence keys, so generation is
-bitwise deterministic and safe to parallelize per recording.
+bitwise deterministic and safe to parallelize per recording. synth_dataset
+lists every recording's (class, user, seed) in protocol order, then fills one
+(n, 122, 49, 3) float32 block in a shared mapping: the parent takes the first
+contiguous range of rows and one forked child per other usable CPU takes each
+later range. The list, not the worker count, fixes each row's seed, so the
+bytes do not depend on the CPU count. Children call no BLAS and leave through
+os._exit, so they flush no inherited buffer and run no atexit handler.
 """
 from __future__ import annotations
 
 import enum
+import mmap
+import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,14 +376,32 @@ def _grab_tracks(t, rng, profile, sigma, base_amp, ratio, shake: bool) -> list[_
     return [_PatchTrack(c_lo, sigma, amp, shear_lo), _PatchTrack(c_hi, sigma, amp, shear_hi)]
 
 
+MAX_USERS = 1 << 16  # a TGK1 record stores its user id as u16
+MAX_RECORDINGS = (1 << 32) - 1  # and a TGK1 header the record count as u32
+
+
+def protocol_size(n_users: int, n_blocks: int, reps_per_block: int) -> int:
+    """Number of recordings in the study protocol; ValueError for counts below
+    1 or beyond what a TGK1 file can store."""
+    if min(n_users, n_blocks, reps_per_block) < 1:
+        raise ValueError("all counts must be >= 1")
+    if n_users > MAX_USERS:
+        raise ValueError(f"n_users {n_users} exceeds {MAX_USERS}, the most users "
+                         "a TGK1 file can number (u16 user id)")
+    n = n_users * n_blocks * reps_per_block * len(GestureClass)
+    if n > MAX_RECORDINGS:
+        raise ValueError(f"{n} recordings exceed {MAX_RECORDINGS}, the most a TGK1 "
+                         "file can hold (u32 record count)")
+    return n
+
+
 def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
                   master_seed: int) -> list[GestureRecording]:
     """Full study protocol: every user performs every class reps times per
-    block, in a per-block pseudo-randomized order."""
-    if min(n_users, n_blocks, reps_per_block) < 1:
-        raise ValueError("all counts must be >= 1")
-    recordings: list[GestureRecording] = []
-    rec_id = 0
+    block, in a per-block pseudo-randomized order. The frames are read-only
+    rows of one C-order block, as load_dataset returns them."""
+    n = protocol_size(n_users, n_blocks, reps_per_block)
+    jobs: list[tuple[GestureClass, UserProfile, int]] = []
     for user in range(n_users):
         profile = user_profile(user, master_seed)
         for block in range(n_blocks):
@@ -384,6 +411,58 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
             block_rng.shuffle(order)
             for k, gesture in enumerate(order):
                 rec_seed = _seed_int(master_seed, user, block, k, int(gesture), _TAG_RECORDING)
-                recordings.append(synth_recording(gesture, profile, rec_seed, recording_id=rec_id))
-                rec_id += 1
-    return recordings
+                jobs.append((gesture, profile, rec_seed))
+    frames = np.ndarray((n, N_FRAMES, 49, 3), dtype="<f4",
+                        buffer=mmap.mmap(-1, n * N_FRAMES * 49 * 3 * 4))
+    _fill(frames, jobs)
+    frames.flags.writeable = False  # rows taken from here on are read-only too
+    return [GestureRecording(frames=frames[i], label=gesture, user_id=profile.user_id,
+                             recording_id=i, seed=seed)
+            for i, (gesture, profile, seed) in enumerate(jobs)]
+
+
+def _worker_count(n: int) -> int:
+    """One worker per CPU this process may run on, at most one per recording."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(n, len(os.sched_getaffinity(0)))
+
+
+def _fill(frames: np.ndarray, jobs: list) -> None:
+    """Write job i's recording into frames[i]; frames must live in shared memory.
+
+    Forked children fill the later contiguous ranges of rows while the parent
+    fills the first. The parent reaps every child, also when its own range
+    fails, and raises if a child did not exit cleanly.
+    """
+    n_workers = _worker_count(len(jobs))
+    bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
+    children: dict[int, range] = {}
+    try:
+        for k in range(1, n_workers):
+            rows = range(bounds[k], bounds[k + 1])
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _fill_rows(frames, jobs, rows)
+                    status = 0
+                except Exception:
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(status)
+            children[pid] = rows
+        _fill_rows(frames, jobs, range(bounds[0], bounds[1]))
+    finally:
+        exits = [(rows, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+                 for pid, rows in children.items()]
+    for rows, code in exits:
+        if code != 0:
+            raise RuntimeError(f"synthesis worker for recordings {rows.start}..{rows.stop - 1} "
+                               f"exited with status {code}")
+
+
+def _fill_rows(frames: np.ndarray, jobs: list, rows: range) -> None:
+    for i in rows:
+        gesture, profile, seed = jobs[i]
+        frames[i] = synth_recording(gesture, profile, seed).frames

@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import taxelkit
 from taxelkit import dataio, pipeline
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
@@ -199,6 +203,18 @@ class TestExitCodes:
         for command in ("synth", "sweep"):
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("synth", [
+        {"n_users": 65537},
+        {"n_users": 65536, "n_blocks": 65536},
+    ], ids=["u16-user-id", "u32-record-count"])
+    def test_synth_counts_beyond_tgk1(self, tmp_path, capsys, synth):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"synth": synth}))
+        assert run("synth", "--config", str(path), "--out", str(tmp_path / "o")) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.tgk").exists()
+        RunConfig.from_dict({"synth": {"n_users": 65536}})  # the largest u16 user count loads
 
     @pytest.mark.parametrize("argv", [
         ("sweep", "--steps", "1"),
@@ -432,3 +448,31 @@ class TestBitFlips:
             self.check_exit(work, "eval")
         finally:
             shutil.rmtree(work)
+
+
+# Runs `synth` in a fresh interpreter with stdout a pipe, so the first line sits
+# unflushed in the parent's buffer when the workers fork; at least two workers
+# on any host. A worker that flushed inherited buffers or ran atexit handlers
+# would print a line twice.
+_FORK_HYGIENE = """
+import atexit, os, sys
+os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+atexit.register(print, "atexit ran")
+print("before synth")
+from taxelkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="synth forks workers only where os.fork exists")
+def test_synth_workers_leave_parent_buffers_and_atexit_alone(tmp_path, tiny_config):
+    src = str(Path(taxelkit.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _FORK_HYGIENE, "synth", "--config", tiny_config,
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["before synth", "atexit ran"]
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "o" / "dataset.tgk").exists()

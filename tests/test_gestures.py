@@ -1,12 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxelkit import gestures
+from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N
-from taxelkit.gestures import (N_FRAMES, GestureClass, UserProfile, synth_dataset,
-                               synth_recording, user_profile)
+from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, GestureClass, UserProfile,
+                               protocol_size, synth_dataset, synth_recording, user_profile)
 
 QUIET = UserProfile(user_id=0, amplitude_scale=1.0, speed_scale=1.0,
                     location_bias=(0.0, 0.0), noise_level=0.0, seed=1234)
@@ -242,3 +245,95 @@ class TestSynthDataset:
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             synth_dataset(0, 1, 1, 0)
+
+    @pytest.mark.parametrize("counts", [(MAX_USERS + 1, 1, 1), (MAX_USERS, MAX_USERS, 1)],
+                             ids=["u16-user-id", "u32-record-count"])
+    def test_counts_beyond_tgk1_rejected(self, counts):
+        with pytest.raises(ValueError, match="TGK1"):
+            synth_dataset(*counts, 0)  # raises before any job is listed
+
+    def test_protocol_size_limits(self):
+        assert protocol_size(MAX_USERS, 1, 1) == 13 * MAX_USERS
+        assert protocol_size(1, 1, MAX_RECORDINGS // 13) == MAX_RECORDINGS // 13 * 13
+        with pytest.raises(ValueError):
+            protocol_size(1, 1, MAX_RECORDINGS // 13 + 1)
+
+
+def block_of(recordings):
+    """The one block whose consecutive rows are the recordings' frames."""
+    block = recordings[0].frames.base
+    for i, rec in enumerate(recordings):
+        assert rec.frames.base is block
+        assert rec.frames.__array_interface__["data"][0] == \
+            block.__array_interface__["data"][0] + i * block.strides[0]
+    return block
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                                reason="synth_dataset forks workers only where os.fork exists")
+
+
+class TestSharedBlockWorkers:
+    @needs_fork
+    def test_desk_scale_bytes_independent_of_worker_count(self, monkeypatch):
+        every_cpu = synth_dataset(4, 3, 3, 0)
+        monkeypatch.setattr(gestures, "_worker_count", lambda n: 5)  # uneven ranges
+        five = synth_dataset(4, 3, 3, 0)
+        monkeypatch.setattr(gestures, "_worker_count", lambda n: 1)
+        serial = synth_dataset(4, 3, 3, 0)
+        for recs in (every_cpu, five):
+            assert block_of(recs).tobytes() == block_of(serial).tobytes()
+            assert [(r.label, r.user_id, r.recording_id, r.seed) for r in recs] == \
+                [(r.label, r.user_id, r.recording_id, r.seed) for r in serial]
+
+    def test_frames_are_read_only_rows_of_one_block(self, tmp_path):
+        recs = synth_dataset(1, 2, 1, 4)
+        block = block_of(recs)
+        assert block.shape == (26, N_FRAMES, 49, 3) and block.dtype == np.dtype("<f4")
+        assert block.flags.c_contiguous and block.flags.aligned
+        assert not block.flags.writeable
+        assert not any(r.frames.flags.writeable for r in recs)
+        save_dataset(recs, tmp_path / "data.tgk")
+        assert block_of(load_dataset(tmp_path / "data.tgk")).tobytes() == block.tobytes()
+
+    @needs_fork
+    def test_fewer_recordings_than_cpus(self, monkeypatch):
+        monkeypatch.setattr(gestures, "_worker_count", lambda n: 1)
+        serial = synth_dataset(1, 1, 1, 0)
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert gestures._worker_count(13) == 13  # capped at one worker per recording
+        assert block_of(synth_dataset(1, 1, 1, 0)).tobytes() == block_of(serial).tobytes()
+
+    @needs_fork
+    def test_failing_child_raises_in_parent(self, monkeypatch, capfd):
+        parent, real = os.getpid(), gestures.synth_recording
+
+        def fail_in_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("injected child failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gestures, "synth_recording", fail_in_child)
+        monkeypatch.setattr(gestures, "_worker_count", lambda n: 3)
+        with pytest.raises(RuntimeError, match="exited with status 1"):
+            synth_dataset(1, 1, 1, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+        assert "injected child failure" in capfd.readouterr().err
+
+    @needs_fork
+    def test_failing_parent_reaps_children(self, monkeypatch):
+        parent, real = os.getpid(), gestures.synth_recording
+
+        def fail_in_parent(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyError("injected parent failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gestures, "synth_recording", fail_in_parent)
+        monkeypatch.setattr(gestures, "_worker_count", lambda n: 3)
+        with pytest.raises(KeyError, match="injected parent failure"):
+            synth_dataset(1, 1, 1, 0)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
