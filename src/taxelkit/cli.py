@@ -25,6 +25,7 @@ import numpy as np
 from . import calibration as cal
 from . import dataio, gestures, magnetics, pipeline, svgplot
 from .config import FULL_SCALE_SYNTH, ConfigError, RunConfig
+from .geometry import N_TAXELS
 from .gestures import N_FRAMES, GestureClass
 from .nn import CnnModel
 
@@ -106,7 +107,7 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
     models: dict[int, cal.CalibrationModel] = {}
     per_taxel_rms = {}
     failures = {}
-    for taxel in range(49):
+    for taxel in range(N_TAXELS):
         flux, force = _calibration_samples(cfg, taxel, args.samples, args.noise, args.source)
         try:
             model = cal.fit_taxel(flux, force)
@@ -127,7 +128,8 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
         writer.writerow(["Standard Deviation"] + [f"{v:.6g}" for v in rms.std(axis=0)])
     if failures:
         (out / "calibration_failures.json").write_text(json.dumps(failures, indent=1))
-    log.info("calibrated %d/49 taxels; aggregate RMS %s", len(models), rms.mean(axis=0))
+    log.info("calibrated %d/%d taxels; aggregate RMS %s", len(models), N_TAXELS,
+             rms.mean(axis=0))
     return 0
 
 
@@ -152,7 +154,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def _load_recordings(path) -> list:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
     recordings = dataio.load_dataset(path)
     if not recordings:
@@ -199,10 +201,10 @@ def _load_model(ckpt_path):
     """A checkpoint's model, normalization stats, split seed and the
     (dataset_id, split_digest) it was trained on."""
     ckpt_path = Path(ckpt_path)
-    if not ckpt_path.exists():
+    if not ckpt_path.is_file():
         raise MissingInputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
     manifest_path = ckpt_path.with_suffix(ckpt_path.suffix + ".json")
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise MissingInputError(f"checkpoint manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -359,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_number(int, 2), default=101)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("calibrate", help="fit all 49 taxels on synthetic sweeps")
+    p = sub.add_parser("calibrate", help=f"fit all {N_TAXELS} taxels on synthetic sweeps")
     common(p)
     p.add_argument("--samples", type=_number(int, cal.N_FEATURES), default=120,
                    help="samples per taxel")

@@ -113,8 +113,8 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         try:
             data = json.loads(Path(path).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}")
+        except OSError as e:  # missing, a directory, unreadable, ...
+            raise ConfigError(f"cannot read config file {path}: {e}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"invalid JSON in {path}: {e}")
         return cls.from_dict(data)

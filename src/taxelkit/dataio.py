@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .gestures import N_FRAMES, GestureClass, GestureRecording
+from .geometry import N_TAXELS
+from .gestures import N_CLASSES, N_FRAMES, GestureClass, GestureRecording
 
 DATASET_MAGIC = b"TGK1"
 CHECKPOINT_MAGIC = b"TGKM"
@@ -39,7 +40,8 @@ class FormatError(ValueError):
 def save_dataset(recordings: list[GestureRecording], path, config: dict | None = None) -> None:
     path = Path(path)
     with open(path, "wb") as fh:
-        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES, 49))
+        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES,
+                                      N_TAXELS))
         for rec in recordings:
             fh.write(_RECORD_HEADER.pack(int(rec.label), rec.user_id, rec.seed))
             fh.write(np.ascontiguousarray(rec.frames, dtype="<f4"))
@@ -48,7 +50,7 @@ def save_dataset(recordings: list[GestureRecording], path, config: dict | None =
         "version": FORMAT_VERSION,
         "n_recordings": len(recordings),
         "frames": N_FRAMES,
-        "taxels": 49,
+        "taxels": N_TAXELS,
         "config": config or {},
     }
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))
@@ -65,7 +67,7 @@ def load_dataset(path) -> list[GestureRecording]:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != FORMAT_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        if frames != N_FRAMES or taxels != 49:
+        if frames != N_FRAMES or taxels != N_TAXELS:
             raise FormatError(f"{path}: unexpected tensor dims {frames}x{taxels}")
         size = os.fstat(fh.fileno()).st_size
         expected = _DATASET_HEADER.size + n_rec * (_RECORD_HEADER.size + frames * taxels * 3 * 4)
@@ -82,7 +84,7 @@ def load_dataset(path) -> list[GestureRecording]:
             if fh.readinto(record) != len(record) or fh.readinto(row) != row.nbytes:
                 raise FormatError(f"{path}: truncated at recording {i}")
             label, user_id, seed = _RECORD_HEADER.unpack(record)
-            if label >= len(GestureClass):
+            if label >= N_CLASSES:
                 raise FormatError(f"{path}: recording {i} has unknown label {label}")
             if not np.isfinite(row).all():
                 raise FormatError(f"{path}: recording {i} has non-finite forces")

@@ -26,18 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N
+from .geometry import (COLS, N_TAXELS, NORMAL_MIN_N, PITCH_CM, POSITIONS_CM, ROWS,
+                       SHEAR_MAX_N)
 
 N_FRAMES = 122
 FPS = 25.0
-DEFAULT_NOISE_N = 0.05
 
 # Domain-separation tags for seed derivation.
 _TAG_PROFILE = 0x50524F46  # "PROF"
 _TAG_RECORDING = 0x52454344  # "RECD"
 _TAG_BLOCK = 0x424C4F43  # "BLOC"
-
-_POS = GRID.positions_cm()  # (49, 2) taxel (x, y) cm
 
 
 class GestureClass(enum.IntEnum):
@@ -56,7 +54,7 @@ class GestureClass(enum.IntEnum):
     SHAKE = 12
 
 
-assert len(GestureClass) == 13
+N_CLASSES = len(GestureClass)
 
 
 @dataclass(frozen=True)
@@ -79,35 +77,50 @@ class UserProfile:
 
 @dataclass(frozen=True)
 class GestureTemplate:
-    """Class-level generation parameters before per-user modulation."""
+    """Class-level generation parameters before per-user modulation.
 
-    patch_count: tuple[int, int]
-    patch_sigma_cm: tuple[float, float]
-    trajectory: str  # static | sweep | oscillate | walk
+    Every class draws the first three, in this order; PINCH, GRAB and SHAKE
+    have their own builders and read nothing else.
+    """
+
     amp_range_n: tuple[float, float]
-    contact_count: tuple[int, int]
-    contact_frames: tuple[int, int]
-    sustained: bool
-    shear_pattern: str  # none | along_motion | opposing_pair | uniform | alternating
     shear_ratio: tuple[float, float]
+    patch_sigma_cm: tuple[float, float]
+    trajectory: str = "static"  # static | sweep | oscillate | walk
+    shear_pattern: str = "none"  # none | along_motion | uniform | alternating
+    patch_count: tuple[int, int] = (1, 1)
+    contact_count: tuple[int, int] = (1, 1)
+    contact_frames: tuple[int, int] = (0, 0)
+    sustained: bool = True
     split_amp: bool = False  # divide amplitude across patches (multi-finger contact)
     y_gradient: float = 0.0  # relative fz slope per cm along +y
 
 
+_GRIP = GestureTemplate((2.5, 4.5), (0.3, 0.6), (1.1, 1.4))  # GRAB and SHAKE
+
+
 TEMPLATES: dict[GestureClass, GestureTemplate] = {
-    GestureClass.STROKE: GestureTemplate((1, 1), (0.45, 0.9), "sweep", (0.8, 1.8), (1, 1), (0, 0), True, "along_motion", (0.2, 0.4)),
-    GestureClass.SCRATCH: GestureTemplate((2, 3), (0.3, 0.6), "sweep", (0.8, 1.8), (1, 1), (0, 0), True, "along_motion", (0.6, 1.0), split_amp=True),
-    GestureClass.TICKLE: GestureTemplate((1, 2), (0.3, 0.6), "walk", (0.3, 0.8), (1, 1), (0, 0), True, "along_motion", (0.1, 0.25)),
-    GestureClass.PAT: GestureTemplate((1, 1), (1.8, 2.3), "static", (1.5, 3.0), (2, 5), (6, 9), False, "none", (0.0, 0.04)),
-    GestureClass.TAP: GestureTemplate((1, 1), (0.4, 0.7), "static", (1.0, 2.5), (2, 6), (3, 5), False, "none", (0.0, 0.05)),
-    GestureClass.SLAP: GestureTemplate((1, 1), (2.0, 2.5), "static", (4.5, 6.5), (1, 1), (3, 5), False, "uniform", (0.15, 0.3)),
-    GestureClass.POKE: GestureTemplate((1, 1), (0.4, 1.0), "static", (2.0, 4.0), (1, 1), (0, 0), True, "none", (0.0, 0.08)),
-    GestureClass.PINCH: GestureTemplate((2, 2), (0.7, 0.7), "static", (2.4, 4.8), (1, 1), (0, 0), True, "opposing_pair", (0.4, 0.8), split_amp=True),
-    GestureClass.PULL: GestureTemplate((1, 1), (2.1, 2.6), "static", (2.2, 4.5), (1, 1), (0, 0), True, "uniform", (0.3, 0.6), y_gradient=0.03),
-    GestureClass.RUB: GestureTemplate((1, 1), (0.8, 1.2), "oscillate", (1.5, 3.0), (1, 1), (0, 0), True, "alternating", (0.4, 0.7)),
-    GestureClass.PRESS: GestureTemplate((1, 1), (2.1, 2.6), "static", (2.2, 4.5), (1, 1), (0, 0), True, "none", (0.0, 0.02)),
-    GestureClass.GRAB: GestureTemplate((2, 2), (1.1, 1.4), "static", (2.5, 4.5), (1, 1), (0, 0), True, "opposing_pair", (0.3, 0.6)),
-    GestureClass.SHAKE: GestureTemplate((2, 2), (1.1, 1.4), "static", (2.5, 4.5), (1, 1), (0, 0), True, "opposing_pair", (0.3, 0.6)),
+    GestureClass.STROKE: GestureTemplate((0.8, 1.8), (0.2, 0.4), (0.45, 0.9), "sweep",
+                                         "along_motion"),
+    GestureClass.SCRATCH: GestureTemplate((0.8, 1.8), (0.6, 1.0), (0.3, 0.6), "sweep",
+                                          "along_motion", patch_count=(2, 3), split_amp=True),
+    GestureClass.TICKLE: GestureTemplate((0.3, 0.8), (0.1, 0.25), (0.3, 0.6), "walk",
+                                         "along_motion", patch_count=(1, 2)),
+    GestureClass.PAT: GestureTemplate((1.5, 3.0), (0.0, 0.04), (1.8, 2.3), contact_count=(2, 5),
+                                      contact_frames=(6, 9), sustained=False),
+    GestureClass.TAP: GestureTemplate((1.0, 2.5), (0.0, 0.05), (0.4, 0.7), contact_count=(2, 6),
+                                      contact_frames=(3, 5), sustained=False),
+    GestureClass.SLAP: GestureTemplate((4.5, 6.5), (0.15, 0.3), (2.0, 2.5), shear_pattern="uniform",
+                                       contact_frames=(3, 5), sustained=False),
+    GestureClass.POKE: GestureTemplate((2.0, 4.0), (0.0, 0.08), (0.4, 1.0)),
+    GestureClass.PINCH: GestureTemplate((2.4, 4.8), (0.4, 0.8), (0.7, 0.7)),
+    GestureClass.PULL: GestureTemplate((2.2, 4.5), (0.3, 0.6), (2.1, 2.6), shear_pattern="uniform",
+                                       y_gradient=0.03),
+    GestureClass.RUB: GestureTemplate((1.5, 3.0), (0.4, 0.7), (0.8, 1.2), "oscillate",
+                                      "alternating"),
+    GestureClass.PRESS: GestureTemplate((2.2, 4.5), (0.0, 0.02), (2.1, 2.6)),
+    GestureClass.GRAB: _GRIP,
+    GestureClass.SHAKE: _GRIP,
 }
 
 
@@ -122,7 +135,7 @@ class GestureRecording:
     seed: int
 
     def __post_init__(self):
-        if self.frames.shape != (N_FRAMES, 49, 3):
+        if self.frames.shape != (N_FRAMES, N_TAXELS, 3):
             raise ValueError(f"recording must be (122, 49, 3), got {self.frames.shape}")
 
 
@@ -162,8 +175,8 @@ def _contacts(t: np.ndarray, rng: np.random.Generator, n: int, width: int) -> np
 
 
 def _clip_center(xy: np.ndarray, margin: float = 0.5) -> np.ndarray:
-    xmax = (GRID.cols - 1) * GRID.pitch_cm
-    ymax = (GRID.rows - 1) * GRID.pitch_cm
+    xmax = (COLS - 1) * PITCH_CM
+    ymax = (ROWS - 1) * PITCH_CM
     xy[..., 0] = np.clip(xy[..., 0], margin, xmax - margin)
     xy[..., 1] = np.clip(xy[..., 1], margin, ymax - margin)
     return xy
@@ -186,11 +199,12 @@ class _PatchTrack:
         centers = self.centers
         if (centers == centers[0]).all():
             centers = centers[:1]  # one (1, 49) footprint serves every frame
-        d2 = (centers[:, 0:1] - _POS[:, 0]) ** 2 + (centers[:, 1:2] - _POS[:, 1]) ** 2
+        d2 = ((centers[:, 0:1] - POSITIONS_CM[:, 0]) ** 2
+              + (centers[:, 1:2] - POSITIONS_CM[:, 1]) ** 2)
         w = np.exp(-d2 / (2.0 * self.sigma**2))
         w[d2 > (3.0 * self.sigma) ** 2] = 0.0
         if self.y_gradient != 0.0:
-            rel_y = _POS[:, 1] - centers[:, 1:2]
+            rel_y = POSITIONS_CM[:, 1] - centers[:, 1:2]
             w = w * np.clip(1.0 + self.y_gradient * rel_y, 0.0, None)
         forces[0] += w * self.shear[:, 0:1]
         forces[1] += w * self.shear[:, 1:2]
@@ -229,25 +243,27 @@ def _base_trajectory(tmpl: GestureTemplate, t, rng, profile) -> np.ndarray:
     return _clip_center(centers)
 
 
-def synth_recording(gesture: GestureClass, profile: UserProfile, recording_seed: int,
-                    recording_id: int = 0) -> GestureRecording:
-    """Generate one 122-frame recording of the given class for one user."""
+def synth_recording(gesture: GestureClass, profile: UserProfile,
+                    recording_seed: int) -> GestureRecording:
+    """Generate one 122-frame recording of the given class for one user
+    (recording id 0; synth_dataset numbers the recordings it returns)."""
     rng = np.random.default_rng(
         np.random.SeedSequence([recording_seed, int(gesture), profile.seed, _TAG_RECORDING]))
     # channel-first, so each track and each clamp works on contiguous (T, 49) blocks
-    forces = np.zeros((3, N_FRAMES, 49))
+    forces = np.zeros((3, N_FRAMES, N_TAXELS))
     for track in _tracks(gesture, profile, rng):
         track.add_to(forces)
 
     # range safety before noise, clamp again after noise
     _clamp(forces)
     if profile.noise_level > 0:
-        forces += rng.normal(0.0, profile.noise_level, size=(N_FRAMES, 49, 3)).transpose(2, 0, 1)
+        noise = rng.normal(0.0, profile.noise_level, size=(N_FRAMES, N_TAXELS, 3))
+        forces += noise.transpose(2, 0, 1)
         _clamp(forces)
 
     return GestureRecording(frames=forces.transpose(1, 2, 0).astype(np.float32, order="C"),
                             label=gesture, user_id=profile.user_id,
-                            recording_id=recording_id, seed=recording_seed)
+                            recording_id=0, seed=recording_seed)
 
 
 def _tracks(gesture: GestureClass, profile: UserProfile,
@@ -330,8 +346,8 @@ def _pinch_tracks(t, rng, profile, sigma, base_amp, ratio) -> list[_PatchTrack]:
     """
     col = int(rng.integers(2, 8))
     row = int(rng.integers(1, 4))
-    center = np.array([col * GRID.pitch_cm, row * GRID.pitch_cm])
-    half = np.array([GRID.pitch_cm, 0.0])
+    center = np.array([col * PITCH_CM, row * PITCH_CM])
+    half = np.array([PITCH_CM, 0.0])
     onset = int(rng.integers(10, 24))
     offset = int(rng.integers(N_FRAMES - 24, N_FRAMES - 8))
     env = _trapezoid(t, onset, offset, ramp=5)
@@ -388,7 +404,7 @@ def protocol_size(n_users: int, n_blocks: int, reps_per_block: int) -> int:
     if n_users > MAX_USERS:
         raise ValueError(f"n_users {n_users} exceeds {MAX_USERS}, the most users "
                          "a TGK1 file can number (u16 user id)")
-    n = n_users * n_blocks * reps_per_block * len(GestureClass)
+    n = n_users * n_blocks * reps_per_block * N_CLASSES
     if n > MAX_RECORDINGS:
         raise ValueError(f"{n} recordings exceed {MAX_RECORDINGS}, the most a TGK1 "
                          "file can hold (u32 record count)")
@@ -405,15 +421,15 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
     for user in range(n_users):
         profile = user_profile(user, master_seed)
         for block in range(n_blocks):
-            order = [GestureClass(c) for c in range(13) for _ in range(reps_per_block)]
+            order = [g for g in GestureClass for _ in range(reps_per_block)]
             block_rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, user, block, _TAG_BLOCK]))
             block_rng.shuffle(order)
             for k, gesture in enumerate(order):
                 rec_seed = _seed_int(master_seed, user, block, k, int(gesture), _TAG_RECORDING)
                 jobs.append((gesture, profile, rec_seed))
-    frames = np.ndarray((n, N_FRAMES, 49, 3), dtype="<f4",
-                        buffer=mmap.mmap(-1, n * N_FRAMES * 49 * 3 * 4))
+    frames = np.ndarray((n, N_FRAMES, N_TAXELS, 3), dtype="<f4",
+                        buffer=mmap.mmap(-1, n * N_FRAMES * N_TAXELS * 3 * 4))
     _fill(frames, jobs)
     frames.flags.writeable = False  # rows taken from here on are read-only too
     return [GestureRecording(frames=frames[i], label=gesture, user_id=profile.user_id,

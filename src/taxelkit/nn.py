@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-N_CLASSES = 13
+from .geometry import COLS, ROWS
+from .gestures import N_CLASSES
+
 CONV_CHANNELS = 122
 HIDDEN = 100
 
@@ -164,20 +166,18 @@ class CnnModel:
     DROPOUT_P = 0.5
 
     def __init__(self, in_channels: int, seed: int = 0, conv_channels: int = CONV_CHANNELS,
-                 hidden: int = HIDDEN, n_classes: int = N_CLASSES,
-                 spatial: tuple[int, int] = (5, 10)):
+                 hidden: int = HIDDEN):
         self.in_channels = in_channels
         self.conv_channels = conv_channels
-        self.spatial = spatial
-        self.flat_dim = conv_channels * (spatial[0] - 1) * (spatial[1] - 1)
+        self.flat_dim = conv_channels * (ROWS - 1) * (COLS - 1)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x494E4954]))
         self.params: dict[str, np.ndarray] = {}
         self.params["conv_w"] = self._kaiming(rng, (conv_channels, in_channels, 3, 3), in_channels * 9)
         self.params["conv_b"] = np.zeros(conv_channels)
         self.params["fc1_w"] = self._kaiming(rng, (hidden, self.flat_dim), self.flat_dim)
         self.params["fc1_b"] = np.zeros(hidden)
-        self.params["fc2_w"] = self._kaiming(rng, (n_classes, hidden), hidden)
-        self.params["fc2_b"] = np.zeros(n_classes)
+        self.params["fc2_w"] = self._kaiming(rng, (N_CLASSES, hidden), hidden)
+        self.params["fc2_b"] = np.zeros(N_CLASSES)
 
     @staticmethod
     def _kaiming(rng, shape, fan_in):
@@ -191,9 +191,8 @@ class CnnModel:
                 dropout_rng: np.random.Generator | None = None,
                 dropout_masks: np.ndarray | None = None):
         """Returns (logits, cache). Train mode needs a dropout rng or mask."""
-        if x.ndim != 4 or x.shape[1] != self.in_channels or x.shape[2:] != self.spatial:
-            raise ShapeError(f"expected (N, {self.in_channels}, {self.spatial[0]}, "
-                             f"{self.spatial[1]}), got {x.shape}")
+        if x.ndim != 4 or x.shape[1:] != (self.in_channels, ROWS, COLS):
+            raise ShapeError(f"expected (N, {self.in_channels}, {ROWS}, {COLS}), got {x.shape}")
         p = self.params
         c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"])
         r1, r1_mask = relu_forward(c1)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GRID
-from .gestures import N_FRAMES, GestureRecording
-from .nn import N_CLASSES, AdamState, CnnModel
+from .geometry import COLS, N_TAXELS, ROWS
+from .gestures import N_CLASSES, N_FRAMES, GestureRecording
+from .nn import AdamState, CnnModel
 
 log = logging.getLogger("taxelkit")
 
@@ -41,33 +41,24 @@ def channels_for(mode: AblationMode) -> int:
     return N_FRAMES if mode is AblationMode.NORMAL_ONLY else 3 * N_FRAMES
 
 
-# The taxels are the first 49 grid cells in row-major order and the phantom
-# cell comes after them, so a frame's taxels fill one slice of the flat grid.
-_TAXELS = slice(0, int(GRID.valid_mask.sum()))
-if not GRID.valid_mask.ravel()[_TAXELS].all():
-    raise RuntimeError("the valid grid cells must be a row-major prefix of the grid")
-
-
 def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Stack each recording's frames along the channel axis via the grid map."""
-    for rec in recordings:
-        if rec.frames.shape[0] != N_FRAMES:
-            raise ValueError(f"recording {rec.recording_id} has {rec.frames.shape[0]} frames")
+    """Stack each recording's frames along the channel axis; a frame's taxels
+    are the first cells of the flat grid (see ``geometry``)."""
     n = len(recordings)
     labels = np.array([int(r.label) for r in recordings], dtype=np.int64)
     c = channels_for(mode)
-    cells = GRID.rows * GRID.cols
+    cells = ROWS * COLS
     tensor = np.zeros((n, c, cells), dtype=dtype)
     if mode is AblationMode.NORMAL_AND_SHEAR:
-        taxels = tensor.reshape(n, N_FRAMES, 3, cells)[..., _TAXELS]  # (n, 122, 3, 49)
+        taxels = tensor.reshape(n, N_FRAMES, 3, cells)[..., :N_TAXELS]  # (n, 122, 3, 49)
         for i, rec in enumerate(recordings):
             taxels[i] = rec.frames.transpose(0, 2, 1)
     else:
-        taxels = tensor[..., _TAXELS]  # (n, 122, 49)
+        taxels = tensor[..., :N_TAXELS]  # (n, 122, 49)
         for i, rec in enumerate(recordings):
             taxels[i] = rec.frames[:, :, 2]
-    return tensor.reshape(n, c, GRID.rows, GRID.cols), labels
+    return tensor.reshape(n, c, ROWS, COLS), labels
 
 
 @dataclass(frozen=True)
@@ -81,11 +72,13 @@ class DatasetSplit:
         return hashlib.sha256(json.dumps([self.train, self.val, self.test]).encode()).hexdigest()
 
 
-def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
+def _largest_remainder(quotas: np.ndarray, total) -> np.ndarray:
+    """Round each row of quotas down, then up by one in its largest remainders
+    (earlier column first on a tie) until the row sums to its total."""
     base = np.floor(quotas).astype(int)
-    short = total - base.sum()
-    order = np.argsort(-(quotas - base), kind="stable")
-    base[order[:short]] += 1
+    short = np.expand_dims(total - base.sum(axis=-1), -1)
+    order = np.argsort(-(quotas - base), axis=-1, kind="stable")
+    base += np.argsort(order, axis=-1) < short  # the first `short` columns of `order`
     return base
 
 
@@ -98,37 +91,36 @@ def split_dataset(recordings: list[GestureRecording], seed: int,
     """
     if not recordings:
         raise ValueError("cannot split an empty dataset")
-    users = sorted({r.user_id for r in recordings})
-    by_user = {u: [r.recording_id for r in recordings if r.user_id == u] for u in users}
+    users, which, counts = np.unique([r.user_id for r in recordings],
+                                     return_inverse=True, return_counts=True)
+    rec_ids = np.array([r.recording_id for r in recordings])
+    by_user = np.split(rec_ids[np.argsort(which, kind="stable")], np.cumsum(counts)[:-1])
     n_total = len(recordings)
     r_tot = sum(ratio)
     targets = _largest_remainder(np.array([n_total * r / r_tot for r in ratio]), n_total)
 
-    # per-user largest-remainder allocation
-    quotas = {u: np.array([len(by_user[u]) * r / r_tot for r in ratio]) for u in users}
-    alloc = {u: _largest_remainder(quotas[u], len(by_user[u])) for u in users}
+    # per-user largest-remainder allocation: (users, 3), one row per user
+    quotas = counts[:, None] * np.array(ratio) / r_tot
+    alloc = _largest_remainder(quotas, counts)
 
     # repair pass: shift single recordings between splits until global totals match
-    def totals():
-        return np.sum([alloc[u] for u in users], axis=0)
-
-    cur = totals()
+    cur = alloc.sum(axis=0)
     while not np.array_equal(cur, targets):
         over = int(np.argmax(cur - targets))
         under = int(np.argmin(cur - targets))
-        # move from the user most over-allocated in the oversized split
-        candidates = [u for u in users if alloc[u][over] > 0]
-        donor = max(candidates, key=lambda u: (alloc[u][over] - quotas[u][over], -u))
-        alloc[donor][over] -= 1
-        alloc[donor][under] += 1
-        cur = totals()
+        # move from the user most over-allocated in the oversized split; the
+        # first index on a tie is the lowest user id
+        surplus = np.where(alloc[:, over] > 0, alloc[:, over] - quotas[:, over], -np.inf)
+        donor = int(np.argmax(surplus))
+        alloc[donor, over] -= 1
+        alloc[donor, under] += 1
+        cur[over] -= 1
+        cur[under] += 1
 
     train, val, test = [], [], []
-    for u in users:
-        ids = np.array(by_user[u])
+    for u, ids, (a, b, c) in zip(users.tolist(), by_user, alloc.tolist()):
         rng = np.random.default_rng(np.random.SeedSequence([seed, u, 0x53504C54]))
         rng.shuffle(ids)
-        a, b, c = alloc[u]
         train += ids[:a].tolist()
         val += ids[a:a + b].tolist()
         test += ids[a + b:a + b + c].tolist()

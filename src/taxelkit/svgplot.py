@@ -5,15 +5,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N, TaxelGrid
+from .geometry import (COLS, N_TAXELS, NORMAL_MIN_N, PITCH_CM, POSITIONS_CM, ROWS,
+                       SHEAR_MAX_N)
 
 _SVG_HEADER = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 # px per cm for the force-field view
 _SCALE = 28.0
 _MARGIN = 30.0
-_MAX_CIRCLE_PX = 0.65 * GRID.pitch_cm * _SCALE
-_MAX_ARROW_PX = 0.9 * GRID.pitch_cm * _SCALE
+_MAX_CIRCLE_PX = 0.65 * PITCH_CM * _SCALE
+_MAX_ARROW_PX = 0.9 * PITCH_CM * _SCALE
+# size of one force-field panel, px
+_PANEL_W = _MARGIN * 2 + (COLS - 1) * PITCH_CM * _SCALE
+_PANEL_H = _MARGIN * 2 + (ROWS - 1) * PITCH_CM * _SCALE
 
 
 def _svg(width: float, height: float, body: list[str]) -> str:
@@ -28,25 +32,22 @@ def circle_radius_px(fz: float) -> float:
     return _MAX_CIRCLE_PX * min(abs(fz) / abs(NORMAL_MIN_N), 1.0)
 
 
-def force_field_svg(forces: np.ndarray, grid: TaxelGrid = GRID) -> str:
+def force_field_svg(forces: np.ndarray) -> str:
     """One frame as force glyphs: circles for normal force, arrows for shear.
 
     forces is (49, 3) in taxel-index order; the phantom cell renders nothing.
     """
     forces = np.asarray(forces)
-    if forces.shape != (49, 3):
+    if forces.shape != (N_TAXELS, 3):
         raise ValueError(f"expected (49, 3) forces, got {forces.shape}")
-    width = _MARGIN * 2 + (grid.cols - 1) * grid.pitch_cm * _SCALE
-    height = _MARGIN * 2 + (grid.rows - 1) * grid.pitch_cm * _SCALE
     body = ['<rect width="100%" height="100%" fill="white"/>']
-    pos = grid.positions_cm()
-    for (x_cm, y_cm) in pos:
+    for (x_cm, y_cm) in POSITIONS_CM:
         px = _MARGIN + x_cm * _SCALE
         py = _MARGIN + y_cm * _SCALE
         body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5" fill="#999"/>')
     for i, (fx, fy, fz) in enumerate(forces):
-        px = _MARGIN + pos[i, 0] * _SCALE
-        py = _MARGIN + pos[i, 1] * _SCALE
+        px = _MARGIN + POSITIONS_CM[i, 0] * _SCALE
+        py = _MARGIN + POSITIONS_CM[i, 1] * _SCALE
         r = circle_radius_px(fz)
         if r > 0.5:
             body.append(f'<circle class="normal" cx="{px:.2f}" cy="{py:.2f}" r="{r:.2f}" '
@@ -65,23 +66,21 @@ def force_field_svg(forces: np.ndarray, grid: TaxelGrid = GRID) -> str:
                 by = y2 - uy * 6 + s * hy * 3.5
                 body.append(f'<line x1="{x2:.2f}" y1="{y2:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
                             'stroke="red" stroke-width="2.2"/>')
-    return _svg(width, height, body)
+    return _svg(_PANEL_W, _PANEL_H, body)
 
 
-def montage_svg(frames: np.ndarray, n_panels: int = 6, grid: TaxelGrid = GRID) -> str:
+def montage_svg(frames: np.ndarray, n_panels: int = 6) -> str:
     """Evenly sampled frames side by side."""
     idx = np.linspace(0, len(frames) - 1, n_panels).round().astype(int)
-    panel_w = _MARGIN * 2 + (grid.cols - 1) * grid.pitch_cm * _SCALE
-    panel_h = _MARGIN * 2 + (grid.rows - 1) * grid.pitch_cm * _SCALE
     body = []
     for k, fi in enumerate(idx):
-        inner = force_field_svg(frames[fi], grid)
+        inner = force_field_svg(frames[fi])
         # keep only the element body: drop the XML declaration, the opening
         # <svg> line, and the closing tag
         inner_body = inner.split(">\n", 2)[2].rsplit("</svg>", 1)[0]
-        body.append(f'<g transform="translate({k * panel_w:.0f},0)">\n{inner_body}\n'
+        body.append(f'<g transform="translate({k * _PANEL_W:.0f},0)">\n{inner_body}\n'
                     f'<text x="{_MARGIN}" y="16" font-size="12">frame {fi}</text>\n</g>')
-    return _svg(panel_w * n_panels, panel_h, body)
+    return _svg(_PANEL_W * n_panels, _PANEL_H, body)
 
 
 def curves_svg(xs: np.ndarray, curves: list[tuple[str, np.ndarray]], title: str,

@@ -287,6 +287,28 @@ class TestExitCodes:
         assert run("eval", "--config", tiny_config, "--out", str(out)) == 5
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["train", "--dataset", "DIR"], 3),
+        (["eval", "--dataset", "DIR"], 3),
+        (["eval", "--checkpoint", "DIR"], 3),
+        (["eval", "--checkpoint", "MANIFEST_DIR"], 3),
+        (["viz", "--dataset", "DIR", "--recording-id", "0"], 3),
+        (["ablate", "--dataset", "DIR"], 3),
+        (["synth", "--config", "DIR"], 2),
+    ], ids=["train-dataset", "eval-dataset", "eval-checkpoint", "eval-manifest",
+            "viz-dataset", "ablate-dataset", "synth-config"])
+    def test_directory_as_input_path(self, tmp_path, tiny_config, capsys, argv, code):
+        out = tmp_path / "out"
+        assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
+        ckpt = tmp_path / "model.tgkm"
+        ckpt.write_bytes(b"")
+        (tmp_path / "model.tgkm.json").mkdir()  # the checkpoint's manifest path
+        argv = [{"DIR": str(tmp_path), "MANIFEST_DIR": str(ckpt)}.get(a, a) for a in argv]
+        if "--config" not in argv:
+            argv += ["--config", tiny_config]
+        assert run(*argv, "--out", str(out)) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_unknown_recording_id(self, tmp_path, tiny_config):
         out = tmp_path / "out"
         run("synth", "--config", tiny_config, "--out", str(out))

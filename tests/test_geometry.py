@@ -3,41 +3,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxelkit.geometry import GRID, from_grid, to_grid
+from taxelkit.geometry import POSITIONS_CM, from_grid, to_grid
+
+
+def taxel_cells():
+    """Taxel index -> (row, col), read off to_grid: taxel i carries the value i + 1."""
+    image = to_grid(np.repeat(np.arange(1.0, 50.0)[:, None], 3, axis=1))[2]
+    return {int(v) - 1: cell for cell, v in np.ndenumerate(image) if v}
 
 
 class TestTaxelIndex:
     def test_first_cell(self):
-        assert GRID.taxel_index(0, 0) == 0
+        assert taxel_cells()[0] == (0, 0)
 
     def test_phantom_cell(self):
-        assert GRID.taxel_index(4, 9) is None
+        assert (4, 9) not in taxel_cells().values()
 
     def test_exactly_49_valid(self):
-        indices = [GRID.taxel_index(r, c) for r in range(5) for c in range(10)]
-        valid = [i for i in indices if i is not None]
-        assert len(valid) == 49
+        assert len(taxel_cells()) == 49
 
     def test_bijection(self):
-        valid = [GRID.taxel_index(r, c) for r in range(5) for c in range(10)
-                 if GRID.valid_mask[r, c]]
-        assert sorted(valid) == list(range(49))
+        cells = taxel_cells()
+        assert sorted(cells) == list(range(49))
+        assert len(set(cells.values())) == 49
 
     def test_row_major(self):
-        assert GRID.taxel_index(0, 9) == 9
-        assert GRID.taxel_index(1, 0) == 10
-        assert GRID.taxel_index(4, 8) == 48
+        cells = taxel_cells()
+        assert cells[9] == (0, 9) and cells[10] == (1, 0) and cells[48] == (4, 8)
+        assert [cells[i] for i in range(49)] == sorted(cells.values())
 
     def test_column_layout(self):
         # columns 0-8 full, column 9 has rows 0-3
-        assert GRID.valid_mask[:, :9].all()
-        assert GRID.valid_mask[:4, 9].all()
-        assert not GRID.valid_mask[4, 9]
+        cells = set(taxel_cells().values())
+        assert {(r, c) for r in range(5) for c in range(9)} <= cells
+        assert {r for r, c in cells if c == 9} == {0, 1, 2, 3}
 
-    @pytest.mark.parametrize("row,col", [(-1, 0), (5, 0), (0, -1), (0, 10)])
-    def test_out_of_bounds(self, row, col):
-        with pytest.raises(IndexError):
-            GRID.taxel_index(row, col)
+    def test_positions(self):
+        assert POSITIONS_CM.shape == (49, 2) and POSITIONS_CM.dtype == np.float64
+        assert not POSITIONS_CM.flags.writeable
+        # x along the columns, y along the rows, 1.5 cm apart
+        assert POSITIONS_CM.tolist() == [[c * 1.5, r * 1.5]
+                                         for _, (r, c) in sorted(taxel_cells().items())]
 
 
 class TestToGrid:

@@ -7,9 +7,14 @@ from hypothesis import strategies as st
 
 from taxelkit import gestures
 from taxelkit.dataio import load_dataset, save_dataset
-from taxelkit.geometry import GRID, NORMAL_MIN_N, SHEAR_MAX_N
+from taxelkit.geometry import NORMAL_MIN_N, SHEAR_MAX_N
 from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, GestureClass, UserProfile,
                                protocol_size, synth_dataset, synth_recording, user_profile)
+
+# (row, col) of each taxel in index order: the 5x10 grid in row-major order
+# without its phantom cell (4, 9); a taxel's (x, y) is (col, row) * 1.5 cm
+CELLS = [(r, c) for r in range(5) for c in range(10) if (r, c) != (4, 9)]
+POS = np.array([[c * 1.5, r * 1.5] for r, c in CELLS])
 
 QUIET = UserProfile(user_id=0, amplitude_scale=1.0, speed_scale=1.0,
                     location_bias=(0.0, 0.0), noise_level=0.0, seed=1234)
@@ -17,15 +22,14 @@ QUIET = UserProfile(user_id=0, amplitude_scale=1.0, speed_scale=1.0,
 
 def reference_rasterize(track):
     """(T, 49, 3) force contribution of one patch, assembled frame-major."""
-    pos = GRID.positions_cm()
-    diff = track.centers[:, None, :] - pos[None, :, :]
+    diff = track.centers[:, None, :] - POS[None, :, :]
     d2 = np.sum(diff**2, axis=-1)
     w = np.exp(-d2 / (2.0 * track.sigma**2))
     w[d2 > (3.0 * track.sigma) ** 2] = 0.0
     if track.y_gradient != 0.0:
-        rel_y = pos[None, :, 1] - track.centers[:, None, 1]
+        rel_y = POS[None, :, 1] - track.centers[:, None, 1]
         w = w * np.clip(1.0 + track.y_gradient * rel_y, 0.0, None)
-    out = np.empty((track.centers.shape[0], pos.shape[0], 3))
+    out = np.empty((track.centers.shape[0], len(POS), 3))
     out[:, :, 0] = w * track.shear[:, 0:1]
     out[:, :, 1] = w * track.shear[:, 1:2]
     out[:, :, 2] = -w * track.amp[:, None]
@@ -54,15 +58,14 @@ def reference_frames(gesture, profile, recording_seed):
 
 def grid_image(frame):
     """(49, 3) frame -> dict of (row, col) -> force triple for valid cells."""
-    cells = GRID.valid_cells()
-    return {cells[i]: frame[i] for i in range(49)}
+    return {CELLS[i]: frame[i] for i in range(49)}
 
 
 def active_components(frame, frac=0.5):
     """Connected components (4-adjacency) of cells with |fz| above frac*max."""
     fz = np.abs(frame[:, 2])
     threshold = frac * fz.max()
-    cells = {cell for i, cell in enumerate(GRID.valid_cells()) if fz[i] > threshold}
+    cells = {cell for i, cell in enumerate(CELLS) if fz[i] > threshold}
     comps = []
     while cells:
         stack = [cells.pop()]
@@ -148,7 +151,7 @@ class TestSynthRecording:
             rec = synth_recording(GestureClass.RUB, QUIET, seed)
             fz = np.abs(rec.frames[:, :, 2])
             active = fz.sum(axis=1) > 0.2 * fz.sum(axis=1).max()
-            x = GRID.positions_cm()[:, 0]
+            x = POS[:, 0]
             centroid = (fz[active] * x).sum(axis=1) / fz[active].sum(axis=1)
             centered = centroid - centroid.mean()
             crossings = int(np.sum(np.diff(np.sign(centered)) != 0))

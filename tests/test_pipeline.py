@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxelkit.dataio import load_dataset, save_dataset
-from taxelkit.geometry import GRID
 from taxelkit.gestures import GestureClass, GestureRecording, synth_dataset
 from taxelkit.pipeline import (SPLIT_RATIO, AblationMode, ConfusionMatrix, DatasetSplit,
                                NormalizationStats, TrainConfig,
@@ -17,10 +16,13 @@ from taxelkit.nn import CnnModel
 
 
 def reference_tensor(recordings, mode, dtype):
-    """The grid-map scatter ``tensor[i][:, rr, cc] = vals`` over the valid cells."""
-    rr, cc = np.nonzero(GRID.valid_mask)
+    """The grid-map scatter ``tensor[i][:, rr, cc] = vals`` over the valid cells:
+    the 5x10 grid minus the phantom cell (4, 9), in row-major order."""
+    mask = np.ones((5, 10), dtype=bool)
+    mask[4, 9] = False
+    rr, cc = np.nonzero(mask)
     c = channels_for(mode)
-    tensor = np.zeros((len(recordings), c, GRID.rows, GRID.cols), dtype=dtype)
+    tensor = np.zeros((len(recordings), c, 5, 10), dtype=dtype)
     for i, rec in enumerate(recordings):
         if mode is AblationMode.NORMAL_AND_SHEAR:
             vals = rec.frames.transpose(0, 2, 1).reshape(c, 49)  # (366, 49)
@@ -28,6 +30,51 @@ def reference_tensor(recordings, mode, dtype):
             vals = rec.frames[:, :, 2]  # (122, 49)
         tensor[i][:, rr, cc] = vals
     return tensor
+
+
+def _reference_largest_remainder(quotas, total):
+    base = np.floor(quotas).astype(int)
+    short = total - base.sum()
+    order = np.argsort(-(quotas - base), kind="stable")
+    base[order[:short]] += 1
+    return base
+
+
+def reference_split(recordings, seed, ratio=SPLIT_RATIO):
+    """The per-user loop split_dataset replaced: one pass over the recordings
+    per user, and a repair step that rescans every user."""
+    users = sorted({r.user_id for r in recordings})
+    by_user = {u: [r.recording_id for r in recordings if r.user_id == u] for u in users}
+    n_total = len(recordings)
+    r_tot = sum(ratio)
+    targets = _reference_largest_remainder(np.array([n_total * r / r_tot for r in ratio]),
+                                           n_total)
+    quotas = {u: np.array([len(by_user[u]) * r / r_tot for r in ratio]) for u in users}
+    alloc = {u: _reference_largest_remainder(quotas[u], len(by_user[u])) for u in users}
+
+    def totals():
+        return np.sum([alloc[u] for u in users], axis=0)
+
+    cur = totals()
+    while not np.array_equal(cur, targets):
+        over = int(np.argmax(cur - targets))
+        under = int(np.argmin(cur - targets))
+        candidates = [u for u in users if alloc[u][over] > 0]
+        donor = max(candidates, key=lambda u: (alloc[u][over] - quotas[u][over], -u))
+        alloc[donor][over] -= 1
+        alloc[donor][under] += 1
+        cur = totals()
+
+    train, val, test = [], [], []
+    for u in users:
+        ids = np.array(by_user[u])
+        rng = np.random.default_rng(np.random.SeedSequence([seed, u, 0x53504C54]))
+        rng.shuffle(ids)
+        a, b, c = alloc[u]
+        train += ids[:a].tolist()
+        val += ids[a:a + b].tolist()
+        test += ids[a + b:a + b + c].tolist()
+    return DatasetSplit(train=train, val=val, test=test)
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +198,29 @@ class TestSplitDataset:
         for k in sorted(range(3), key=lambda k: -(quotas[k] - target[k]))[:n - sum(target)]:
             target[k] += 1
         assert [len(p) for p in parts] == target
+
+    @settings(max_examples=100, deadline=None)
+    @given(per_user=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_matches_reference(self, per_user, seed, data):
+        # non-contiguous user and recording ids, recordings in any order
+        user_ids = data.draw(st.lists(st.integers(0, 65535), min_size=len(per_user),
+                                      max_size=len(per_user), unique=True))
+        users = data.draw(st.permutations(
+            [u for u, n in zip(user_ids, per_user) for _ in range(n)]))
+        rec_ids = data.draw(st.lists(st.integers(0, 10**6), min_size=len(users),
+                                     max_size=len(users), unique=True))
+        ratio = data.draw(st.sampled_from([SPLIT_RATIO, (1, 1, 1), (8, 1, 1), (5, 0, 2)]))
+        frames = np.zeros((122, 49, 3), dtype=np.float32)
+        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u,
+                                 recording_id=i, seed=0) for i, u in zip(rec_ids, users)]
+        assert split_dataset(recs, seed, ratio) == reference_split(recs, seed, ratio)
+
+    def test_matches_reference_at_many_users(self):
+        frames = np.zeros((122, 49, 3), dtype=np.float32)
+        recs = [GestureRecording(frames=frames, label=GestureClass(i % 13), user_id=i // 13,
+                                 recording_id=i, seed=0) for i in range(300 * 13)]
+        assert split_dataset(recs, 5) == reference_split(recs, 5)
 
     def test_digest_names_the_id_lists(self, recordings):
         split = split_dataset(recordings, seed=0)
