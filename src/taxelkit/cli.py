@@ -4,7 +4,8 @@ Subcommands: sweep, calibrate, synth, train, eval, ablate, viz — one per
 pipeline artifact (flux curves, calibration table, dataset, checkpoint,
 evaluation report, ablation report, force-field figures).
 
-Exit codes: 0 success, 2 config error, 3 missing input, 4 numerical failure,
+Exit codes: 0 success, 2 config error, 3 missing input or an unusable input or
+output path (e.g. a directory), 4 numerical failure (also no calibratable taxel),
 5 malformed .tgk/.tgkm file (also a dataset with no recordings), 6 a
 checkpoint evaluated on a dataset or split it was not trained on.
 """
@@ -117,6 +118,11 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
             continue
         models[taxel] = model
         per_taxel_rms[taxel] = cal.rms_error(model, flux, force)
+    if failures:
+        (out / "calibration_failures.json").write_text(json.dumps(failures, indent=1))
+    if not models:
+        raise np.linalg.LinAlgError(f"no taxel could be fitted; the {len(failures)} degenerate "
+                                    f"fits are listed in {out / 'calibration_failures.json'}")
     cal.save_models(models, out / "calibration.json")
     rms = np.array([per_taxel_rms[i] for i in sorted(per_taxel_rms)])
     with open(out / "rms.csv", "w", newline="") as fh:
@@ -126,8 +132,6 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
             writer.writerow([i] + [f"{v:.6g}" for v in per_taxel_rms[i]])
         writer.writerow(["Mean"] + [f"{v:.6g}" for v in rms.mean(axis=0)])
         writer.writerow(["Standard Deviation"] + [f"{v:.6g}" for v in rms.std(axis=0)])
-    if failures:
-        (out / "calibration_failures.json").write_text(json.dumps(failures, indent=1))
     log.info("calibrated %d/%d taxels; aggregate RMS %s", len(models), N_TAXELS,
              rms.mean(axis=0))
     return 0
@@ -237,8 +241,7 @@ def _load_model(ckpt_path):
     return model, stats, split_seed, trained_on
 
 
-def _confusion_outputs(result: pipeline.EvaluationResult, out: Path, stem: str) -> dict:
-    cm = result.confusion
+def _confusion_outputs(cm: pipeline.ConfusionMatrix, out: Path, stem: str) -> dict:
     with open(out / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["true\\pred"] + CLASS_NAMES)
@@ -246,9 +249,9 @@ def _confusion_outputs(result: pipeline.EvaluationResult, out: Path, stem: str) 
             writer.writerow([name] + row.tolist())
     (out / f"{stem}.svg").write_text(
         svgplot.heatmap_svg(cm.rates(), CLASS_NAMES,
-                            f"{stem} (overall {result.overall_accuracy:.1%})"))
-    return {"overall_accuracy": result.overall_accuracy,
-            "macro_accuracy": result.macro_accuracy,
+                            f"{stem} (overall {cm.overall_accuracy:.1%})"))
+    return {"overall_accuracy": cm.overall_accuracy,
+            "macro_accuracy": cm.macro_accuracy,
             "counts": cm.counts.tolist(),
             "rates": cm.rates().round(6).tolist()}
 
@@ -265,11 +268,11 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             f"{ckpt} was trained on dataset {trained_on[0]} with split {trained_on[1]}, "
             f"but this dataset is {found[0]} with split {found[1]}")
     test_x, test_y, _ = pipeline.prepare(recs, split.test, stats.mode, stats)
-    result = pipeline.evaluate(model, test_x, test_y)
+    cm = pipeline.evaluate(model, test_x, test_y)
     report = {"mode": stats.mode.value, "test_size": len(test_y),
-              **_confusion_outputs(result, out, "confusion")}
+              **_confusion_outputs(cm, out, "confusion")}
     (out / "evaluation.json").write_text(json.dumps(report, indent=1))
-    log.info("test accuracy %.3f (macro %.3f)", result.overall_accuracy, result.macro_accuracy)
+    log.info("test accuracy %.3f (macro %.3f)", cm.overall_accuracy, cm.macro_accuracy)
     return 0
 
 
@@ -417,7 +420,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         log.error("config error: %s", e)
         return 2
-    except (MissingInputError, FileNotFoundError) as e:
+    except OSError as e:  # a missing input, or a path that cannot be read or written
         log.error("%s", e)
         return 3
     except (pipeline.TrainingDivergedError, magnetics.SingularFieldError,

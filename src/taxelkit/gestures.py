@@ -87,7 +87,7 @@ class GestureTemplate:
     shear_ratio: tuple[float, float]
     patch_sigma_cm: tuple[float, float]
     trajectory: str = "static"  # static | sweep | oscillate | walk
-    shear_pattern: str = "none"  # none | along_motion | uniform | alternating
+    shear_pattern: str = "uniform"  # uniform | along_motion | alternating
     patch_count: tuple[int, int] = (1, 1)
     contact_count: tuple[int, int] = (1, 1)
     contact_frames: tuple[int, int] = (0, 0)
@@ -110,12 +110,11 @@ TEMPLATES: dict[GestureClass, GestureTemplate] = {
                                       contact_frames=(6, 9), sustained=False),
     GestureClass.TAP: GestureTemplate((1.0, 2.5), (0.0, 0.05), (0.4, 0.7), contact_count=(2, 6),
                                       contact_frames=(3, 5), sustained=False),
-    GestureClass.SLAP: GestureTemplate((4.5, 6.5), (0.15, 0.3), (2.0, 2.5), shear_pattern="uniform",
-                                       contact_frames=(3, 5), sustained=False),
+    GestureClass.SLAP: GestureTemplate((4.5, 6.5), (0.15, 0.3), (2.0, 2.5), contact_frames=(3, 5),
+                                       sustained=False),
     GestureClass.POKE: GestureTemplate((2.0, 4.0), (0.0, 0.08), (0.4, 1.0)),
     GestureClass.PINCH: GestureTemplate((2.4, 4.8), (0.4, 0.8), (0.7, 0.7)),
-    GestureClass.PULL: GestureTemplate((2.2, 4.5), (0.3, 0.6), (2.1, 2.6), shear_pattern="uniform",
-                                       y_gradient=0.03),
+    GestureClass.PULL: GestureTemplate((2.2, 4.5), (0.3, 0.6), (2.1, 2.6), y_gradient=0.03),
     GestureClass.RUB: GestureTemplate((1.5, 3.0), (0.4, 0.7), (0.8, 1.2), "oscillate",
                                       "alternating"),
     GestureClass.PRESS: GestureTemplate((2.2, 4.5), (0.0, 0.02), (2.1, 2.6)),
@@ -159,7 +158,7 @@ def user_profile(user_id: int, master_seed: int) -> UserProfile:
 def _trapezoid(t: np.ndarray, onset: int, offset: int, ramp: int) -> np.ndarray:
     env = np.clip((t - onset + 1) / max(ramp, 1), 0.0, 1.0)
     env *= np.clip((offset - t) / max(ramp, 1), 0.0, 1.0)
-    return np.clip(env, 0.0, 1.0)
+    return env
 
 
 def _contacts(t: np.ndarray, rng: np.random.Generator, n: int, width: int) -> np.ndarray:
@@ -278,7 +277,7 @@ def _tracks(gesture: GestureClass, profile: UserProfile,
     sigma = rng.uniform(*tmpl.patch_sigma_cm)
 
     if gesture is GestureClass.PINCH:
-        return _pinch_tracks(t, rng, profile, sigma, base_amp, ratio)
+        return _pinch_tracks(t, rng, sigma, base_amp, ratio)
     if gesture in (GestureClass.GRAB, GestureClass.SHAKE):
         return _grab_tracks(t, rng, profile, sigma, base_amp, ratio,
                             shake=(gesture is GestureClass.SHAKE))
@@ -313,32 +312,27 @@ def _generic_track(gesture, t, rng, tmpl, centers, sigma, amp_peak, ratio) -> _P
         env = _contacts(t, rng, n, width)
     amp = amp_peak * env
 
-    shear = np.zeros((len(t), 2))
     s_mag = ratio * amp
     if tmpl.shear_pattern == "along_motion":
         vel = np.gradient(centers, axis=0)
         norm = np.linalg.norm(vel, axis=-1, keepdims=True)
         direction = np.divide(vel, norm, out=np.zeros_like(vel), where=norm > 1e-9)
         shear = direction * s_mag[:, None]
-    elif tmpl.shear_pattern == "uniform":
+    elif tmpl.shear_pattern == "alternating":
+        shear = np.zeros((len(t), 2))
+        shear[:, 0] = np.tanh(np.gradient(centers[:, 0]) / 0.05) * s_mag
+    else:  # uniform: one direction for the whole contact
         if gesture is GestureClass.PULL:
             direction = np.array([0.0, -1.0])
         else:
             ang = rng.uniform(0, 2 * np.pi)
             direction = np.array([np.cos(ang), np.sin(ang)])
         shear = direction[None, :] * s_mag[:, None]
-    elif tmpl.shear_pattern == "alternating":
-        vel_x = np.gradient(centers[:, 0])
-        sign = np.tanh(vel_x / 0.05)
-        shear[:, 0] = sign * s_mag
-    elif tmpl.shear_pattern == "none" and tmpl.shear_ratio[1] > 0:
-        ang = rng.uniform(0, 2 * np.pi)
-        shear = np.array([np.cos(ang), np.sin(ang)])[None, :] * s_mag[:, None]
 
     return _PatchTrack(centers, sigma, amp, shear, y_gradient=tmpl.y_gradient)
 
 
-def _pinch_tracks(t, rng, profile, sigma, base_amp, ratio) -> list[_PatchTrack]:
+def _pinch_tracks(t, rng, sigma, base_amp, ratio) -> list[_PatchTrack]:
     """Two grid-aligned patches two pitches apart with exactly opposing shear.
 
     Grid alignment makes the two footprints congruent, so the opposing shear

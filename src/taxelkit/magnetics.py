@@ -8,6 +8,7 @@ stationary at dx = 2*z0, and field magnitude falls off as 1/z0^3.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -27,8 +28,9 @@ class SingularFieldError(ValueError):
 def _require_positive(obj, *names: str) -> None:
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not value > 0:
-            raise ValueError(f"{name} must be a positive number, got {value!r}")
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0)):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
 
 
 @dataclass(frozen=True)

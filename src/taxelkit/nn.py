@@ -18,6 +18,10 @@ from .gestures import N_CLASSES
 
 CONV_CHANNELS = 122
 HIDDEN = 100
+DROPOUT_P = 0.5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class ShapeError(ValueError):
@@ -100,21 +104,13 @@ def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
     return (rng.random(shape) >= p).astype(float)
 
 
-def dropout_forward(x: np.ndarray, p: float, train: bool, mask: np.ndarray | None = None):
-    """Inverted dropout: identity in eval mode, survivors scaled by 1/(1-p)."""
-    if not train or p == 0.0:
-        return x, None
-    if mask is None:
-        raise ValueError("train-mode dropout needs a mask")
-    scale = 1.0 / (1.0 - p)
-    return x * mask * scale, (mask, scale)
+def dropout_forward(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """Inverted dropout: survivors scaled by 1/(1-DROPOUT_P); identity without a mask."""
+    return x if mask is None else x * mask * (1.0 / (1.0 - DROPOUT_P))
 
 
-def dropout_backward(dy: np.ndarray, cache):
-    if cache is None:
-        return dy
-    mask, scale = cache
-    return dy * mask * scale
+def dropout_backward(dy: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return dy if mask is None else dy * mask * (1.0 / (1.0 - DROPOUT_P))
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -134,15 +130,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels):
-    """Mean cross-entropy loss and dloss/dlogits. Accepts (13,) or (N, 13)."""
-    logits = np.asarray(logits, dtype=float)
-    single = logits.ndim == 1
-    if single:
-        logits = logits[None, :]
-        labels = np.array([labels])
-    else:
-        labels = np.asarray(labels)
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy loss of (N, 13) logits and its gradient dloss/dlogits."""
+    labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("label out of range")
     n = logits.shape[0]
@@ -152,8 +142,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels):
     grad = softmax(logits)
     grad[np.arange(n), labels] -= 1.0
     grad /= n
-    if single:
-        grad = grad[0]
     return float(loss), grad
 
 
@@ -162,8 +150,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels):
 
 class CnnModel:
     """Conv/FC classifier; full scale is in_channels 122 or 366."""
-
-    DROPOUT_P = 0.5
 
     def __init__(self, in_channels: int, seed: int = 0, conv_channels: int = CONV_CHANNELS,
                  hidden: int = HIDDEN):
@@ -187,33 +173,29 @@ class CnnModel:
     def shapes(self) -> dict[str, tuple[int, ...]]:
         return {k: v.shape for k, v in self.params.items()}
 
-    def forward(self, x: np.ndarray, train: bool = False,
-                dropout_rng: np.random.Generator | None = None,
-                dropout_masks: np.ndarray | None = None):
-        """Returns (logits, cache). Train mode needs a dropout rng or mask."""
+    def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None):
+        """Returns (logits, cache). With a dropout generator the pass trains
+        (a fresh dropout mask is drawn from it); without one it is inference."""
         if x.ndim != 4 or x.shape[1:] != (self.in_channels, ROWS, COLS):
             raise ShapeError(f"expected (N, {self.in_channels}, {ROWS}, {COLS}), got {x.shape}")
         p = self.params
         c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"])
         r1, r1_mask = relu_forward(c1)
-        if train and dropout_masks is None:
-            if dropout_rng is None:
-                raise ValueError("train-mode forward needs dropout_rng or dropout_masks")
-            dropout_masks = dropout_mask(r1.shape, self.DROPOUT_P, dropout_rng)
-        d1, drop_cache = dropout_forward(r1, self.DROPOUT_P, train, dropout_masks)
+        drop_mask = None if dropout_rng is None else dropout_mask(r1.shape, DROPOUT_P, dropout_rng)
+        d1 = dropout_forward(r1, drop_mask)
         pool, pool_cache = maxpool2_forward(d1)
         flat = pool.reshape(pool.shape[0], -1)
         h1, fc1_cache = linear_forward(flat, p["fc1_w"], p["fc1_b"])
         a1, a1_mask = relu_forward(h1)
         logits, fc2_cache = linear_forward(a1, p["fc2_w"], p["fc2_b"])
-        cache = (conv_cache, r1_mask, drop_cache, pool_cache, pool.shape,
+        cache = (conv_cache, r1_mask, drop_mask, pool_cache, pool.shape,
                  fc1_cache, a1_mask, fc2_cache)
         return logits, cache
 
     def backward(self, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
         if cache is None:
             raise ValueError("backward requires the cache from a forward pass")
-        (conv_cache, r1_mask, drop_cache, pool_cache, pool_shape,
+        (conv_cache, r1_mask, drop_mask, pool_cache, pool_shape,
          fc1_cache, a1_mask, fc2_cache) = cache
         grads: dict[str, np.ndarray] = {}
         da1, grads["fc2_w"], grads["fc2_b"] = linear_backward(dlogits, fc2_cache)
@@ -221,20 +203,20 @@ class CnnModel:
         dflat, grads["fc1_w"], grads["fc1_b"] = linear_backward(dh1, fc1_cache)
         dpool = dflat.reshape(pool_shape)
         dd1 = maxpool2_backward(dpool, pool_cache)
-        dr1 = dropout_backward(dd1, drop_cache)
+        dr1 = dropout_backward(dd1, drop_mask)
         dc1 = relu_backward(dr1, r1_mask)
         _, grads["conv_w"], grads["conv_b"] = conv2d_backward(dc1, conv_cache, need_dx=False)
         return grads
 
-    def loss_and_grads(self, x, labels, train=True, dropout_rng=None, dropout_masks=None):
-        logits, cache = self.forward(x, train=train, dropout_rng=dropout_rng,
-                                     dropout_masks=dropout_masks)
+    def loss_and_grads(self, x, labels, dropout_rng=None):
+        """Mean loss and parameter gradients; dropout_rng as in forward."""
+        logits, cache = self.forward(x, dropout_rng)
         loss, dlogits = softmax_cross_entropy(logits, labels)
         return loss, self.backward(dlogits, cache)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Eval-mode argmax class per sample; ties resolve to the lowest index."""
-        logits, _ = self.forward(x, train=False)
+        """Inference argmax class per sample; ties resolve to the lowest index."""
+        logits, _ = self.forward(x)
         return logits.argmax(axis=1)
 
     def clone_params(self) -> dict[str, np.ndarray]:
@@ -250,12 +232,9 @@ class AdamState:
     """Bias-corrected Adam over a parameter dict."""
 
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step_count: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     # two per-parameter work buffers, reused across steps
     _work: dict[str, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -269,24 +248,24 @@ class AdamState:
             self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.step_count += 1
         t = self.step_count
-        c1 = 1 - self.beta1**t
-        c2 = 1 - self.beta2**t
+        c1 = 1 - ADAM_BETA1**t
+        c2 = 1 - ADAM_BETA2**t
         for k, p in params.items():
             g = grads[k]
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {k}")
             m, v = self.m[k], self.v[k]
             upd, den = self._work[k]
-            np.multiply(g, 1 - self.beta1, out=upd)
-            m *= self.beta1
+            np.multiply(g, 1 - ADAM_BETA1, out=upd)
+            m *= ADAM_BETA1
             m += upd
-            np.multiply(g, 1 - self.beta2, out=upd)
+            np.multiply(g, 1 - ADAM_BETA2, out=upd)
             upd *= g
-            v *= self.beta2
+            v *= ADAM_BETA2
             v += upd
             np.divide(v, c2, out=den)  # v_hat
             np.sqrt(den, out=den)
-            den += self.epsilon
+            den += ADAM_EPSILON
             np.divide(m, c1, out=upd)  # m_hat
             upd *= self.lr
             upd /= den

@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,8 @@ log = logging.getLogger("taxelkit")
 SPLIT_RATIO = (3081, 390, 390)
 
 STD_FLOOR = 1e-8
+
+PREDICT_BATCH = 64
 
 
 class AblationMode(enum.Enum):
@@ -197,10 +199,11 @@ class EpochRecord:
     val_acc: float
 
 
-def _predict_batched(model: CnnModel, x: np.ndarray, batch: int = 64) -> np.ndarray:
+def _predict_batched(model: CnnModel, x: np.ndarray) -> np.ndarray:
     preds = np.empty(len(x), dtype=np.int64)
-    for i in range(0, len(x), batch):
-        preds[i:i + batch] = model.predict(np.asarray(x[i:i + batch], dtype=np.float64))
+    for i in range(0, len(x), PREDICT_BATCH):
+        preds[i:i + PREDICT_BATCH] = model.predict(
+            np.asarray(x[i:i + PREDICT_BATCH], dtype=np.float64))
     return preds
 
 
@@ -223,7 +226,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
             idx = perm[i:i + config.batch_size]
             xb = np.asarray(train_x[idx], dtype=np.float64)
             yb = train_y[idx]
-            loss, grads = model.loss_and_grads(xb, yb, train=True, dropout_rng=rng)
+            loss, grads = model.loss_and_grads(xb, yb, dropout_rng=rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became {loss} at epoch {epoch}, batch {i // config.batch_size}")
@@ -274,26 +277,16 @@ class ConfusionMatrix:
         return float(self.per_class_accuracy()[row > 0].mean())
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
-    confusion: ConfusionMatrix
-    overall_accuracy: float
-    macro_accuracy: float
-
-
-def evaluate(model: CnnModel, test_x: np.ndarray, test_y: np.ndarray) -> EvaluationResult:
+def evaluate(model: CnnModel, test_x: np.ndarray, test_y: np.ndarray) -> ConfusionMatrix:
     if test_x.shape[1] != model.in_channels:
         raise ValueError(f"tensor has {test_x.shape[1]} channels, model expects {model.in_channels}")
-    preds = _predict_batched(model, test_x)
-    cm = ConfusionMatrix.from_predictions(test_y, preds)
-    return EvaluationResult(confusion=cm, overall_accuracy=cm.overall_accuracy,
-                            macro_accuracy=cm.macro_accuracy)
+    return ConfusionMatrix.from_predictions(test_y, _predict_batched(model, test_x))
 
 
 @dataclass(frozen=True)
 class AblationArm:
     mode: AblationMode
-    result: EvaluationResult
+    result: ConfusionMatrix
     history: list[EpochRecord]
 
 
@@ -304,8 +297,8 @@ class AblationReport:
 
     def per_class_delta(self) -> np.ndarray:
         """Shear-arm minus normal-arm per-class accuracy."""
-        return (self.normal_and_shear.result.confusion.per_class_accuracy()
-                - self.normal_only.result.confusion.per_class_accuracy())
+        return (self.normal_and_shear.result.per_class_accuracy()
+                - self.normal_only.result.per_class_accuracy())
 
     def shear_wins(self) -> int:
         return int(np.sum(self.per_class_delta() > 0))

@@ -32,11 +32,8 @@ def circle_radius_px(fz: float) -> float:
     return _MAX_CIRCLE_PX * min(abs(fz) / abs(NORMAL_MIN_N), 1.0)
 
 
-def force_field_svg(forces: np.ndarray) -> str:
-    """One frame as force glyphs: circles for normal force, arrows for shear.
-
-    forces is (49, 3) in taxel-index order; the phantom cell renders nothing.
-    """
+def _field_body(forces: np.ndarray) -> list[str]:
+    """The elements of one force-field panel; see force_field_svg."""
     forces = np.asarray(forces)
     if forces.shape != (N_TAXELS, 3):
         raise ValueError(f"expected (49, 3) forces, got {forces.shape}")
@@ -66,7 +63,15 @@ def force_field_svg(forces: np.ndarray) -> str:
                 by = y2 - uy * 6 + s * hy * 3.5
                 body.append(f'<line x1="{x2:.2f}" y1="{y2:.2f}" x2="{bx:.2f}" y2="{by:.2f}" '
                             'stroke="red" stroke-width="2.2"/>')
-    return _svg(_PANEL_W, _PANEL_H, body)
+    return body
+
+
+def force_field_svg(forces: np.ndarray) -> str:
+    """One frame as force glyphs: circles for normal force, arrows for shear.
+
+    forces is (49, 3) in taxel-index order; the phantom cell renders nothing.
+    """
+    return _svg(_PANEL_W, _PANEL_H, _field_body(forces))
 
 
 def montage_svg(frames: np.ndarray, n_panels: int = 6) -> str:
@@ -74,11 +79,8 @@ def montage_svg(frames: np.ndarray, n_panels: int = 6) -> str:
     idx = np.linspace(0, len(frames) - 1, n_panels).round().astype(int)
     body = []
     for k, fi in enumerate(idx):
-        inner = force_field_svg(frames[fi])
-        # keep only the element body: drop the XML declaration, the opening
-        # <svg> line, and the closing tag
-        inner_body = inner.split(">\n", 2)[2].rsplit("</svg>", 1)[0]
-        body.append(f'<g transform="translate({k * _PANEL_W:.0f},0)">\n{inner_body}\n'
+        panel = "\n".join(_field_body(frames[fi]))
+        body.append(f'<g transform="translate({k * _PANEL_W:.0f},0)">\n{panel}\n\n'
                     f'<text x="{_MARGIN}" y="16" font-size="12">frame {fi}</text>\n</g>')
     return _svg(_PANEL_W * n_panels, _PANEL_H, body)
 

@@ -130,6 +130,18 @@ class TestCalibrate:
         mean = [float(v) for v in rows[-2][1:]]
         assert all(v < 0.3 for v in mean)  # within 3x the injected noise
 
+    def test_no_taxel_fits(self, tmp_path, capsys, caplog):
+        # shear stiffness so high that no sample moves a magnet sideways:
+        # every taxel's feature matrix is rank-deficient
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({"stiffness": {"kx": 1e12, "ky": 1e12}}))
+        out = tmp_path / "out"
+        assert run("calibrate", "--config", str(config), "--out", str(out)) == 4
+        assert len(json.loads((out / "calibration_failures.json").read_text())) == 49
+        assert not (out / "rms.csv").exists()
+        assert "no taxel could be fitted" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestPipelineCommands:
     def test_synth_train_eval_viz(self, tmp_path, tiny_config):
@@ -195,12 +207,16 @@ class TestExitCodes:
         {"synth": {"n_users": 0}},
         {"train": {"batch_size": 0}},
         {"seed": -1},
+        # json writes and reads these as the non-standard literal Infinity
+        {"geometry": {"magnet_height": float("inf")}},
+        {"dipole": {"moment": float("inf")}},
+        {"stiffness": {"kz": float("inf")}},
     ])
     def test_bad_config_value(self, tmp_path, capsys, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         # rejected at load time, also by commands that never read the value
-        for command in ("synth", "sweep"):
+        for command in ("synth", "sweep", "calibrate"):
             assert run(command, "--config", str(path), "--out", str(tmp_path / "o")) == 2
         assert "Traceback" not in capsys.readouterr().err
 
@@ -307,6 +323,22 @@ class TestExitCodes:
         if "--config" not in argv:
             argv += ["--config", tiny_config]
         assert run(*argv, "--out", str(out)) == code
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, target", [
+        (["synth"], "dataset.tgk"),
+        (["train"], "model.tgkm"),
+        (["viz", "--recording-id", "0"], "recording_00000/montage.svg"),
+        (["sweep"], "sweep.csv"),
+    ], ids=["synth", "train", "viz", "sweep"])
+    def test_directory_as_output_path(self, tmp_path, tiny_config, capsys, caplog, argv,
+                                      target):
+        out = tmp_path / "out"
+        if argv[0] in ("train", "viz"):
+            assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
+        (out / target).mkdir(parents=True)
+        assert run(*argv, "--config", tiny_config, "--out", str(out)) == 3
+        assert str(out / target) in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_recording_id(self, tmp_path, tiny_config):

@@ -215,8 +215,8 @@ class TestCheckpoint:
         clone = CnnModel(in_channels=c_in, seed=99, conv_channels=4, hidden=5)
         clone.set_params(params)
         x = np.random.default_rng(0).normal(size=(2, 6, 5, 10))
-        logits_a, _ = model.forward(x, train=False)
-        logits_b, _ = clone.forward(x, train=False)
+        logits_a, _ = model.forward(x)
+        logits_b, _ = clone.forward(x)
         assert np.array_equal(logits_a, logits_b)
 
 

@@ -192,3 +192,13 @@ class TestValidation:
     def test_stiffness_positive(self):
         with pytest.raises(ValueError):
             StiffnessModel(kx=-1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda v: TaxelGeometry(magnet_height=v),
+        lambda v: DipoleParams(moment=v),
+        lambda v: StiffnessModel(kz=v),
+    ], ids=["geometry", "dipole", "stiffness"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_rejected(self, make, value):
+        with pytest.raises(ValueError, match="finite positive"):
+            make(value)

@@ -136,13 +136,12 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(channels)
         x = rng.normal(size=(32, channels, 5, 10))
         labels = rng.integers(0, 13, size=32)
-        masks = dropout_mask((32, 122, 5, 10), 0.5, rng)
         model = CnnModel(in_channels=channels, seed=1)
-        loss, grads = model.loss_and_grads(x, labels, dropout_masks=masks)
+        loss, grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
         monkeypatch.setattr(nn, "conv2d_forward", ref_conv2d_forward)
         monkeypatch.setattr(nn, "conv2d_backward", ref_conv2d_backward)
         monkeypatch.setattr(nn, "maxpool2_backward", ref_maxpool2_backward)
-        ref_loss, ref_grads = model.loss_and_grads(x, labels, dropout_masks=masks)
+        ref_loss, ref_grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
         assert loss == ref_loss
         for name in grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
@@ -185,23 +184,18 @@ class TestReluDropoutLinear:
 
     def test_dropout_eval_identity(self):
         x = RNG.normal(size=(3, 4))
-        y, cache = dropout_forward(x, 0.5, train=False)
-        assert y is x and cache is None
+        assert dropout_forward(x, None) is x
         assert dropout_backward(x, None) is x
 
     def test_dropout_inverted_scaling(self):
         x = np.ones((1000, 10))
-        mask = dropout_mask(x.shape, 0.5, np.random.default_rng(0))
-        y, cache = dropout_forward(x, 0.5, train=True, mask=mask)
+        mask = dropout_mask(x.shape, nn.DROPOUT_P, np.random.default_rng(0))
+        y = dropout_forward(x, mask)
         # survivors are scaled by 2, zeros elsewhere; mean stays near 1
         assert set(np.unique(y)) <= {0.0, 2.0}
         assert y.mean() == pytest.approx(1.0, abs=0.05)
-        dy = dropout_backward(np.ones_like(x), cache)
+        dy = dropout_backward(np.ones_like(x), mask)
         assert np.array_equal(dy, y)
-
-    def test_dropout_needs_mask(self):
-        with pytest.raises(ValueError):
-            dropout_forward(np.ones(3), 0.5, train=True)
 
     def test_linear(self):
         x = np.array([[1.0, 2.0]])
@@ -244,19 +238,19 @@ class TestSoftmaxCrossEntropy:
         assert np.isfinite(p).all() and p.sum() == pytest.approx(1.0)
 
     def test_uniform_logits_loss(self):
-        loss, grad = softmax_cross_entropy(np.zeros(13), 4)
+        loss, grad = softmax_cross_entropy(np.zeros((1, 13)), [4])
         assert loss == pytest.approx(np.log(13))
-        expected = np.full(13, 1 / 13)
-        expected[4] -= 1.0
+        expected = np.full((1, 13), 1 / 13)
+        expected[0, 4] -= 1.0
         assert np.allclose(grad, expected)
 
     def test_batch_mean(self):
         logits = RNG.normal(size=(5, 13))
         labels = np.array([0, 3, 7, 12, 5])
         loss, grad = softmax_cross_entropy(logits, labels)
-        singles = [softmax_cross_entropy(logits[i], labels[i]) for i in range(5)]
+        singles = [softmax_cross_entropy(logits[i:i + 1], labels[i:i + 1]) for i in range(5)]
         assert loss == pytest.approx(np.mean([s[0] for s in singles]))
-        assert np.allclose(grad, np.stack([s[1] for s in singles]) / 5)
+        assert np.allclose(grad, np.concatenate([s[1] for s in singles]) / 5)
 
     def test_gradient(self):
         logits = RNG.normal(size=(3, 13))
@@ -270,7 +264,7 @@ class TestSoftmaxCrossEntropy:
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_cross_entropy(np.zeros(13), 13)
+            softmax_cross_entropy(np.zeros((1, 13)), [13])
 
 
 class TestCnnModel:
@@ -293,8 +287,8 @@ class TestCnnModel:
     def test_forward_shape_and_determinism(self):
         model = self.tiny()
         x = RNG.normal(size=(6, 3, 5, 10))
-        a, _ = model.forward(x, train=False)
-        b, _ = model.forward(x, train=False)
+        a, _ = model.forward(x)
+        b, _ = model.forward(x)
         assert a.shape == (6, 13)
         assert np.array_equal(a, b)
 
@@ -309,23 +303,32 @@ class TestCnnModel:
         with pytest.raises(ShapeError):
             self.tiny().forward(np.zeros((2, 3, 5, 9)))
 
-    def test_train_mode_needs_randomness(self):
-        with pytest.raises(ValueError):
-            self.tiny().forward(np.zeros((1, 3, 5, 10)), train=True)
+    def test_same_generator_same_loss_and_grads(self):
+        model = self.tiny(2)
+        x = RNG.normal(size=(4, 3, 5, 10))
+        labels = np.array([0, 5, 9, 12])
+        loss_a, grads_a = model.loss_and_grads(x, labels, np.random.default_rng(11))
+        loss_b, grads_b = model.loss_and_grads(x, labels, np.random.default_rng(11))
+        assert loss_a == loss_b
+        for name in grads_a:
+            assert grads_a[name].tobytes() == grads_b[name].tobytes(), name
+        loss_c, _ = model.loss_and_grads(x, labels, np.random.default_rng(12))
+        loss_d, _ = model.loss_and_grads(x, labels)  # inference: no dropout
+        assert len({loss_a, loss_c, loss_d}) == 3
 
     def test_end_to_end_gradients(self):
-        # finite differences against backprop with dropout masks held fixed
+        # finite differences against backprop, one freshly seeded dropout
+        # generator per pass so every pass draws the same mask
         model = self.tiny(3)
         x = RNG.normal(size=(2, 3, 5, 10))
         labels = np.array([1, 8])
-        masks = dropout_mask((2, 4, 5, 10), 0.5, np.random.default_rng(7))
-        _, grads = model.loss_and_grads(x, labels, dropout_masks=masks)
+        _, grads = model.loss_and_grads(x, labels, np.random.default_rng(7))
 
         for name in model.params:
             p = model.params[name]
 
             def loss():
-                l, _ = model.loss_and_grads(x, labels, dropout_masks=masks)
+                l, _ = model.loss_and_grads(x, labels, np.random.default_rng(7))
                 return l
 
             num = numeric_grad(loss, p, step=1e-5)
@@ -342,6 +345,20 @@ class TestCnnModel:
         x = RNG.normal(size=(4, 3, 5, 10))
         logits, _ = model.forward(x)
         assert np.array_equal(model.predict(x), logits.argmax(axis=1))
+
+    def test_forward_without_generator_is_inference(self):
+        # no generator, no dropout: the logits are the plain layer composition,
+        # and predict takes their argmax
+        model = self.tiny(4)
+        p = model.params
+        x = RNG.normal(size=(5, 3, 5, 10))
+        h, _ = conv2d_forward(x, p["conv_w"], p["conv_b"])
+        h, _ = maxpool2_forward(relu_forward(h)[0])
+        h, _ = relu_forward(linear_forward(h.reshape(5, -1), p["fc1_w"], p["fc1_b"])[0])
+        ref, _ = linear_forward(h, p["fc2_w"], p["fc2_b"])
+        logits, _ = model.forward(x)
+        assert logits.tobytes() == ref.tobytes()
+        assert np.array_equal(model.predict(x), ref.argmax(axis=1))
 
 
 class TestAdam:
