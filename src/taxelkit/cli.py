@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +27,7 @@ from . import calibration as cal
 from . import dataio, gestures, magnetics, pipeline, svgplot
 from .config import FULL_SCALE_SYNTH, ConfigError, RunConfig
 from .geometry import N_TAXELS
-from .gestures import N_FRAMES, GestureClass
+from .gestures import GestureClass
 from .nn import CnnModel
 
 log = logging.getLogger("taxelkit")
@@ -51,6 +51,13 @@ def _outdir(args, cfg: RunConfig) -> Path:
         raise MissingInputError(f"cannot create output directory {out}: {e}")
     cfg.echo(out)
     return out
+
+
+def _refuse_directories(*paths: Path) -> None:
+    """Fail before any work if a file a command will write is a directory."""
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,18 +147,18 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # synth / train / eval / ablate / viz
 
-def _synth_section(args, cfg: RunConfig):
-    return FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
+def _synthesize(args, cfg: RunConfig):
+    """The synth section ``--full-scale`` or the config selects, and its recordings."""
+    s = FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
+    return s, gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
-    s = _synth_section(args, cfg)
-    recs = gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
     path = out / cfg.paths.dataset
-    dataio.save_dataset(recs, path, config={
-        "n_users": s.n_users, "n_blocks": s.n_blocks, "reps_per_block": s.reps_per_block,
-        "master_seed": cfg.seed})
+    _refuse_directories(path, dataio.sidecar_path(path))
+    s, recs = _synthesize(args, cfg)
+    dataio.save_dataset(recs, path, config={**asdict(s), "master_seed": cfg.seed})
     log.info("wrote %d recordings to %s", len(recs), path)
     return 0
 
@@ -166,11 +173,6 @@ def _load_recordings(path) -> list:
     return recordings
 
 
-def _mode(name: str) -> pipeline.AblationMode:
-    return (pipeline.AblationMode.NORMAL_ONLY if name == "normal-only"
-            else pipeline.AblationMode.NORMAL_AND_SHEAR)
-
-
 def _write_history(history, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -181,15 +183,16 @@ def _write_history(history, path) -> None:
 
 def cmd_train(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
+    ckpt = out / cfg.paths.checkpoint
+    _refuse_directories(ckpt, dataio.sidecar_path(ckpt), out / "history.csv")
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
-    mode = _mode(args.mode)
+    mode = pipeline.AblationMode(args.mode.replace("-", "_"))
     split = pipeline.split_dataset(recs, seed=cfg.seed)
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
     train_x, train_y, stats = pipeline.prepare(recs, split.train, mode)
     val_x, val_y, _ = pipeline.prepare(recs, split.val, mode, stats)
     model, history = pipeline.train(train_x, train_y, val_x, val_y, tconf)
-    ckpt = out / cfg.paths.checkpoint
     dataio.save_checkpoint(model.params, model.in_channels, ckpt, config={
         "mode": mode.value, "split_seed": cfg.seed, "epochs": tconf.epochs,
         "batch_size": tconf.batch_size,
@@ -207,7 +210,7 @@ def _load_model(ckpt_path):
     ckpt_path = Path(ckpt_path)
     if not ckpt_path.is_file():
         raise MissingInputError(f"checkpoint not found: {ckpt_path} (run 'train' first)")
-    manifest_path = ckpt_path.with_suffix(ckpt_path.suffix + ".json")
+    manifest_path = dataio.sidecar_path(ckpt_path)
     if not manifest_path.is_file():
         raise MissingInputError(f"checkpoint manifest not found: {manifest_path}")
     try:
@@ -224,7 +227,7 @@ def _load_model(ckpt_path):
         trained_on = mconf["dataset_id"], mconf["split_digest"]
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise dataio.FormatError(f"{manifest_path}: unreadable manifest: {e!r}")
-    axes = (pipeline.channels_for(mode) // N_FRAMES,)
+    axes = (mode.n_axes,)
     if (c_in != pipeline.channels_for(mode) or stats.mean.shape != axes
             or stats.std.shape != axes or not isinstance(split_seed, int) or split_seed < 0):
         raise dataio.FormatError(f"{manifest_path}: c_in, normalization stats or split seed "
@@ -278,27 +281,22 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_ablate(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
-    if args.dataset:
-        recs = _load_recordings(args.dataset)
-    else:
-        s = _synth_section(args, cfg)
-        recs = gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
+    recs = _load_recordings(args.dataset) if args.dataset else _synthesize(args, cfg)[1]
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
     report = pipeline.ablate(recs, tconf, split_seed=cfg.seed)
+    payload = {}
+    for arm in (report.normal_only, report.normal_and_shear):
+        name = arm.mode.value
+        payload[name] = _confusion_outputs(arm.result, out, f"confusion_{name}")
+        _write_history(arm.history, out / f"history_{name}.csv")
     deltas = report.per_class_delta()
-    payload = {
-        "normal_only": _confusion_outputs(report.normal_only.result, out, "confusion_normal_only"),
-        "normal_and_shear": _confusion_outputs(report.normal_and_shear.result, out,
-                                               "confusion_normal_and_shear"),
-        "per_class_delta": {name: round(float(d), 6) for name, d in zip(CLASS_NAMES, deltas)},
-        "per_class_winner": {name: ("shear" if d > 0 else "normal" if d < 0 else "tie")
-                             for name, d in zip(CLASS_NAMES, deltas)},
-        "shear_wins": report.shear_wins(),
-    }
+    payload["per_class_delta"] = {name: round(float(d), 6)
+                                  for name, d in zip(CLASS_NAMES, deltas)}
+    payload["per_class_winner"] = {name: ("shear" if d > 0 else "normal" if d < 0 else "tie")
+                                   for name, d in zip(CLASS_NAMES, deltas)}
+    payload["shear_wins"] = report.shear_wins()
     (out / "ablation.json").write_text(json.dumps(payload, indent=1))
-    _write_history(report.normal_only.history, out / "history_normal_only.csv")
-    _write_history(report.normal_and_shear.history, out / "history_normal_and_shear.csv")
     log.info("ablation: normal-only %.3f vs normal+shear %.3f",
              payload["normal_only"]["overall_accuracy"],
              payload["normal_and_shear"]["overall_accuracy"])
@@ -307,19 +305,20 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 
 def cmd_viz(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
+    frame_dir = out / f"recording_{args.recording_id:05d}"
+    frame_paths = [frame_dir / f"frame_{i:03d}.svg" for i in range(gestures.N_FRAMES)]
+    _refuse_directories(*frame_paths, frame_dir / "montage.svg")
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
-    by_id = {r.recording_id: r for r in recs}
-    if args.recording_id not in by_id:
+    if not 0 <= args.recording_id < len(recs):
         raise MissingInputError(f"unknown recording id {args.recording_id} "
-                                f"(dataset has ids 0..{max(by_id)})")
-    rec = by_id[args.recording_id]
-    frame_dir = out / f"recording_{rec.recording_id:05d}"
+                                f"(dataset has ids 0..{len(recs) - 1})")
+    rec = recs[args.recording_id]
     frame_dir.mkdir(parents=True, exist_ok=True)
-    for i, frame in enumerate(rec.frames):
-        (frame_dir / f"frame_{i:03d}.svg").write_text(svgplot.force_field_svg(frame))
+    for path, frame in zip(frame_paths, rec.frames):
+        path.write_text(svgplot.force_field_svg(frame))
     (frame_dir / "montage.svg").write_text(svgplot.montage_svg(rec.frames))
     log.info("wrote %d frame SVGs for recording %d (%s) to %s",
-             len(rec.frames), rec.recording_id, rec.label.name, frame_dir)
+             len(rec.frames), args.recording_id, rec.label.name, frame_dir)
     return 0
 
 
@@ -409,8 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("TAXELKIT_LOG", "INFO").upper(),
-                        format="%(levelname)s %(message)s")
+    level = os.environ.get("TAXELKIT_LOG", "INFO").upper()
+    if not isinstance(logging.getLevelName(level), int):  # an unknown name maps to a str
+        print(f"config error: TAXELKIT_LOG={level!r} is not a logging level", file=sys.stderr)
+        return 2
+    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import N_TAXELS
-from .gestures import N_CLASSES, N_FRAMES, GestureClass, GestureRecording
+from .gestures import N_CLASSES, N_FRAMES, GestureRecording, block_recordings
 
 DATASET_MAGIC = b"TGK1"
 CHECKPOINT_MAGIC = b"TGKM"
@@ -37,8 +37,13 @@ class FormatError(ValueError):
     pass
 
 
-def save_dataset(recordings: list[GestureRecording], path, config: dict | None = None) -> None:
+def sidecar_path(path) -> Path:
+    """The JSON sidecar (dataset) or manifest (checkpoint) written next to ``path``."""
     path = Path(path)
+    return path.with_suffix(path.suffix + ".json")
+
+
+def save_dataset(recordings: list[GestureRecording], path, config: dict | None = None) -> None:
     with open(path, "wb") as fh:
         fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES,
                                       N_TAXELS))
@@ -53,7 +58,7 @@ def save_dataset(recordings: list[GestureRecording], path, config: dict | None =
         "taxels": N_TAXELS,
         "config": config or {},
     }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=1))
+    sidecar_path(path).write_text(json.dumps(sidecar, indent=1))
 
 
 def load_dataset(path) -> list[GestureRecording]:
@@ -89,10 +94,7 @@ def load_dataset(path) -> list[GestureRecording]:
             if not np.isfinite(row).all():
                 raise FormatError(f"{path}: recording {i} has non-finite forces")
             headers.append((label, user_id, seed))
-    block.flags.writeable = False  # rows taken from here on are read-only too
-    return [GestureRecording(frames=block[i], label=GestureClass(label), user_id=user_id,
-                             recording_id=i, seed=seed)
-            for i, (label, user_id, seed) in enumerate(headers)]
+    return block_recordings(block, headers)
 
 
 def dataset_id(recordings: list[GestureRecording]) -> str:
@@ -109,7 +111,6 @@ def dataset_id(recordings: list[GestureRecording]) -> str:
 
 def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict | None = None) -> None:
     """Write parameters in declared (insertion) order as float64."""
-    path = Path(path)
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, c_in))
         for value in params.values():
@@ -121,7 +122,7 @@ def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict
         "parameters": {name: list(value.shape) for name, value in params.items()},
         "config": config or {},
     }
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(manifest, indent=1))
+    sidecar_path(path).write_text(json.dumps(manifest, indent=1))
 
 
 def load_checkpoint(path, shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], int]:

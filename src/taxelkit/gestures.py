@@ -31,6 +31,7 @@ from .geometry import (COLS, N_TAXELS, NORMAL_MIN_N, PITCH_CM, POSITIONS_CM, ROW
 
 N_FRAMES = 122
 FPS = 25.0
+_CENTER_MARGIN_CM = 0.5  # how close a contact center may come to the array's edge
 
 # Domain-separation tags for seed derivation.
 _TAG_PROFILE = 0x50524F46  # "PROF"
@@ -125,12 +126,12 @@ TEMPLATES: dict[GestureClass, GestureTemplate] = {
 
 @dataclass(frozen=True)
 class GestureRecording:
-    """122-frame labeled recording; frames is (122, 49, 3) float32."""
+    """122-frame labeled recording, exactly one TGK1 record; frames is
+    (122, 49, 3) float32. A recording's id is its row in its dataset."""
 
     frames: np.ndarray
     label: GestureClass
     user_id: int
-    recording_id: int
     seed: int
 
     def __post_init__(self):
@@ -173,24 +174,23 @@ def _contacts(t: np.ndarray, rng: np.random.Generator, n: int, width: int) -> np
     return env
 
 
-def _clip_center(xy: np.ndarray, margin: float = 0.5) -> np.ndarray:
+def _clip_center(xy: np.ndarray) -> np.ndarray:
     xmax = (COLS - 1) * PITCH_CM
     ymax = (ROWS - 1) * PITCH_CM
-    xy[..., 0] = np.clip(xy[..., 0], margin, xmax - margin)
-    xy[..., 1] = np.clip(xy[..., 1], margin, ymax - margin)
+    xy[..., 0] = np.clip(xy[..., 0], _CENTER_MARGIN_CM, xmax - _CENTER_MARGIN_CM)
+    xy[..., 1] = np.clip(xy[..., 1], _CENTER_MARGIN_CM, ymax - _CENTER_MARGIN_CM)
     return xy
 
 
+@dataclass(frozen=True)
 class _PatchTrack:
     """One contact patch: per-frame center, normal amplitude, shear vector."""
 
-    def __init__(self, centers: np.ndarray, sigma: float, amp: np.ndarray, shear: np.ndarray,
-                 y_gradient: float = 0.0):
-        self.centers = centers  # (T, 2) cm
-        self.sigma = sigma
-        self.amp = amp  # (T,) N, >= 0
-        self.shear = shear  # (T, 2) N
-        self.y_gradient = y_gradient
+    centers: np.ndarray  # (T, 2) cm
+    sigma: float
+    amp: np.ndarray  # (T,) N, >= 0
+    shear: np.ndarray  # (T, 2) N
+    y_gradient: float = 0.0
 
     def add_to(self, forces: np.ndarray) -> None:
         """Add this patch's (x, y, z) force to a channel-first (3, T, 49) buffer
@@ -244,8 +244,7 @@ def _base_trajectory(tmpl: GestureTemplate, t, rng, profile) -> np.ndarray:
 
 def synth_recording(gesture: GestureClass, profile: UserProfile,
                     recording_seed: int) -> GestureRecording:
-    """Generate one 122-frame recording of the given class for one user
-    (recording id 0; synth_dataset numbers the recordings it returns)."""
+    """Generate one 122-frame recording of the given class for one user."""
     rng = np.random.default_rng(
         np.random.SeedSequence([recording_seed, int(gesture), profile.seed, _TAG_RECORDING]))
     # channel-first, so each track and each clamp works on contiguous (T, 49) blocks
@@ -261,8 +260,7 @@ def synth_recording(gesture: GestureClass, profile: UserProfile,
         _clamp(forces)
 
     return GestureRecording(frames=forces.transpose(1, 2, 0).astype(np.float32, order="C"),
-                            label=gesture, user_id=profile.user_id,
-                            recording_id=0, seed=recording_seed)
+                            label=gesture, user_id=profile.user_id, seed=recording_seed)
 
 
 def _tracks(gesture: GestureClass, profile: UserProfile,
@@ -425,10 +423,16 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
     frames = np.ndarray((n, N_FRAMES, N_TAXELS, 3), dtype="<f4",
                         buffer=mmap.mmap(-1, n * N_FRAMES * N_TAXELS * 3 * 4))
     _fill(frames, jobs)
-    frames.flags.writeable = False  # rows taken from here on are read-only too
-    return [GestureRecording(frames=frames[i], label=gesture, user_id=profile.user_id,
-                             recording_id=i, seed=seed)
-            for i, (gesture, profile, seed) in enumerate(jobs)]
+    return block_recordings(frames, [(gesture, profile.user_id, seed)
+                                     for gesture, profile, seed in jobs])
+
+
+def block_recordings(block: np.ndarray, headers: list[tuple]) -> list[GestureRecording]:
+    """One recording per (label, user_id, seed) header, its frames the matching
+    row of ``block``; the block is made read-only, and so are the rows."""
+    block.flags.writeable = False
+    return [GestureRecording(frames=row, label=GestureClass(label), user_id=user_id, seed=seed)
+            for row, (label, user_id, seed) in zip(block, headers, strict=True)]
 
 
 def _worker_count(n: int) -> int:

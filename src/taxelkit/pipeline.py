@@ -34,13 +34,18 @@ class AblationMode(enum.Enum):
     NORMAL_ONLY = "normal_only"  # z per frame -> 122 input channels
     NORMAL_AND_SHEAR = "normal_and_shear"  # x, y, z per frame -> 366
 
+    @property
+    def n_axes(self) -> int:
+        """How many force axes the arm reads: the last n_axes of (x, y, z)."""
+        return 1 if self is AblationMode.NORMAL_ONLY else 3
+
 
 class TrainingDivergedError(RuntimeError):
     pass
 
 
 def channels_for(mode: AblationMode) -> int:
-    return N_FRAMES if mode is AblationMode.NORMAL_ONLY else 3 * N_FRAMES
+    return N_FRAMES * mode.n_axes
 
 
 def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
@@ -49,18 +54,12 @@ def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
     are the first cells of the flat grid (see ``geometry``)."""
     n = len(recordings)
     labels = np.array([int(r.label) for r in recordings], dtype=np.int64)
-    c = channels_for(mode)
-    cells = ROWS * COLS
-    tensor = np.zeros((n, c, cells), dtype=dtype)
-    if mode is AblationMode.NORMAL_AND_SHEAR:
-        taxels = tensor.reshape(n, N_FRAMES, 3, cells)[..., :N_TAXELS]  # (n, 122, 3, 49)
-        for i, rec in enumerate(recordings):
-            taxels[i] = rec.frames.transpose(0, 2, 1)
-    else:
-        taxels = tensor[..., :N_TAXELS]  # (n, 122, 49)
-        for i, rec in enumerate(recordings):
-            taxels[i] = rec.frames[:, :, 2]
-    return tensor.reshape(n, c, ROWS, COLS), labels
+    k = mode.n_axes
+    tensor = np.zeros((n, N_FRAMES, k, ROWS * COLS), dtype=dtype)
+    taxels = tensor[..., :N_TAXELS]  # (n, 122, k, 49)
+    for i, rec in enumerate(recordings):
+        taxels[i] = rec.frames[:, :, 3 - k:].transpose(0, 2, 1)
+    return tensor.reshape(n, N_FRAMES * k, ROWS, COLS), labels
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,7 @@ def split_dataset(recordings: list[GestureRecording], seed: int,
         raise ValueError("cannot split an empty dataset")
     users, which, counts = np.unique([r.user_id for r in recordings],
                                      return_inverse=True, return_counts=True)
-    rec_ids = np.array([r.recording_id for r in recordings])
-    by_user = np.split(rec_ids[np.argsort(which, kind="stable")], np.cumsum(counts)[:-1])
+    by_user = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
     n_total = len(recordings)
     r_tot = sum(ratio)
     targets = _largest_remainder(np.array([n_total * r / r_tot for r in ratio]), n_total)
@@ -130,8 +128,7 @@ def split_dataset(recordings: list[GestureRecording], seed: int,
 
 
 def select(recordings: list[GestureRecording], ids: list[int]) -> list[GestureRecording]:
-    by_id = {r.recording_id: r for r in recordings}
-    return [by_id[i] for i in ids]
+    return [recordings[i] for i in ids]
 
 
 @dataclass(frozen=True)
@@ -145,8 +142,7 @@ class NormalizationStats:
 
 def _axis_view(tensor: np.ndarray, mode: AblationMode) -> np.ndarray:
     n, c, h, w = tensor.shape
-    n_axes = 3 if mode is AblationMode.NORMAL_AND_SHEAR else 1
-    return tensor.reshape(n, c // n_axes, n_axes, h, w)
+    return tensor.reshape(n, c // mode.n_axes, mode.n_axes, h, w)
 
 
 def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> NormalizationStats:
@@ -211,8 +207,6 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
           config: TrainConfig) -> tuple[CnnModel, list[EpochRecord]]:
     """Mini-batch Adam; returns the best-validation-accuracy checkpoint."""
     model = CnnModel(in_channels=train_x.shape[1], seed=config.seed)
-    if config.epochs == 0:
-        return model, []
     adam = AdamState(lr=config.lr)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x545241494E]))
     history: list[EpochRecord] = []
@@ -265,9 +259,7 @@ class ConfusionMatrix:
         return float(np.trace(self.counts) / total) if total else 0.0
 
     def per_class_accuracy(self) -> np.ndarray:
-        row = self.counts.sum(axis=1)
-        return np.divide(np.diag(self.counts), row,
-                         out=np.zeros(N_CLASSES), where=row > 0)
+        return np.diag(self.rates())
 
     @property
     def macro_accuracy(self) -> float:
@@ -292,7 +284,7 @@ class AblationArm:
 
 @dataclass(frozen=True)
 class AblationReport:
-    normal_only: AblationArm
+    normal_only: AblationArm  # one arm per AblationMode, in its order
     normal_and_shear: AblationArm
 
     def per_class_delta(self) -> np.ndarray:
@@ -317,6 +309,4 @@ def ablate(recordings: list[GestureRecording], config: TrainConfig,
            split_seed: int = 0) -> AblationReport:
     """Train and evaluate both arms on identical splits and seeds."""
     split = split_dataset(recordings, seed=split_seed)
-    normal = run_arm(recordings, split, AblationMode.NORMAL_ONLY, config)
-    both = run_arm(recordings, split, AblationMode.NORMAL_AND_SHEAR, config)
-    return AblationReport(normal_only=normal, normal_and_shear=both)
+    return AblationReport(*[run_arm(recordings, split, mode, config) for mode in AblationMode])

@@ -18,6 +18,9 @@ _MAX_ARROW_PX = 0.9 * PITCH_CM * _SCALE
 # size of one force-field panel, px
 _PANEL_W = _MARGIN * 2 + (COLS - 1) * PITCH_CM * _SCALE
 _PANEL_H = _MARGIN * 2 + (ROWS - 1) * PITCH_CM * _SCALE
+_MONTAGE_PANELS = 6
+_CHART_W, _CHART_H = 520, 340  # sweep chart, px
+_CELL = 34.0  # confusion heatmap cell, px
 
 
 def _svg(width: float, height: float, body: list[str]) -> str:
@@ -74,22 +77,21 @@ def force_field_svg(forces: np.ndarray) -> str:
     return _svg(_PANEL_W, _PANEL_H, _field_body(forces))
 
 
-def montage_svg(frames: np.ndarray, n_panels: int = 6) -> str:
+def montage_svg(frames: np.ndarray) -> str:
     """Evenly sampled frames side by side."""
-    idx = np.linspace(0, len(frames) - 1, n_panels).round().astype(int)
+    idx = np.linspace(0, len(frames) - 1, _MONTAGE_PANELS).round().astype(int)
     body = []
     for k, fi in enumerate(idx):
         panel = "\n".join(_field_body(frames[fi]))
         body.append(f'<g transform="translate({k * _PANEL_W:.0f},0)">\n{panel}\n\n'
                     f'<text x="{_MARGIN}" y="16" font-size="12">frame {fi}</text>\n</g>')
-    return _svg(_PANEL_W * n_panels, _PANEL_H, body)
+    return _svg(_PANEL_W * _MONTAGE_PANELS, _PANEL_H, body)
 
 
-def curves_svg(xs: np.ndarray, curves: list[tuple[str, np.ndarray]], title: str,
-               width: float = 520, height: float = 340) -> str:
+def curves_svg(xs: np.ndarray, curves: list[tuple[str, np.ndarray]], title: str) -> str:
     """Simple multi-line chart with axes; one polyline per labeled series."""
     left, right, top, bottom = 60, 20, 30, 40
-    pw, ph = width - left - right, height - top - bottom
+    pw, ph = _CHART_W - left - right, _CHART_H - top - bottom
     ys = np.concatenate([c for _, c in curves])
     ymin, ymax = float(ys.min()), float(ys.max())
     if ymax == ymin:
@@ -104,7 +106,7 @@ def curves_svg(xs: np.ndarray, curves: list[tuple[str, np.ndarray]], title: str,
         return top + (ymax - y) / (ymax - ymin) * ph
 
     body = ['<rect width="100%" height="100%" fill="white"/>',
-            f'<text x="{width / 2:.0f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+            f'<text x="{_CHART_W // 2}" y="18" text-anchor="middle" font-size="13">{title}</text>',
             f'<line x1="{left}" y1="{top + ph}" x2="{left + pw}" y2="{top + ph}" stroke="black"/>',
             f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + ph}" stroke="black"/>']
     for t in np.linspace(xmin, xmax, 6):
@@ -119,16 +121,16 @@ def curves_svg(xs: np.ndarray, curves: list[tuple[str, np.ndarray]], title: str,
         body.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"/>')
         body.append(f'<text x="{left + pw - 4:.0f}" y="{top + 14 + 13 * k:.0f}" text-anchor="end" '
                     f'font-size="11" fill="{color}">{label}</text>')
-    return _svg(width, height, body)
+    return _svg(_CHART_W, _CHART_H, body)
 
 
-def heatmap_svg(matrix: np.ndarray, labels: list[str], title: str, cell: float = 34.0) -> str:
+def heatmap_svg(matrix: np.ndarray, labels: list[str], title: str) -> str:
     """Row-normalized confusion heatmap with per-cell annotations."""
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     left, top = 90, 60
-    width = left + n * cell + 20
-    height = top + n * cell + 20
+    width = left + n * _CELL + 20
+    height = top + n * _CELL + 20
     body = ['<rect width="100%" height="100%" fill="white"/>',
             f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" font-size="14">{title}</text>']
     for i in range(n):
@@ -136,18 +138,18 @@ def heatmap_svg(matrix: np.ndarray, labels: list[str], title: str, cell: float =
             v = matrix[i, j]
             # white -> blue ramp
             shade = int(255 - 175 * min(v, 1.0))
-            body.append(f'<rect x="{left + j * cell:.1f}" y="{top + i * cell:.1f}" '
-                        f'width="{cell:.1f}" height="{cell:.1f}" '
+            body.append(f'<rect x="{left + j * _CELL:.1f}" y="{top + i * _CELL:.1f}" '
+                        f'width="{_CELL:.1f}" height="{_CELL:.1f}" '
                         f'fill="rgb({shade},{shade},255)" stroke="#ddd"/>')
             if v >= 0.005:
                 fill = "white" if v > 0.6 else "black"
-                body.append(f'<text x="{left + (j + 0.5) * cell:.1f}" '
-                            f'y="{top + (i + 0.5) * cell + 3:.1f}" text-anchor="middle" '
+                body.append(f'<text x="{left + (j + 0.5) * _CELL:.1f}" '
+                            f'y="{top + (i + 0.5) * _CELL + 3:.1f}" text-anchor="middle" '
                             f'font-size="9" fill="{fill}">{v:.2f}</text>')
     for i, name in enumerate(labels):
-        body.append(f'<text x="{left - 6}" y="{top + (i + 0.5) * cell + 3:.1f}" '
+        body.append(f'<text x="{left - 6}" y="{top + (i + 0.5) * _CELL + 3:.1f}" '
                     f'text-anchor="end" font-size="10">{name}</text>')
-        body.append(f'<text x="{left + (i + 0.5) * cell:.1f}" y="{top - 8}" font-size="10" '
-                    f'text-anchor="start" transform="rotate(-45 {left + (i + 0.5) * cell:.1f} '
+        body.append(f'<text x="{left + (i + 0.5) * _CELL:.1f}" y="{top - 8}" font-size="10" '
+                    f'text-anchor="start" transform="rotate(-45 {left + (i + 0.5) * _CELL:.1f} '
                     f'{top - 8})">{name}</text>')
     return _svg(width, height, body)

@@ -144,8 +144,7 @@ def test_criterion_6_dataset_arithmetic(full_recordings, full_split):
     hist_ok = (hist == 297).all()
     sizes = (len(full_split.train), len(full_split.val), len(full_split.test))
     sizes_ok = sizes == (3081, 390, 390)
-    by_id = {r.recording_id: r.user_id for r in full_recordings}
-    users_ok = all({by_id[i] for i in part} == set(range(11))
+    users_ok = all({full_recordings[i].user_id for i in part} == set(range(11))
                    for part in (full_split.train, full_split.val, full_split.test))
     elapsed = time.time() - t0
     report(6, n_ok and hist_ok and sizes_ok and users_ok and elapsed < 60,

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taxelkit
-from taxelkit import dataio, pipeline
+from taxelkit import dataio, gestures, pipeline
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
@@ -199,6 +199,17 @@ class TestExitCodes:
         bad2.write_text(json.dumps({"nonsense": {}}))
         assert run("synth", "--config", str(bad2), "--out", str(tmp_path / "o")) == 2
 
+    @pytest.mark.parametrize("level", ["bogus", "10", ""])
+    def test_unknown_log_level(self, tmp_path, capsys, monkeypatch, level):
+        monkeypatch.setenv("TAXELKIT_LOG", level)
+        assert run("sweep", "--out", str(tmp_path / "o")) == 2
+        assert "TAXELKIT_LOG" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # refused before any output
+
+    def test_known_log_level_any_case(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TAXELKIT_LOG", "warning")
+        assert run("sweep", "--out", str(tmp_path / "o"), "--steps", "2") == 0
+
     @pytest.mark.parametrize("bad", [
         {"geometry": {"magnet_height": -1}},
         {"dipole": {"direction": 5}},
@@ -327,19 +338,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, target", [
         (["synth"], "dataset.tgk"),
+        (["synth"], "dataset.tgk.json"),
         (["train"], "model.tgkm"),
+        (["train"], "model.tgkm.json"),
+        (["train"], "history.csv"),
         (["viz", "--recording-id", "0"], "recording_00000/montage.svg"),
+        (["viz", "--recording-id", "0"], "recording_00000/frame_121.svg"),
         (["sweep"], "sweep.csv"),
-    ], ids=["synth", "train", "viz", "sweep"])
-    def test_directory_as_output_path(self, tmp_path, tiny_config, capsys, caplog, argv,
-                                      target):
+    ], ids=["synth", "synth-sidecar", "train", "train-manifest", "train-history", "viz",
+            "viz-frame", "sweep"])
+    def test_directory_as_output_path(self, tmp_path, tiny_config, capsys, caplog, monkeypatch,
+                                      argv, target):
         out = tmp_path / "out"
         if argv[0] in ("train", "viz"):
             assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
         (out / target).mkdir(parents=True)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("output paths must be checked before any work")
+        monkeypatch.setattr(gestures, "synth_dataset", unreachable)
+        monkeypatch.setattr(pipeline, "train", unreachable)
         assert run(*argv, "--config", tiny_config, "--out", str(out)) == 3
         assert str(out / target) in caplog.text
         assert "Traceback" not in capsys.readouterr().err
+        assert not any(p.is_file() for p in out.glob("recording_*/frame_*.svg"))  # viz wrote none
 
     def test_unknown_recording_id(self, tmp_path, tiny_config):
         out = tmp_path / "out"

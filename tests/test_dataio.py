@@ -12,6 +12,7 @@ from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, FormatError,
                              save_checkpoint, save_dataset)
 from taxelkit.gestures import synth_dataset
 from taxelkit.nn import CnnModel
+from taxelkit.pipeline import split_dataset
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +31,6 @@ class TestDataset:
             assert a.label is b.label
             assert a.user_id == b.user_id
             assert a.seed == b.seed
-            assert a.recording_id == b.recording_id
 
     def test_loaded_frames_are_read_only_views(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
@@ -81,6 +81,16 @@ class TestDataset:
         raw[20 + 3] ^= 1  # a bit of the first record's seed
         path.write_bytes(bytes(raw))
         assert dataset_id(load_dataset(path)) != dataset_id(loaded)
+
+    def test_desk_digests_are_pinned(self):
+        # every checkpoint's manifest stores both digests and eval refuses a mismatch,
+        # so a change to either breaks every saved checkpoint; both hash only integers
+        # (seeds, users, labels and row ids), never floats
+        desk = synth_dataset(4, 3, 3, 0)
+        assert dataset_id(desk) == \
+            "5c1e5a7c562ccf10b214b01e74755f34a270bc666c2391d6b5d61a9216a59a53"
+        assert split_dataset(desk, seed=0).digest() == \
+            "7ae3d940d27dee5d6dfed957e81019ac1d2d9fe26d743ef7d11d827657f2ae14"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_force(self, recordings, tmp_path, value):

@@ -235,15 +235,14 @@ class TestSynthDataset:
 
     def test_user_ids_and_recording_ids(self):
         recs = synth_dataset(2, 1, 2, 3)
-        assert [r.recording_id for r in recs] == list(range(len(recs)))
-        assert {r.user_id for r in recs} == {0, 1}
+        assert [r.user_id for r in recs] == [0] * 26 + [1] * 26  # a recording's id is its row
 
     def test_desk_scale_matches_frame_major_reference(self):
         recs = synth_dataset(4, 3, 3, 0)  # the default (desk) protocol: 468 recordings
         assert len(recs) == 468
-        for rec in recs:
+        for i, rec in enumerate(recs):
             ref = reference_frames(rec.label, user_profile(rec.user_id, 0), rec.seed)
-            assert rec.frames.tobytes() == ref.tobytes(), rec.recording_id
+            assert rec.frames.tobytes() == ref.tobytes(), i
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
@@ -286,8 +285,8 @@ class TestSharedBlockWorkers:
         serial = synth_dataset(4, 3, 3, 0)
         for recs in (every_cpu, five):
             assert block_of(recs).tobytes() == block_of(serial).tobytes()
-            assert [(r.label, r.user_id, r.recording_id, r.seed) for r in recs] == \
-                [(r.label, r.user_id, r.recording_id, r.seed) for r in serial]
+            assert [(r.label, r.user_id, r.seed) for r in recs] == \
+                [(r.label, r.user_id, r.seed) for r in serial]
 
     def test_frames_are_read_only_rows_of_one_block(self, tmp_path):
         recs = synth_dataset(1, 2, 1, 4)

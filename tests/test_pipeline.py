@@ -44,7 +44,7 @@ def reference_split(recordings, seed, ratio=SPLIT_RATIO):
     """The per-user loop split_dataset replaced: one pass over the recordings
     per user, and a repair step that rescans every user."""
     users = sorted({r.user_id for r in recordings})
-    by_user = {u: [r.recording_id for r in recordings if r.user_id == u] for u in users}
+    by_user = {u: [i for i, r in enumerate(recordings) if r.user_id == u] for u in users}
     n_total = len(recordings)
     r_tot = sum(ratio)
     targets = _reference_largest_remainder(np.array([n_total * r / r_tot for r in ratio]),
@@ -121,7 +121,7 @@ class TestAssembleTensor:
         rng = np.random.default_rng(seed)
         recs = [GestureRecording(frames=rng.normal(size=(122, 49, 3)).astype(np.float32),
                                  label=GestureClass(int(rng.integers(13))), user_id=0,
-                                 recording_id=i, seed=i) for i in range(n)]
+                                 seed=i) for i in range(n)]
         x, y = assemble_tensor(recs, mode, dtype=dtype)
         ref = reference_tensor(recs, mode, dtype)
         assert x.dtype == ref.dtype and x.shape == ref.shape
@@ -139,7 +139,7 @@ class TestAssembleTensor:
     def test_wrong_frame_count(self, recordings):
         with pytest.raises(ValueError):
             recordings[0].__class__(frames=recordings[0].frames[:10], label=recordings[0].label,
-                                    user_id=0, recording_id=0, seed=0)
+                                    user_id=0, seed=0)
 
 
 class TestSplitDataset:
@@ -153,13 +153,12 @@ class TestSplitDataset:
     def test_partition(self, recordings):
         split = split_dataset(recordings, seed=1)
         all_ids = split.train + split.val + split.test
-        assert sorted(all_ids) == [r.recording_id for r in recordings]
+        assert sorted(all_ids) == list(range(len(recordings)))
 
     def test_every_user_in_every_split(self, recordings):
         split = split_dataset(recordings, seed=2)
-        by_id = {r.recording_id: r.user_id for r in recordings}
         for part in (split.train, split.val, split.test):
-            assert {by_id[i] for i in part} == {0, 1, 2, 3}
+            assert {recordings[i].user_id for i in part} == {0, 1, 2, 3}
 
     def test_deterministic(self, recordings):
         assert split_dataset(recordings, seed=3) == split_dataset(recordings, seed=3)
@@ -170,7 +169,7 @@ class TestSplitDataset:
         from taxelkit.gestures import GestureClass, GestureRecording
         frames = np.zeros((122, 49, 3), dtype=np.float32)
         recs = [GestureRecording(frames=frames, label=GestureClass.PRESS,
-                                 user_id=i % 11, recording_id=i, seed=i)
+                                 user_id=i % 11, seed=i)
                 for i in range(3861)]
         split = split_dataset(recs, seed=0)
         assert (len(split.train), len(split.val), len(split.test)) == (3081, 390, 390)
@@ -186,8 +185,8 @@ class TestSplitDataset:
         users = [u for u, n in enumerate(per_user) for _ in range(n)]
         users = data.draw(st.permutations(users))
         frames = np.zeros((122, 49, 3), dtype=np.float32)
-        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u,
-                                 recording_id=i, seed=i) for i, u in enumerate(users)]
+        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u, seed=i)
+                for i, u in enumerate(users)]
         split = split_dataset(recs, seed=seed)
         parts = (split.train, split.val, split.test)
         assert sorted(split.train + split.val + split.test) == list(range(len(recs)))
@@ -203,23 +202,21 @@ class TestSplitDataset:
     @given(per_user=st.lists(st.integers(1, 30), min_size=1, max_size=40),
            seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_matches_reference(self, per_user, seed, data):
-        # non-contiguous user and recording ids, recordings in any order
+        # non-contiguous user ids, recordings in any order
         user_ids = data.draw(st.lists(st.integers(0, 65535), min_size=len(per_user),
                                       max_size=len(per_user), unique=True))
         users = data.draw(st.permutations(
             [u for u, n in zip(user_ids, per_user) for _ in range(n)]))
-        rec_ids = data.draw(st.lists(st.integers(0, 10**6), min_size=len(users),
-                                     max_size=len(users), unique=True))
         ratio = data.draw(st.sampled_from([SPLIT_RATIO, (1, 1, 1), (8, 1, 1), (5, 0, 2)]))
         frames = np.zeros((122, 49, 3), dtype=np.float32)
-        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u,
-                                 recording_id=i, seed=0) for i, u in zip(rec_ids, users)]
+        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u, seed=0)
+                for u in users]
         assert split_dataset(recs, seed, ratio) == reference_split(recs, seed, ratio)
 
     def test_matches_reference_at_many_users(self):
         frames = np.zeros((122, 49, 3), dtype=np.float32)
         recs = [GestureRecording(frames=frames, label=GestureClass(i % 13), user_id=i // 13,
-                                 recording_id=i, seed=0) for i in range(300 * 13)]
+                                 seed=0) for i in range(300 * 13)]
         assert split_dataset(recs, 5) == reference_split(recs, 5)
 
     def test_digest_names_the_id_lists(self, recordings):
@@ -233,7 +230,8 @@ class TestSplitDataset:
     def test_select(self, recordings):
         split = split_dataset(recordings, seed=0)
         picked = select(recordings, split.val)
-        assert [r.recording_id for r in picked] == split.val
+        assert len(picked) == len(split.val)
+        assert all(picked[j] is recordings[i] for j, i in enumerate(split.val))
 
 
 class TestNormalization:

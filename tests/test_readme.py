@@ -1,7 +1,13 @@
-"""The README's physics API table names only public names that exist."""
+"""The README's physics API table names only public names that exist, and
+its CLI block parses."""
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from taxelkit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +33,26 @@ def test_api_table_names_resolve():
         module, _, attr = name.partition(".")
         assert attr, f"README API table entry {name!r} does not name its module"
         assert hasattr(importlib.import_module(f"taxelkit.{module}"), attr), name
+
+
+def cli_block_lines() -> list[str]:
+    """The ``taxelkit ...`` lines of the first code block under ``## CLI``."""
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("taxelkit ")]
+
+
+def test_cli_block_parses(capsys):
+    lines = cli_block_lines()
+    assert len(lines) >= 7
+    parser = build_parser()
+    for line in lines:
+        # drop the comment and the [optional] markers, then the program name
+        argv = shlex.split(line.split("#")[0].replace("[", "").replace("]", ""))[1:]
+        parser.parse_args(argv)  # exits 2 (a failed test) on an unknown flag or value
+        # argparse also takes a prefix of a flag, so each flag must be spelled out
+        with pytest.raises(SystemExit):
+            parser.parse_args([argv[0], "--help"])
+        help_text = capsys.readouterr().out
+        for flag in (a for a in argv if a.startswith("--")):
+            assert re.search(rf"(?<![\w-]){flag}(?![\w-])", help_text), (flag, line)

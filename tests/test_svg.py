@@ -81,7 +81,7 @@ class TestMontage:
     def test_panels(self):
         frames = np.zeros((122, 49, 3))
         frames[:, 0, 2] = -3.0
-        root = parse(montage_svg(frames, n_panels=6))
+        root = parse(montage_svg(frames))
         groups = [el for el in root.iter() if el.tag.endswith("}g")]
         assert len(groups) == 6
         texts = [el.text for el in root.iter() if el.tag.endswith("text")]
@@ -108,7 +108,7 @@ class TestCurves:
 
     def test_points_inside_viewbox(self):
         xs = np.linspace(0, 3, 40)
-        root = parse(curves_svg(xs, [("v", np.sin(xs) * 100)], "t", width=520, height=340))
+        root = parse(curves_svg(xs, [("v", np.sin(xs) * 100)], "t"))
         (line,) = [el for el in root.iter() if el.tag.endswith("polyline")]
         for pt in line.get("points").split():
             x, y = map(float, pt.split(","))
