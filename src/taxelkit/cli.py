@@ -261,6 +261,7 @@ def _confusion_outputs(cm: pipeline.ConfusionMatrix, out: Path, stem: str) -> di
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
+    _refuse_directories(out / "evaluation.json", out / "confusion.csv", out / "confusion.svg")
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
     ckpt = args.checkpoint or out / cfg.paths.checkpoint
     model, stats, split_seed, trained_on = _load_model(ckpt)
@@ -281,6 +282,9 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 def cmd_ablate(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg)
+    _refuse_directories(out / "ablation.json", *(
+        out / f"{stem}_{mode.value}.{ext}" for mode in pipeline.AblationMode
+        for stem, ext in (("confusion", "csv"), ("confusion", "svg"), ("history", "csv"))))
     recs = _load_recordings(args.dataset) if args.dataset else _synthesize(args, cfg)[1]
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)

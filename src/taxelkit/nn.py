@@ -22,6 +22,7 @@ DROPOUT_P = 0.5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+_ADAM_BLOCK = 32 * 1024  # elements per Adam block: 256 KiB of float64
 
 
 class ShapeError(ValueError):
@@ -32,20 +33,29 @@ class ShapeError(ValueError):
 # layers (functional, cache-returning)
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W).
+    """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W), any float dtype.
 
-    The (N*H*W, C*9) im2col matrix is cached: conv2d_backward multiplies
-    it into the weight gradient.
+    The input is written once into a zero-padded float64 (C, N, H+2, W+2)
+    buffer and its windows are copied into the transposed im2col matrix
+    (C*9, R_pad): row (c, i, j), column (n, h, w), R = N*H*W rounded up to a
+    multiple of 8 with zero pad columns. The GEMM is w (K, C*9) @ cols_t.
+    The (C*9, R) view of the matrix is cached: conv2d_backward multiplies it
+    into the weight gradient.
     """
     n, c, h, wd = x.shape
     k_out, c_k, kh, kw = w.shape
     if c != c_k:
         raise ShapeError(f"conv input has {c} channels, kernel expects {c_k}")
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (N, C, H, W, kh, kw)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, c * kh * kw)
-    y = np.dot(cols, w.transpose(1, 2, 3, 0).reshape(c * kh * kw, k_out))  # (N*H*W, K)
-    y = np.transpose(y.reshape(n, h, wd, k_out), (0, 3, 1, 2)) + b[None, :, None, None]
+    r = n * h * wd
+    xp = np.zeros((c, n, h + kh - 1, wd + kw - 1))
+    xp[:, :, 1:1 + h, 1:1 + wd] = x.transpose(1, 0, 2, 3)
+    cols_t = np.empty((c * kh * kw, -(-r // 8) * 8))
+    cols_t[:, r:] = 0.0
+    cols = cols_t[:, :r]
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (C, N, H, W, kh, kw)
+    cols.reshape(c, kh, kw, n, h, wd, copy=False)[...] = windows.transpose(0, 4, 5, 1, 2, 3)
+    y = np.dot(w.reshape(k_out, -1), cols_t)[:, :r]  # (K, N*H*W)
+    y = np.transpose(y.reshape(k_out, n, h, wd), (1, 0, 2, 3)) + b[None, :, None, None]
     return y, (cols, w)
 
 
@@ -54,8 +64,8 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
     cols, w = cache
     k_out = dy.shape[1]
     db = dy.sum(axis=(0, 2, 3))
-    # dW[k, (c,i,j)] = sum_{n,h,w} dy[n,k,h,w] * cols[(n,h,w), (c,i,j)]
-    dw = np.dot(dy.transpose(1, 0, 2, 3).reshape(k_out, -1), cols).reshape(w.shape)
+    # dW[k, (c,i,j)] = sum_{n,h,w} dy[n,k,h,w] * cols[(c,i,j), (n,h,w)]
+    dw = np.dot(dy.transpose(1, 0, 2, 3).reshape(k_out, -1), cols.T).reshape(w.shape)
     if not need_dx:
         return None, dw, db
     # dx via full correlation of dy with the kernel
@@ -68,13 +78,22 @@ def conv2d_backward(dy: np.ndarray, cache, need_dx: bool = True):
 
 
 def maxpool2_forward(x: np.ndarray):
-    """2x2 max pooling with stride 1; (N, C, H, W) -> (N, C, H-1, W-1)."""
+    """2x2 max pooling with stride 1; (N, C, H, W) -> (N, C, H-1, W-1).
+
+    Both outputs are argmax's first maximum over the four shifted slices,
+    window offset a = 2*di + dj. np.maximum returns its second operand when
+    the two compare equal (+0.0 vs -0.0), so each earlier slice is passed
+    second and wins ties. The cached int8 ``arg`` starts at 3 and is
+    overwritten by 2, 1, 0 wherever that slice equals the maximum.
+    """
     if x.shape[2] < 2 or x.shape[3] < 2:
         raise ShapeError("maxpool needs spatial dims >= 2")
-    windows = sliding_window_view(x, (2, 2), axis=(2, 3))  # (N, C, H-1, W-1, 2, 2)
-    flat = windows.reshape(*windows.shape[:4], 4)
-    arg = flat.argmax(axis=-1)
-    y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+    ho, wo = x.shape[2] - 1, x.shape[3] - 1
+    s = [x[:, :, di:di + ho, dj:dj + wo] for di in (0, 1) for dj in (0, 1)]
+    y = np.maximum(np.maximum(s[3], s[2]), np.maximum(s[1], s[0]))
+    arg = np.full(y.shape, 3, dtype=np.int8)
+    for a in (2, 1, 0):
+        np.copyto(arg, a, where=s[a] == y)
     return y, (x.shape, arg)
 
 
@@ -101,16 +120,17 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray):
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    return (rng.random(shape) >= p).astype(float)
+    """Inverted-dropout mask, pre-scaled: 0 for a dropped unit, 1/(1-p) for a survivor."""
+    return (rng.random(shape) >= p) * (1.0 / (1.0 - p))
 
 
 def dropout_forward(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    """Inverted dropout: survivors scaled by 1/(1-DROPOUT_P); identity without a mask."""
-    return x if mask is None else x * mask * (1.0 / (1.0 - DROPOUT_P))
+    """Inverted dropout with a dropout_mask; identity without a mask."""
+    return x if mask is None else x * mask
 
 
 def dropout_backward(dy: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return dy if mask is None else dy * mask * (1.0 / (1.0 - DROPOUT_P))
+    return dy if mask is None else dy * mask
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -235,17 +255,21 @@ class AdamState:
     step_count: int = field(default=0, init=False)
     m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
-    # two per-parameter work buffers, reused across steps
-    _work: dict[str, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    # two block-sized work buffers, reused across parameters and steps
+    _work: tuple[np.ndarray, np.ndarray] = field(
+        default_factory=lambda: (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)),
+        init=False, repr=False, compare=False)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Updates m, v and params in place, with the textbook operation order."""
+        """Updates m, v and params in place, with the textbook operation order.
+
+        Each parameter is updated in blocks of _ADAM_BLOCK elements so that a
+        block's 14 passes stay in cache; every element sees the same operations
+        as an unblocked update, so the result is bit-identical.
+        """
         if not self.m:
             self.m = {k: np.zeros_like(v) for k, v in params.items()}
             self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        if not self._work:
-            self._work = {k: (np.empty_like(v), np.empty_like(v)) for k, v in params.items()}
         self.step_count += 1
         t = self.step_count
         c1 = 1 - ADAM_BETA1**t
@@ -254,19 +278,27 @@ class AdamState:
             g = grads[k]
             if g.shape != p.shape:
                 raise ShapeError(f"gradient shape {g.shape} != param shape {p.shape} for {k}")
-            m, v = self.m[k], self.v[k]
-            upd, den = self._work[k]
-            np.multiply(g, 1 - ADAM_BETA1, out=upd)
-            m *= ADAM_BETA1
-            m += upd
-            np.multiply(g, 1 - ADAM_BETA2, out=upd)
-            upd *= g
-            v *= ADAM_BETA2
-            v += upd
-            np.divide(v, c2, out=den)  # v_hat
-            np.sqrt(den, out=den)
-            den += ADAM_EPSILON
-            np.divide(m, c1, out=upd)  # m_hat
-            upd *= self.lr
-            upd /= den
-            p -= upd
+            try:
+                flat_p, flat_m, flat_v = (a.reshape(-1, copy=False)
+                                          for a in (p, self.m[k], self.v[k]))
+            except ValueError:
+                raise ShapeError(f"parameter {k} cannot be updated in place as a flat view")
+            flat_g = g.reshape(-1)
+            for i in range(0, flat_p.size, _ADAM_BLOCK):
+                blk = slice(i, i + _ADAM_BLOCK)
+                g_, m, v, p_ = flat_g[blk], flat_m[blk], flat_v[blk], flat_p[blk]
+                upd, den = self._work[0][:len(p_)], self._work[1][:len(p_)]
+                np.multiply(g_, 1 - ADAM_BETA1, out=upd)
+                m *= ADAM_BETA1
+                m += upd
+                np.multiply(g_, 1 - ADAM_BETA2, out=upd)
+                upd *= g_
+                v *= ADAM_BETA2
+                v += upd
+                np.divide(v, c2, out=den)  # v_hat
+                np.sqrt(den, out=den)
+                den += ADAM_EPSILON
+                np.divide(m, c1, out=upd)  # m_hat
+                upd *= self.lr
+                upd /= den
+                p_ -= upd

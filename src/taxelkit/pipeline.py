@@ -198,8 +198,7 @@ class EpochRecord:
 def _predict_batched(model: CnnModel, x: np.ndarray) -> np.ndarray:
     preds = np.empty(len(x), dtype=np.int64)
     for i in range(0, len(x), PREDICT_BATCH):
-        preds[i:i + PREDICT_BATCH] = model.predict(
-            np.asarray(x[i:i + PREDICT_BATCH], dtype=np.float64))
+        preds[i:i + PREDICT_BATCH] = model.predict(x[i:i + PREDICT_BATCH])
     return preds
 
 
@@ -218,9 +217,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
         losses = []
         for i in range(0, len(perm), config.batch_size):
             idx = perm[i:i + config.batch_size]
-            xb = np.asarray(train_x[idx], dtype=np.float64)
-            yb = train_y[idx]
-            loss, grads = model.loss_and_grads(xb, yb, dropout_rng=rng)
+            loss, grads = model.loss_and_grads(train_x[idx], train_y[idx], dropout_rng=rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"loss became {loss} at epoch {epoch}, batch {i // config.batch_size}")

@@ -345,8 +345,14 @@ class TestExitCodes:
         (["viz", "--recording-id", "0"], "recording_00000/montage.svg"),
         (["viz", "--recording-id", "0"], "recording_00000/frame_121.svg"),
         (["sweep"], "sweep.csv"),
+        (["ablate"], "ablation.json"),
+        (["ablate"], "confusion_normal_and_shear.svg"),
+        (["ablate"], "history_normal_only.csv"),
+        (["eval"], "evaluation.json"),
+        (["eval"], "confusion.svg"),
     ], ids=["synth", "synth-sidecar", "train", "train-manifest", "train-history", "viz",
-            "viz-frame", "sweep"])
+            "viz-frame", "sweep", "ablate", "ablate-confusion", "ablate-history", "eval",
+            "eval-confusion"])
     def test_directory_as_output_path(self, tmp_path, tiny_config, capsys, caplog, monkeypatch,
                                       argv, target):
         out = tmp_path / "out"
@@ -362,6 +368,8 @@ class TestExitCodes:
         assert str(out / target) in caplog.text
         assert "Traceback" not in capsys.readouterr().err
         assert not any(p.is_file() for p in out.glob("recording_*/frame_*.svg"))  # viz wrote none
+        if argv[0] in ("ablate", "eval"):  # nothing but the config echo was written
+            assert [p.name for p in out.rglob("*") if p.is_file()] == ["config_echo.json"]
 
     def test_unknown_recording_id(self, tmp_path, tiny_config):
         out = tmp_path / "out"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from taxelkit import nn
@@ -89,8 +92,9 @@ class TestConv:
         assert dw.tobytes() == dw2.tobytes() and db.tobytes() == db2.tobytes()
 
 
-# Reference kernels: the window-view tensordot convolution and the np.add.at
-# maxpool scatter that the optimized layers must reproduce bit for bit.
+# Reference kernels: the window-view tensordot convolution, the im2col np.dot
+# convolution, and the argmax maxpool with its np.add.at scatter that the
+# optimized layers must reproduce bit for bit.
 
 def ref_conv2d_forward(x, w, b):
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
@@ -104,6 +108,26 @@ def ref_conv2d_backward(dy, cache, need_dx=True):
     windows, w = cache
     dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
     return None, dw, dy.sum(axis=(0, 2, 3))
+
+
+def ref_im2col_conv(x, w, b, dy):
+    """(y, dW) of the (N*H*W, C*9) im2col matrix times the transposed kernel."""
+    n, c, h, wd = x.shape
+    k = w.shape[0]
+    windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3),
+                                  axis=(2, 3))
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, c * 9)
+    y = np.dot(cols, w.transpose(1, 2, 3, 0).reshape(c * 9, k))
+    y = np.transpose(y.reshape(n, h, wd, k), (0, 3, 1, 2)) + b[None, :, None, None]
+    dw = np.dot(dy.transpose(1, 0, 2, 3).reshape(k, -1), cols).reshape(w.shape)
+    return y, dw
+
+
+def ref_maxpool2_forward(x):
+    windows = sliding_window_view(x, (2, 2), axis=(2, 3))
+    flat = windows.reshape(*windows.shape[:4], 4)
+    arg = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0], (x.shape, arg)
 
 
 def ref_maxpool2_backward(dy, cache):
@@ -124,6 +148,19 @@ class TestReferenceEquivalence:
         _, cache = maxpool2_forward(x)
         assert np.array_equal(maxpool2_backward(dy, cache), ref_maxpool2_backward(dy, cache))
 
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=4, max_dims=4, min_side=2,
+                                                      max_side=6),
+                        elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+    def test_maxpool_forward_matches_argmax(self, x):
+        # ties everywhere, +0.0 against -0.0 included: y keeps the sign of
+        # argmax's first maximum
+        y, (shape, arg) = maxpool2_forward(x)
+        ref_y, (_, ref_arg) = ref_maxpool2_forward(x)
+        assert shape == x.shape and arg.dtype == np.int8
+        assert y.tobytes() == ref_y.tobytes()
+        assert np.array_equal(arg, ref_arg)
+
     def test_conv_forward_matches_tensordot(self):
         x = RNG.normal(size=(8, 122, 5, 10))
         w = RNG.normal(size=(122, 122, 3, 3))
@@ -131,15 +168,40 @@ class TestReferenceEquivalence:
         y, _ = conv2d_forward(x, w, b)
         assert y.tobytes() == ref_conv2d_forward(x, w, b)[0].tobytes()
 
+    def test_conv_matches_im2col_dot_over_batch_sizes(self):
+        # batch sizes 1 and 2 take another BLAS path for small matrices and may
+        # differ in the last bit; every larger batch matches bit for bit
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(122, 122, 3, 3)) * 0.05
+        b = rng.normal(size=122)
+        for n in range(3, 71):
+            x = rng.normal(size=(n, 122, 5, 10))
+            dy = rng.normal(size=(n, 122, 5, 10))
+            y, cache = conv2d_forward(x, w, b)
+            _, dw, _ = conv2d_backward(dy, cache, need_dx=False)
+            ref_y, ref_dw = ref_im2col_conv(x, w, b, dy)
+            assert y.tobytes() == ref_y.tobytes(), n
+            assert dw.tobytes() == ref_dw.tobytes(), n
+
+    def test_conv_casts_float32_input_exactly(self):
+        x = RNG.normal(size=(5, 4, 5, 10)).astype(np.float32)
+        w = RNG.normal(size=(3, 4, 3, 3))
+        b = RNG.normal(size=3)
+        y, _ = conv2d_forward(x, w, b)
+        assert y.dtype == np.float64
+        assert y.tobytes() == conv2d_forward(x.astype(np.float64), w, b)[0].tobytes()
+
     @pytest.mark.parametrize("channels", [122, 366])
-    def test_loss_and_grads_bit_identical(self, channels, monkeypatch):
-        rng = np.random.default_rng(channels)
-        x = rng.normal(size=(32, channels, 5, 10))
-        labels = rng.integers(0, 13, size=32)
+    @pytest.mark.parametrize("batch", [21, 32, 47])
+    def test_loss_and_grads_bit_identical(self, batch, channels, monkeypatch):
+        rng = np.random.default_rng(channels + batch)
+        x = rng.normal(size=(batch, channels, 5, 10))
+        labels = rng.integers(0, 13, size=batch)
         model = CnnModel(in_channels=channels, seed=1)
         loss, grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
         monkeypatch.setattr(nn, "conv2d_forward", ref_conv2d_forward)
         monkeypatch.setattr(nn, "conv2d_backward", ref_conv2d_backward)
+        monkeypatch.setattr(nn, "maxpool2_forward", ref_maxpool2_forward)
         monkeypatch.setattr(nn, "maxpool2_backward", ref_maxpool2_backward)
         ref_loss, ref_grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
         assert loss == ref_loss
@@ -190,6 +252,7 @@ class TestReluDropoutLinear:
     def test_dropout_inverted_scaling(self):
         x = np.ones((1000, 10))
         mask = dropout_mask(x.shape, nn.DROPOUT_P, np.random.default_rng(0))
+        assert set(np.unique(mask)) == {0.0, 2.0}  # pre-scaled by 1/(1-p)
         y = dropout_forward(x, mask)
         # survivors are scaled by 2, zeros elsewhere; mean stays near 1
         assert set(np.unique(y)) <= {0.0, 2.0}
@@ -406,6 +469,34 @@ class TestAdam:
                 ref[k] -= 1e-3 * (m[k] / (1 - 0.9**t)) / (np.sqrt(v[k] / (1 - 0.999**t)) + 1e-8)
             for k in ref:
                 assert params[k].tobytes() == ref[k].tobytes(), (t, k)
+
+    def test_blocked_update_bit_identical(self):
+        # one parameter spans two full blocks and a ragged tail, one is a single
+        # partial block
+        rng = np.random.default_rng(12)
+        params = {"w": rng.normal(size=(2 * nn._ADAM_BLOCK + 123,)).reshape(-1, 1),
+                  "b": rng.normal(size=7)}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v = {k: np.zeros_like(val) for k, val in ref.items()}
+        opt = AdamState(lr=1e-3)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=val.shape) for k, val in ref.items()}
+            opt.step(params, grads)
+            for k in ref:
+                m[k] = 0.9 * m[k] + (1 - 0.9) * grads[k]
+                v[k] = 0.999 * v[k] + (1 - 0.999) * grads[k] * grads[k]
+                ref[k] -= 1e-3 * (m[k] / (1 - 0.9**t)) / (np.sqrt(v[k] / (1 - 0.999**t)) + 1e-8)
+            for k in ref:
+                assert params[k].tobytes() == ref[k].tobytes(), (t, k)
+
+    def test_param_without_flat_view_raises(self):
+        # a transposed parameter would be flattened into a copy; updating the
+        # copy would silently leave the parameter unchanged
+        w = np.ones((3, 4)).T
+        with pytest.raises(ShapeError):
+            AdamState().step({"w": w}, {"w": np.ones((4, 3))})
+        assert (w == 1.0).all()
 
     def test_zero_grad_no_move(self):
         params = {"w": np.array([1.0, 2.0])}
