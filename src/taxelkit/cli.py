@@ -43,28 +43,27 @@ class DatasetMismatchError(ValueError):
     """The dataset or split differs from the one a checkpoint was trained on."""
 
 
-def _outdir(args, cfg: RunConfig) -> Path:
+def _outdir(args, cfg: RunConfig, *outputs) -> Path:
+    """The output directory, created. Fails before any work if a file the
+    command will write (``outputs``, relative to it) is a directory, and only
+    then echoes the config: a refused command writes no file."""
     out = Path(args.out or cfg.paths.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise MissingInputError(f"cannot create output directory {out}: {e}")
+    for path in outputs:
+        if (out / path).is_dir():
+            raise IsADirectoryError(f"output path is a directory: {out / path}")
     cfg.echo(out)
     return out
-
-
-def _refuse_directories(*paths: Path) -> None:
-    """Fail before any work if a file a command will write is a directory."""
-    for path in paths:
-        if path.is_dir():
-            raise IsADirectoryError(f"output path is a directory: {path}")
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
+    out = _outdir(args, cfg, "sweep.csv", "sweep_bx.svg", "sweep_bz.svg")
     curves = magnetics.flux_sweep(args.heights, args.max_shear, args.steps,
                                   cfg.geometry, cfg.dipole)
     csv_path = out / "sweep.csv"
@@ -111,7 +110,7 @@ def _calibration_samples(cfg: RunConfig, taxel: int, n: int, noise: float, sourc
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
+    out = _outdir(args, cfg, "calibration_failures.json", "calibration.json", "rms.csv")
     models: dict[int, cal.CalibrationModel] = {}
     per_taxel_rms = {}
     failures = {}
@@ -154,9 +153,8 @@ def _synthesize(args, cfg: RunConfig):
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
+    out = _outdir(args, cfg, cfg.paths.dataset, dataio.sidecar_path(cfg.paths.dataset))
     path = out / cfg.paths.dataset
-    _refuse_directories(path, dataio.sidecar_path(path))
     s, recs = _synthesize(args, cfg)
     dataio.save_dataset(recs, path, config={**asdict(s), "master_seed": cfg.seed})
     log.info("wrote %d recordings to %s", len(recs), path)
@@ -182,9 +180,9 @@ def _write_history(history, path) -> None:
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
+    out = _outdir(args, cfg, cfg.paths.checkpoint, dataio.sidecar_path(cfg.paths.checkpoint),
+                  "history.csv")
     ckpt = out / cfg.paths.checkpoint
-    _refuse_directories(ckpt, dataio.sidecar_path(ckpt), out / "history.csv")
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
     mode = pipeline.AblationMode(args.mode.replace("-", "_"))
     split = pipeline.split_dataset(recs, seed=cfg.seed)
@@ -260,8 +258,7 @@ def _confusion_outputs(cm: pipeline.ConfusionMatrix, out: Path, stem: str) -> di
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
-    _refuse_directories(out / "evaluation.json", out / "confusion.csv", out / "confusion.svg")
+    out = _outdir(args, cfg, "evaluation.json", "confusion.csv", "confusion.svg")
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
     ckpt = args.checkpoint or out / cfg.paths.checkpoint
     model, stats, split_seed, trained_on = _load_model(ckpt)
@@ -281,9 +278,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 
 
 def cmd_ablate(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
-    _refuse_directories(out / "ablation.json", *(
-        out / f"{stem}_{mode.value}.{ext}" for mode in pipeline.AblationMode
+    out = _outdir(args, cfg, "ablation.json", *(
+        f"{stem}_{mode.value}.{ext}" for mode in pipeline.AblationMode
         for stem, ext in (("confusion", "csv"), ("confusion", "svg"), ("history", "csv"))))
     recs = _load_recordings(args.dataset) if args.dataset else _synthesize(args, cfg)[1]
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
@@ -308,19 +304,19 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 
 
 def cmd_viz(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg)
-    frame_dir = out / f"recording_{args.recording_id:05d}"
-    frame_paths = [frame_dir / f"frame_{i:03d}.svg" for i in range(gestures.N_FRAMES)]
-    _refuse_directories(*frame_paths, frame_dir / "montage.svg")
+    sub = Path(f"recording_{args.recording_id:05d}")
+    names = [sub / f"frame_{i:03d}.svg" for i in range(gestures.N_FRAMES)] + [sub / "montage.svg"]
+    out = _outdir(args, cfg, *names)
+    frame_dir = out / sub
     recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
     if not 0 <= args.recording_id < len(recs):
         raise MissingInputError(f"unknown recording id {args.recording_id} "
                                 f"(dataset has ids 0..{len(recs) - 1})")
     rec = recs[args.recording_id]
     frame_dir.mkdir(parents=True, exist_ok=True)
-    for path, frame in zip(frame_paths, rec.frames):
-        path.write_text(svgplot.force_field_svg(frame))
-    (frame_dir / "montage.svg").write_text(svgplot.montage_svg(rec.frames))
+    for name, frame in zip(names, rec.frames):
+        (out / name).write_text(svgplot.force_field_svg(frame))
+    (out / names[-1]).write_text(svgplot.montage_svg(rec.frames))
     log.info("wrote %d frame SVGs for recording %d (%s) to %s",
              len(rec.frames), args.recording_id, rec.label.name, frame_dir)
     return 0

@@ -8,6 +8,7 @@ gradient checks hold to tight tolerances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +33,28 @@ class ShapeError(ValueError):
 # ---------------------------------------------------------------------------
 # layers (functional, cache-returning)
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+class Workspace:
+    """Float64 buffers reused from call to call, one per name, each grown to
+    the largest shape asked of it. A model keeps one for its conv, so a
+    training step or prediction allocates no buffer of the batch's im2col
+    size and the heap does not depend on which batch sizes came before."""
+
+    def __init__(self):
+        self._bufs: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """A C-contiguous view of ``shape`` over the buffer ``name``; its
+        contents are whatever the last user left."""
+        size = math.prod(shape)
+        buf = self._bufs.get(name)
+        if buf is None or buf.size < size:
+            self._bufs.pop(name, None)  # free the smaller buffer before the larger one
+            buf = self._bufs[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   work: Workspace | None = None):
     """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W), any float dtype.
 
     The input is written once into a zero-padded float64 (C, N, H+2, W+2)
@@ -40,16 +62,19 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     (C*9, R_pad): row (c, i, j), column (n, h, w), R = N*H*W rounded up to a
     multiple of 8 with zero pad columns. The GEMM is w (K, C*9) @ cols_t.
     The (C*9, R) view of the matrix is cached: conv2d_backward multiplies it
-    into the weight gradient.
+    into the weight gradient. Both buffers are taken from ``work`` (a fresh
+    one when None), so the cache holds only until the next call with it.
     """
     n, c, h, wd = x.shape
     k_out, c_k, kh, kw = w.shape
     if c != c_k:
         raise ShapeError(f"conv input has {c} channels, kernel expects {c_k}")
     r = n * h * wd
-    xp = np.zeros((c, n, h + kh - 1, wd + kw - 1))
+    work = Workspace() if work is None else work
+    xp = work.take("padded", (c, n, h + kh - 1, wd + kw - 1))
+    xp[:, :, 0] = xp[:, :, -1] = xp[:, :, :, 0] = xp[:, :, :, -1] = 0.0
+    cols_t = work.take("cols", (c * kh * kw, -(-r // 8) * 8))
     xp[:, :, 1:1 + h, 1:1 + wd] = x.transpose(1, 0, 2, 3)
-    cols_t = np.empty((c * kh * kw, -(-r // 8) * 8))
     cols_t[:, r:] = 0.0
     cols = cols_t[:, :r]
     windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (C, N, H, W, kh, kw)
@@ -184,6 +209,7 @@ class CnnModel:
         self.params["fc1_b"] = np.zeros(hidden)
         self.params["fc2_w"] = self._kaiming(rng, (N_CLASSES, hidden), hidden)
         self.params["fc2_b"] = np.zeros(N_CLASSES)
+        self._work = Workspace()  # the conv's buffers, shared by every pass of this model
 
     @staticmethod
     def _kaiming(rng, shape, fan_in):
@@ -195,11 +221,12 @@ class CnnModel:
 
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None):
         """Returns (logits, cache). With a dropout generator the pass trains
-        (a fresh dropout mask is drawn from it); without one it is inference."""
+        (a fresh dropout mask is drawn from it); without one it is inference.
+        The cache is good for backward until this model's next forward."""
         if x.ndim != 4 or x.shape[1:] != (self.in_channels, ROWS, COLS):
             raise ShapeError(f"expected (N, {self.in_channels}, {ROWS}, {COLS}), got {x.shape}")
         p = self.params
-        c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"])
+        c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"], self._work)
         r1, r1_mask = relu_forward(c1)
         drop_mask = None if dropout_rng is None else dropout_mask(r1.shape, DROPOUT_P, dropout_rng)
         d1 = dropout_forward(r1, drop_mask)

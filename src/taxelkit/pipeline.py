@@ -26,6 +26,7 @@ log = logging.getLogger("taxelkit")
 SPLIT_RATIO = (3081, 390, 390)
 
 STD_FLOOR = 1e-8
+SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sum of squares
 
 PREDICT_BATCH = 64
 
@@ -140,19 +141,56 @@ class NormalizationStats:
     std: np.ndarray
 
 
-def _axis_view(tensor: np.ndarray, mode: AblationMode) -> np.ndarray:
-    n, c, h, w = tensor.shape
-    return tensor.reshape(n, c // mode.n_axes, mode.n_axes, h, w)
+def _pairwise(leaf, lo: int, n: int):
+    """numpy's pairwise sum of a run of n elements from ``lo``, split by halves
+    ``n2 = n // 2 - (n // 2) % 8`` down to ``leaf(lo, n)`` sums of at most
+    ``SUM_BLOCK`` elements. Module-level, so no closure cycle keeps the run alive."""
+    if n <= SUM_BLOCK:
+        return leaf(lo, n)
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise(leaf, lo, n2) + _pairwise(leaf, lo + n2, n - n2)
+
+
+def _squared_deviations(view: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Per-axis sum of ``(view - mean)**2`` over a C-contiguous axis view, in
+    ``SUM_BLOCK``-element blocks, added in the order ``np.var`` adds them (numpy 2.x):
+
+    - n_axes > 1: each (recording, frame, axis) row of cells is summed pairwise,
+      then the rows are added in row order;
+    - n_axes = 1: the whole tensor is one run, summed by ``_pairwise``.
+    """
+    buf = np.empty(SUM_BLOCK, dtype=view.dtype)
+
+    def block(x, m, out=None):  # the sums of squares of one block of deviations
+        d = np.subtract(x, m, out=buf[:x.size].reshape(x.shape))
+        return np.add.reduce(np.multiply(d, d, out=d), axis=-1, out=out)
+
+    k = view.shape[2]
+    if k == 1:
+        flat = view.reshape(-1)
+        total = _pairwise(lambda lo, n: block(flat[lo:lo + n], mean[0]), 0, flat.size)
+        return np.array([total], dtype=view.dtype)
+    rows = view.reshape(-1, k, view.shape[3] * view.shape[4])
+    part = np.empty(rows.shape[:2], dtype=view.dtype)
+    step = max(1, SUM_BLOCK // (k * rows.shape[2]))
+    for i in range(0, len(rows), step):
+        block(rows[i:i + step], mean[:, None], out=part[i:i + step])
+    return np.add.reduce(part, axis=0)
 
 
 def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> NormalizationStats:
+    """Per-axis mean and floored std, bit for bit ``view.mean`` and ``view.std``
+    over every axis but the force axis, without a tensor-sized temporary."""
     if train_tensor.size == 0:
         raise ValueError("empty training tensor")
-    view = _axis_view(train_tensor, mode)
+    n, c, h, w = train_tensor.shape
+    view = train_tensor.reshape(n, c // mode.n_axes, mode.n_axes, h, w)
     axes = (0, 1, 3, 4)
     with np.errstate(over="ignore"):  # an overflow is reported below
         mean = view.mean(axis=axes)
-        std = np.maximum(view.std(axis=axes), STD_FLOOR)
+        var = _squared_deviations(view, mean)
+        np.true_divide(var, np.intp(view.size // mode.n_axes), out=var, casting="unsafe")
+        std = np.maximum(np.sqrt(var, out=var), STD_FLOOR)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
         raise FloatingPointError(f"normalization stats overflow {train_tensor.dtype}: "
                                  f"mean {mean.tolist()}, std {std.tolist()}")
@@ -160,10 +198,13 @@ def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> Normaliza
 
 
 def apply_normalization(stats: NormalizationStats, tensor: np.ndarray) -> np.ndarray:
-    view = _axis_view(tensor, stats.mode)
-    out = view - stats.mean[None, None, :, None, None]
-    out /= stats.std[None, None, :, None, None]  # in place: no second tensor-sized temporary
-    return out.reshape(tensor.shape)
+    """Normalize ``tensor`` in place and return it. The stats are cast to the
+    tensor's dtype first, so float64 stats on a float32 tensor give exactly
+    what their float32 rounding gives, and the tensor keeps its dtype."""
+    frames = tensor.shape[1] // stats.mode.n_axes  # channel c reads axis c % n_axes
+    tensor -= np.tile(stats.mean.astype(tensor.dtype), frames)[:, None, None]
+    tensor /= np.tile(stats.std.astype(tensor.dtype), frames)[:, None, None]
+    return tensor
 
 
 def prepare(recordings: list[GestureRecording], ids: list[int], mode: AblationMode,
@@ -171,13 +212,14 @@ def prepare(recordings: list[GestureRecording], ids: list[int], mode: AblationMo
             ) -> tuple[np.ndarray, np.ndarray, NormalizationStats]:
     """One arm's float32 input tensor and labels for the recordings ``ids``.
 
-    The tensor is normalized by ``stats``; when None, the stats are fitted
-    on these recordings (the training split) and returned for the others.
+    The tensor is normalized in place by ``stats``; when None, the stats are
+    fitted on these recordings (the training split) and returned for the
+    others. The tensor is the only tensor-sized array this allocates.
     """
     x, y = assemble_tensor(select(recordings, ids), mode, dtype=np.float32)
     if stats is None:
         stats = fit_normalization(x, mode)
-    return apply_normalization(stats, x).astype(np.float32, copy=False), y, stats
+    return apply_normalization(stats, x), y, stats
 
 
 @dataclass(frozen=True)

@@ -177,7 +177,11 @@ def test_criterion_8_memorization_sanity():
     recs = synth_dataset(n_users=1, n_blocks=5, reps_per_block=1, master_seed=3)[:64]
     x, y = assemble_tensor(recs, AblationMode.NORMAL_AND_SHEAR, dtype=np.float32)
     stats = fit_normalization(x, AblationMode.NORMAL_AND_SHEAR)
-    x = apply_normalization(stats, x).astype(np.float32)
+    view = x.reshape(64, 122, 3, 5, 10)
+    ref = ((view - stats.mean[None, None, :, None, None])
+           / stats.std[None, None, :, None, None]).reshape(x.shape)
+    x = apply_normalization(stats, x)  # in place
+    assert x.tobytes() == ref.tobytes()
     model, history = train(x, y, x, y, TrainConfig(epochs=50, batch_size=32, seed=0, lr=1e-3))
     acc = float(np.mean(model.predict(np.asarray(x, dtype=np.float64)) == y))
     elapsed = time.time() - t0

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taxelkit
-from taxelkit import dataio, gestures, pipeline
+from taxelkit import dataio, gestures, magnetics, pipeline
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
@@ -345,31 +345,35 @@ class TestExitCodes:
         (["viz", "--recording-id", "0"], "recording_00000/montage.svg"),
         (["viz", "--recording-id", "0"], "recording_00000/frame_121.svg"),
         (["sweep"], "sweep.csv"),
+        (["calibrate"], "rms.csv"),
         (["ablate"], "ablation.json"),
         (["ablate"], "confusion_normal_and_shear.svg"),
         (["ablate"], "history_normal_only.csv"),
         (["eval"], "evaluation.json"),
         (["eval"], "confusion.svg"),
     ], ids=["synth", "synth-sidecar", "train", "train-manifest", "train-history", "viz",
-            "viz-frame", "sweep", "ablate", "ablate-confusion", "ablate-history", "eval",
-            "eval-confusion"])
+            "viz-frame", "sweep", "calibrate", "ablate", "ablate-confusion", "ablate-history",
+            "eval", "eval-confusion"])
     def test_directory_as_output_path(self, tmp_path, tiny_config, capsys, caplog, monkeypatch,
                                       argv, target):
         out = tmp_path / "out"
         if argv[0] in ("train", "viz"):
             assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
+            (out / "config_echo.json").unlink()
         (out / target).mkdir(parents=True)
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
 
         def unreachable(*args, **kwargs):
             raise AssertionError("output paths must be checked before any work")
         monkeypatch.setattr(gestures, "synth_dataset", unreachable)
         monkeypatch.setattr(pipeline, "train", unreachable)
+        monkeypatch.setattr(magnetics, "flux_sweep", unreachable)
+        monkeypatch.setattr(magnetics, "simulate_taxel", unreachable)
         assert run(*argv, "--config", tiny_config, "--out", str(out)) == 3
         assert str(out / target) in caplog.text
         assert "Traceback" not in capsys.readouterr().err
-        assert not any(p.is_file() for p in out.glob("recording_*/frame_*.svg"))  # viz wrote none
-        if argv[0] in ("ablate", "eval"):  # nothing but the config echo was written
-            assert [p.name for p in out.rglob("*") if p.is_file()] == ["config_echo.json"]
+        # no file was written, the config echo included
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_unknown_recording_id(self, tmp_path, tiny_config):
         out = tmp_path / "out"

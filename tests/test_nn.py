@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
 from taxelkit import nn
-from taxelkit.nn import (AdamState, CnnModel, ShapeError, conv2d_backward,
+from taxelkit.nn import (AdamState, CnnModel, ShapeError, Workspace, conv2d_backward,
                          conv2d_forward, dropout_backward, dropout_forward,
                          dropout_mask, linear_backward, linear_forward,
                          maxpool2_backward, maxpool2_forward, relu_backward,
@@ -96,7 +98,8 @@ class TestConv:
 # convolution, and the argmax maxpool with its np.add.at scatter that the
 # optimized layers must reproduce bit for bit.
 
-def ref_conv2d_forward(x, w, b):
+def ref_conv2d_forward(x, w, b, work=None):
+    # the model passes its workspace; the reference allocates its own arrays
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     windows = sliding_window_view(xp, (3, 3), axis=(2, 3))
     y = np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3]))
@@ -207,6 +210,73 @@ class TestReferenceEquivalence:
         assert loss == ref_loss
         for name in grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+
+class TestWorkspace:
+    def test_take_grows_and_reuses(self):
+        work = Workspace()
+        a = work.take("cols", (3, 4))
+        b = work.take("cols", (2, 5))
+        assert b.flags.c_contiguous and b.shape == (2, 5)
+        assert np.shares_memory(a, b)  # a smaller request reuses the buffer
+        c = work.take("cols", (4, 4))
+        assert not np.shares_memory(a, c)  # a larger one grows it
+        assert not np.shares_memory(c, work.take("padded", (4, 4)))
+
+    def test_conv_with_workspace_matches_fresh_buffers(self):
+        # batch sizes up and down, over buffers left full of garbage: the pad
+        # border and the pad columns are rewritten on every call
+        rng = np.random.default_rng(9)
+        w = rng.normal(size=(6, 5, 3, 3))
+        b = rng.normal(size=6)
+        work = Workspace()
+        work.take("padded", (5 * 70 * 7 * 12,))[:] = np.nan
+        work.take("cols", (5 * 9 * 70 * 50,))[:] = np.nan
+        for n in (3, 70, 5, 33, 4):
+            x = rng.normal(size=(n, 5, 5, 10))
+            dy = rng.normal(size=(n, 6, 5, 10))
+            y, cache = conv2d_forward(x, w, b, work)
+            _, dw, db = conv2d_backward(dy, cache, need_dx=False)
+            ref_y, ref_cache = conv2d_forward(x, w, b)
+            _, ref_dw, ref_db = conv2d_backward(dy, ref_cache, need_dx=False)
+            assert y.tobytes() == ref_y.tobytes(), n
+            assert dw.tobytes() == ref_dw.tobytes(), n
+            assert db.tobytes() == ref_db.tobytes(), n
+
+    def test_model_passes_do_not_leak_into_each_other(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(32, 8, 5, 10))
+        labels = rng.integers(0, 13, size=32)
+        used = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
+        used.predict(rng.normal(size=(47, 8, 5, 10)))
+        used.loss_and_grads(x[:21], labels[:21], np.random.default_rng(1))
+        fresh = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
+        loss, grads = used.loss_and_grads(x, labels, np.random.default_rng(5))
+        ref_loss, ref_grads = fresh.loss_and_grads(x, labels, np.random.default_rng(5))
+        assert loss == ref_loss
+        for name in grads:
+            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    def test_training_step_allocates_no_im2col_buffer(self):
+        # after the first step, a step of the same or a smaller batch allocates
+        # nothing near the im2col matrix's size (32 and 24 samples: N*H*W is a
+        # multiple of 8, so the weight gradient's GEMM needs no contiguous copy)
+        rng = np.random.default_rng(6)
+        model = CnnModel(in_channels=366, seed=0)
+        x = rng.normal(size=(32, 366, 5, 10)).astype(np.float32)
+        labels = rng.integers(0, 13, size=32)
+        gen = np.random.default_rng(0)
+        model.loss_and_grads(x, labels, gen)
+        cols_bytes = 366 * 9 * 32 * 50 * 8
+        tracemalloc.start()
+        try:
+            for n in (32, 24):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                model.loss_and_grads(x[:n], labels[:n], gen)
+                assert tracemalloc.get_traced_memory()[1] - base < cols_bytes / 2, n
+        finally:
+            tracemalloc.stop()
 
 
 class TestMaxpool:
