@@ -124,9 +124,14 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
             continue
         models[taxel] = model
         per_taxel_rms[taxel] = cal.rms_error(model, flux, force)
+    # a rerun into the same --out leaves no file of an earlier run behind
     if failures:
         (out / "calibration_failures.json").write_text(json.dumps(failures, indent=1))
+    else:
+        (out / "calibration_failures.json").unlink(missing_ok=True)
     if not models:
+        for stale in ("calibration.json", "rms.csv"):
+            (out / stale).unlink(missing_ok=True)
         raise np.linalg.LinAlgError(f"no taxel could be fitted; the {len(failures)} degenerate "
                                     f"fits are listed in {out / 'calibration_failures.json'}")
     cal.save_models(models, out / "calibration.json")

@@ -28,7 +28,7 @@ SPLIT_RATIO = (3081, 390, 390)
 STD_FLOOR = 1e-8
 SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sum of squares
 
-PREDICT_BATCH = 64
+PREDICT_BATCH = 32  # the default training batch, so predictions fit the conv workspace
 
 
 class AblationMode(enum.Enum):

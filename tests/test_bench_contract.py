@@ -8,8 +8,10 @@ these shows up here instead of as failed benchmark operations.
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import taxelkit
-from taxelkit import cli
+from taxelkit import cli, nn
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 if str(BENCH) not in sys.path:
@@ -27,6 +29,16 @@ def test_every_wrap_target_resolves():
         assert recorder.absent == []
     finally:
         recorder.restore()
+
+
+def test_conv_backward_result_feeds_its_wrap():
+    # the span name and the FLOP count read dW from slot 1 of (None, dw, db)
+    (_, _, name, counts), = [t for t in layers.WRAPS if t[:2] == ("nn", "conv2d_backward")]
+    _, cache = nn.conv2d_forward(np.zeros((2, 122, 5, 10)), np.zeros((4, 122, 3, 3)), np.zeros(4))
+    args = (np.ones((2, 4, 5, 10)), cache)
+    result = nn.conv2d_backward(*args)
+    assert name(args, {}, result) == "nn.conv_bwd.c122"
+    assert counts(args, {}, result) == {"samples": 2, "flops": 2 * 2 * 4 * 122 * 9 * 5 * 10}
 
 
 def test_one_iteration_then_deep_check(tmp_path, monkeypatch):

@@ -142,6 +142,27 @@ class TestCalibrate:
         assert "no taxel could be fitted" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fits_first", [True, False])
+    def test_rerun_leaves_no_stale_outputs(self, tmp_path, fits_first):
+        # a run that fits every taxel and one that fits none, into the same
+        # --out in either order: only the last run's outputs remain
+        config = tmp_path / "stiff.json"
+        config.write_text(json.dumps({"stiffness": {"kx": 1e12, "ky": 1e12}}))
+        out = tmp_path / "out"
+        fitting = ("calibrate", "--out", str(out), "--samples", "30")
+        failing = ("calibrate", "--config", str(config), "--out", str(out), "--samples", "30")
+        runs = [(fitting, 0), (failing, 4)]
+        for args, code in runs if fits_first else runs[::-1]:
+            assert run(*args) == code
+        if fits_first:
+            assert len(json.loads((out / "calibration_failures.json").read_text())) == 49
+            assert not (out / "calibration.json").exists()
+            assert not (out / "rms.csv").exists()
+        else:
+            assert len(json.loads((out / "calibration.json").read_text())) == 49
+            assert (out / "rms.csv").exists()
+            assert not (out / "calibration_failures.json").exists()
+
 
 class TestPipelineCommands:
     def test_synth_train_eval_viz(self, tmp_path, tiny_config):

@@ -490,6 +490,16 @@ class TestTrain:
         best = max(h.val_acc for h in history)
         assert np.mean(model.predict(x) == y) == pytest.approx(best)
 
+    def test_predictions_fit_the_training_workspace(self):
+        # validation (47 rows) and evaluation (390 rows) predict in batches no
+        # larger than the training batch, so the conv workspace keeps the
+        # 32-sample im2col size a training step grew it to
+        x, y = self.small_data(n=40, cin=4)
+        val_x, val_y = self.small_data(n=47, cin=4, seed=1)
+        model, _ = train(x, y, val_x, val_y, TrainConfig(epochs=1, batch_size=32, seed=0))
+        evaluate(model, *self.small_data(n=390, cin=4, seed=2))
+        assert model._work._bufs["cols"].size == 4 * 9 * 32 * 5 * 10
+
     def test_divergence_detected(self):
         x, y = self.small_data(n=13)
         x[0, 0, 0, 0] = np.nan  # poison the forward pass
