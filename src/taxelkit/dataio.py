@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,25 @@ def sidecar_path(path) -> Path:
     return path.with_suffix(path.suffix + ".json")
 
 
+@contextmanager
+def _replacing(path):
+    """A binary file to write in place of ``path``: a temporary file in the
+    same directory, moved onto ``path`` by ``os.replace`` once the block ends.
+    If the block raises, the temporary file is removed and ``path`` keeps
+    its old contents, so no reader ever sees a half-written file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(recordings: list[GestureRecording], path, config: dict | None = None) -> None:
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES,
                                       N_TAXELS))
         for rec in recordings:
@@ -58,7 +76,8 @@ def save_dataset(recordings: list[GestureRecording], path, config: dict | None =
         "taxels": N_TAXELS,
         "config": config or {},
     }
-    sidecar_path(path).write_text(json.dumps(sidecar, indent=1))
+    with _replacing(sidecar_path(path)) as fh:
+        fh.write(json.dumps(sidecar, indent=1).encode())
 
 
 def load_dataset(path) -> list[GestureRecording]:
@@ -111,7 +130,7 @@ def dataset_id(recordings: list[GestureRecording]) -> str:
 
 def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict | None = None) -> None:
     """Write parameters in declared (insertion) order as float64."""
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, c_in))
         for value in params.values():
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
@@ -122,7 +141,8 @@ def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict
         "parameters": {name: list(value.shape) for name, value in params.items()},
         "config": config or {},
     }
-    sidecar_path(path).write_text(json.dumps(manifest, indent=1))
+    with _replacing(sidecar_path(path)) as fh:
+        fh.write(json.dumps(manifest, indent=1).encode())
 
 
 def load_checkpoint(path, shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], int]:

@@ -72,7 +72,7 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     r = n * h * wd
     work = Workspace() if work is None else work
     xp = work.take("padded", (c, n, h + kh - 1, wd + kw - 1))
-    xp[:, :, 0] = xp[:, :, -1] = xp[:, :, :, 0] = xp[:, :, :, -1] = 0.0
+    xp.fill(0.0)  # one pass over the buffer beats four strided border writes
     cols_t = work.take("cols", (c * kh * kw, -(-r // 8) * 8))
     xp[:, :, 1:1 + h, 1:1 + wd] = x.transpose(1, 0, 2, 3)
     cols_t[:, r:] = 0.0
@@ -102,17 +102,20 @@ def maxpool2_forward(x: np.ndarray):
     Both outputs are argmax's first maximum over the four shifted slices,
     window offset a = 2*di + dj. np.maximum returns its second operand when
     the two compare equal (+0.0 vs -0.0), so each earlier slice is passed
-    second and wins ties. The cached int8 ``arg`` starts at 3 and is
-    overwritten by 2, 1, 0 wherever that slice equals the maximum.
+    second and wins ties. The cached int8 ``arg`` counts the leading slices
+    that miss the maximum, a chain of ``!=`` (the exact complement of ``==``)
+    with no masked loop; a window holding NaN misses everywhere and gets 3.
     """
     if x.shape[2] < 2 or x.shape[3] < 2:
         raise ShapeError("maxpool needs spatial dims >= 2")
     ho, wo = x.shape[2] - 1, x.shape[3] - 1
     s = [x[:, :, di:di + ho, dj:dj + wo] for di in (0, 1) for dj in (0, 1)]
     y = np.maximum(np.maximum(s[3], s[2]), np.maximum(s[1], s[0]))
-    arg = np.full(y.shape, 3, dtype=np.int8)
-    for a in (2, 1, 0):
-        np.copyto(arg, a, where=s[a] == y)
+    miss = s[0] != y
+    arg = miss.astype(np.int8)
+    for a in (1, 2):
+        miss &= s[a] != y
+        arg += miss
     return y, (x.shape, arg)
 
 
@@ -122,10 +125,12 @@ def maxpool2_backward(dy: np.ndarray, cache):
     dx = np.zeros(x_shape)
     # Window offset a = 2*di + dj. Overlapping windows of one pixel are summed
     # in the order a = 3, 2, 1, 0, the row-major order of the windows, so the
-    # result equals the np.add.at scatter bit for bit.
+    # result equals the np.add.at scatter bit for bit. A window that did not
+    # pick the pixel adds a finite dy times False, a ±0.0 (no masked loop): dx
+    # starts at +0.0 and a partial sum is never -0.0, so its bits stay.
     for a in (3, 2, 1, 0):
         di, dj = divmod(a, 2)
-        dx[:, :, di:di + ho, dj:dj + wo] += np.where(arg == a, dy, 0.0)
+        dx[:, :, di:di + ho, dj:dj + wo] += dy * (arg == a)
     return dx
 
 

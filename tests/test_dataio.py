@@ -1,3 +1,4 @@
+import errno
 import json
 import struct
 import tracemalloc
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taxelkit import dataio
 from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, FormatError,
                              dataset_id, load_checkpoint, load_dataset,
                              save_checkpoint, save_dataset)
@@ -261,3 +263,80 @@ class TestTruncation:
         cut.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
         with pytest.raises(FormatError):
             load_checkpoint(cut, shapes)
+
+
+class _FullDisk:
+    """A binary file on a disk with ``room[0]`` bytes left, shared by every
+    file opened on it: a write past the room is cut short and raises ENOSPC."""
+
+    def __init__(self, path, mode, room):
+        self._fh = open(path, mode)
+        self._room = room
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        left = self._room[0]
+        self._room[0] = max(0, left - len(data))
+        if len(data) > left:
+            self._fh.write(data[:left])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+class TestInterruptedWrite:
+    """A writer that fails part-way leaves the earlier file whole and no temporary file."""
+
+    @pytest.fixture
+    def full_disk(self, monkeypatch):
+        def arm(room):
+            left = [room]
+            monkeypatch.setattr(dataio, "open", lambda path, mode: _FullDisk(path, mode, left),
+                                raising=False)
+        return arm
+
+    @pytest.mark.parametrize("room", [0, 30, 50_000, 150_000])
+    def test_dataset(self, recordings, tmp_path, full_disk, room):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings[:2], path, config={"run": 1})
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        full_disk(room)
+        with pytest.raises(OSError, match="No space"):
+            save_dataset(recordings[1:4], path, config={"run": 2})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("room", [0, 11, 2_000])
+    def test_checkpoint(self, tmp_path, full_disk, room):
+        path = tmp_path / "model.tgkm"
+        old = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4)
+        save_checkpoint(old.params, 3, path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        full_disk(room)
+        new = CnnModel(in_channels=3, seed=2, conv_channels=2, hidden=4)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(new.params, 3, path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_first_write_leaves_nothing(self, recordings, tmp_path, full_disk):
+        full_disk(1000)
+        with pytest.raises(OSError, match="No space"):
+            save_dataset(recordings[:2], tmp_path / "data.tgk")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sidecar_failure_keeps_old_sidecar(self, recordings, tmp_path, full_disk):
+        # the data file is complete before its sidecar is written; a failed
+        # sidecar write replaces neither the old sidecar nor leaves a temporary
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings[:1], path, config={"run": 1})
+        sidecar = (tmp_path / "data.tgk.json").read_bytes()
+        data_bytes = 31 + 2 * (11 + 122 * 49 * 3 * 4)
+        full_disk(data_bytes + 10)
+        with pytest.raises(OSError, match="No space"):
+            save_dataset(recordings[:2], path, config={"run": 2})
+        assert (tmp_path / "data.tgk.json").read_bytes() == sidecar
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tgk", "data.tgk.json"]

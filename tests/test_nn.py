@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.stride_tricks import sliding_window_view
 
-from taxelkit import nn
+from taxelkit import nn, pipeline
 from taxelkit.nn import (AdamState, CnnModel, ShapeError, Workspace, conv2d_backward,
                          conv2d_forward, dropout_backward, dropout_forward,
                          dropout_mask, linear_backward, linear_forward,
@@ -84,8 +84,8 @@ class TestConv:
 
 
 # Reference kernels: the window-view tensordot convolution, the im2col np.dot
-# convolution, and the argmax maxpool with its np.add.at scatter that the
-# optimized layers must reproduce bit for bit.
+# convolution, the argmax maxpool with its np.add.at scatter, and the masked
+# np.copyto/np.where maxpool, that the optimized layers must reproduce bit for bit.
 
 def ref_conv2d_forward(x, w, b, work=None):
     # the model passes its workspace; the reference allocates its own arrays
@@ -131,19 +131,59 @@ def ref_maxpool2_backward(dy, cache):
     return dx
 
 
+def ref_masked_maxpool2_forward(x):
+    # slice maximum, then arg overwritten by 2, 1, 0 where that slice equals it;
+    # unlike argmax, a window holding NaN gets 3
+    ho, wo = x.shape[2] - 1, x.shape[3] - 1
+    s = [x[:, :, di:di + ho, dj:dj + wo] for di in (0, 1) for dj in (0, 1)]
+    y = np.maximum(np.maximum(s[3], s[2]), np.maximum(s[1], s[0]))
+    arg = np.full(y.shape, 3, dtype=np.int8)
+    for a in (2, 1, 0):
+        np.copyto(arg, a, where=s[a] == y)
+    return y, (x.shape, arg)
+
+
+def ref_masked_maxpool2_backward(dy, cache):
+    x_shape, arg = cache
+    ho, wo = dy.shape[2:]
+    dx = np.zeros(x_shape)
+    for a in (3, 2, 1, 0):
+        di, dj = divmod(a, 2)
+        dx[:, :, di:di + ho, dj:dj + wo] += np.where(arg == a, dy, 0.0)
+    return dx
+
+
+TIES = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+SMALL_MAPS = hnp.array_shapes(min_dims=4, max_dims=4, min_side=2, max_side=6)
+
+
 class TestReferenceEquivalence:
     def test_maxpool_backward_matches_add_at_with_ties(self):
         rng = np.random.default_rng(11)
         # small integers make tied maxima common, so windows share argmax pixels
         x = rng.integers(-2, 3, size=(4, 3, 5, 10)).astype(float)
         dy = rng.integers(-3, 4, size=(4, 3, 4, 9)) + rng.normal(size=(4, 3, 4, 9))
+        dy[0, 0] = -0.0  # a signed zero the byte comparison can see
         _, cache = maxpool2_forward(x)
-        assert np.array_equal(maxpool2_backward(dy, cache), ref_maxpool2_backward(dy, cache))
+        dx = maxpool2_backward(dy, cache)
+        assert dx.tobytes() == ref_maxpool2_backward(dy, cache).tobytes()
+        assert dx.tobytes() == ref_masked_maxpool2_backward(dy, cache).tobytes()
 
     @settings(max_examples=100, deadline=None)
-    @given(x=hnp.arrays(np.float64, hnp.array_shapes(min_dims=4, max_dims=4, min_side=2,
-                                                      max_side=6),
-                        elements=st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])))
+    @given(x=hnp.arrays(np.float64, SMALL_MAPS, elements=TIES), data=st.data())
+    def test_maxpool_backward_matches_add_at(self, x, data):
+        # every window a tie, and dy full of +0.0 and -0.0: the unpicked
+        # windows add dy * False, a signed zero, which must leave dx's bits alone
+        n, c, h, w = x.shape
+        dy = data.draw(hnp.arrays(np.float64, (n, c, h - 1, w - 1),
+                                  elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])))
+        _, cache = maxpool2_forward(x)
+        dx = maxpool2_backward(dy, cache)
+        assert dx.tobytes() == ref_maxpool2_backward(dy, cache).tobytes()
+        assert dx.tobytes() == ref_masked_maxpool2_backward(dy, cache).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.float64, SMALL_MAPS, elements=TIES))
     def test_maxpool_forward_matches_argmax(self, x):
         # ties everywhere, +0.0 against -0.0 included: y keeps the sign of
         # argmax's first maximum
@@ -152,6 +192,17 @@ class TestReferenceEquivalence:
         assert shape == x.shape and arg.dtype == np.int8
         assert y.tobytes() == ref_y.tobytes()
         assert np.array_equal(arg, ref_arg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=hnp.arrays(np.float64, SMALL_MAPS,
+                        elements=st.sampled_from([-1.0, -0.0, 0.0, 1.0, np.nan])))
+    def test_maxpool_forward_nan_windows_match_masked_copyto(self, x):
+        y, (_, arg) = maxpool2_forward(x)
+        ref_y, (_, ref_arg) = ref_masked_maxpool2_forward(x)
+        assert y.tobytes() == ref_y.tobytes()
+        assert arg.tobytes() == ref_arg.tobytes()
+        # a NaN anywhere in a window makes its maximum NaN, and no slice equals it
+        assert (arg[np.isnan(y)] == 3).all()
 
     def test_conv_forward_matches_tensordot(self):
         x = RNG.normal(size=(8, 122, 5, 10))
@@ -199,6 +250,30 @@ class TestReferenceEquivalence:
         assert loss == ref_loss
         for name in grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("channels", [122, 366])
+    def test_train_matches_reference_kernels(self, channels, monkeypatch):
+        # two epochs of pipeline.train over 54 float32 samples: a full batch of
+        # 32 and a partial one of 22 per epoch, then a prediction of the
+        # validation set, all of it the same bits with the reference kernels
+        rng = np.random.default_rng(channels)
+        train_x = rng.normal(size=(54, channels, 5, 10)).astype(np.float32)
+        train_y = rng.integers(0, 13, size=54)
+        val_x = rng.normal(size=(9, channels, 5, 10)).astype(np.float32)
+        val_y = rng.integers(0, 13, size=9)
+        config = pipeline.TrainConfig(epochs=2, batch_size=32, seed=3, lr=1e-3)
+        model, history = pipeline.train(train_x, train_y, val_x, val_y, config)
+        for name, ref in [("conv2d_forward", ref_conv2d_forward),
+                          ("conv2d_backward", ref_conv2d_backward),
+                          ("maxpool2_forward", ref_maxpool2_forward),
+                          ("maxpool2_backward", ref_maxpool2_backward)]:
+            monkeypatch.setattr(nn, name, ref)
+        ref_model, ref_history = pipeline.train(train_x, train_y, val_x, val_y, config)
+        assert [h.train_loss.hex() for h in history] == \
+            [h.train_loss.hex() for h in ref_history]
+        assert [h.val_acc for h in history] == [h.val_acc for h in ref_history]
+        for name, value in model.params.items():
+            assert value.tobytes() == ref_model.params[name].tobytes(), name
 
 
 class TestWorkspace:
