@@ -18,6 +18,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -166,14 +167,33 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_recordings(path) -> list:
+def _dataset_file(path) -> Path:
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
-    recordings = dataio.load_dataset(path)
-    if not recordings:
+    return path
+
+
+def _require_recordings(path, records):
+    if not len(records):
         raise dataio.FormatError(f"{path}: dataset has no recordings")
-    return recordings
+    return records
+
+
+def _load_recordings(path) -> list:
+    """Every recording of a dataset file, its frames rows of one block."""
+    path = _dataset_file(path)
+    return _require_recordings(path, dataio.load_dataset(path))
+
+
+@contextmanager
+def _read_dataset(path):
+    """A dataset file's reader after its header pass; its frame pass streams
+    each record into the tensors, so no frame block is built."""
+    path = _dataset_file(path)
+    with dataio.DatasetReader(path) as reader:
+        _require_recordings(path, reader.headers)
+        yield reader
 
 
 def _write_history(history, path) -> None:
@@ -188,19 +208,20 @@ def cmd_train(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg, cfg.paths.checkpoint, dataio.sidecar_path(cfg.paths.checkpoint),
                   "history.csv")
     ckpt = out / cfg.paths.checkpoint
-    recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
     mode = pipeline.AblationMode(args.mode.replace("-", "_"))
-    split = pipeline.split_dataset(recs, seed=cfg.seed)
+    with _read_dataset(args.dataset or out / cfg.paths.dataset) as reader:
+        headers = reader.headers
+        split = pipeline.split_dataset(headers, seed=cfg.seed)
+        [(train_x, train_y), (val_x, val_y)], stats = pipeline.prepare_tensors(
+            reader.frames(), headers["label"], [split.train, split.val], mode)
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
-    train_x, train_y, stats = pipeline.prepare(recs, split.train, mode)
-    val_x, val_y, _ = pipeline.prepare(recs, split.val, mode, stats)
     model, history = pipeline.train(train_x, train_y, val_x, val_y, tconf)
     dataio.save_checkpoint(model.params, model.in_channels, ckpt, config={
         "mode": mode.value, "split_seed": cfg.seed, "epochs": tconf.epochs,
         "batch_size": tconf.batch_size,
         "norm_mean": stats.mean.tolist(), "norm_std": stats.std.tolist(),
-        "dataset_id": dataio.dataset_id(recs), "split_digest": split.digest()})
+        "dataset_id": dataio.dataset_id(headers), "split_digest": split.digest()})
     _write_history(history, out / "history.csv")
     log.info("wrote %s (best val acc %.3f)", ckpt,
              max((h.val_acc for h in history), default=0.0))
@@ -264,16 +285,18 @@ def _confusion_outputs(cm: pipeline.ConfusionMatrix, out: Path, stem: str) -> di
 
 def cmd_eval(args, cfg: RunConfig) -> int:
     out = _outdir(args, cfg, "evaluation.json", "confusion.csv", "confusion.svg")
-    recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
     ckpt = args.checkpoint or out / cfg.paths.checkpoint
-    model, stats, split_seed, trained_on = _load_model(ckpt)
-    split = pipeline.split_dataset(recs, seed=split_seed)
-    found = dataio.dataset_id(recs), split.digest()
+    with _read_dataset(args.dataset or out / cfg.paths.dataset) as reader:
+        model, stats, split_seed, trained_on = _load_model(ckpt)
+        split = pipeline.split_dataset(reader.headers, seed=split_seed)
+        # the frame pass checks every record, so a malformed file exits 5 before a mismatch 6
+        [(test_x, test_y)], _ = pipeline.prepare_tensors(
+            reader.frames(), reader.headers["label"], [split.test], stats.mode, stats)
+    found = dataio.dataset_id(reader.headers), split.digest()
     if found != trained_on:
         raise DatasetMismatchError(
             f"{ckpt} was trained on dataset {trained_on[0]} with split {trained_on[1]}, "
             f"but this dataset is {found[0]} with split {found[1]}")
-    test_x, test_y, _ = pipeline.prepare(recs, split.test, stats.mode, stats)
     cm = pipeline.evaluate(model, test_x, test_y)
     report = {"mode": stats.mode.value, "test_size": len(test_y),
               **_confusion_outputs(cm, out, "confusion")}

@@ -12,10 +12,12 @@ import hashlib
 import json
 import logging
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
 from .geometry import COLS, N_TAXELS, ROWS
 from .gestures import N_CLASSES, N_FRAMES, GestureRecording
 from .nn import AdamState, CnnModel
@@ -49,18 +51,39 @@ def channels_for(mode: AblationMode) -> int:
     return N_FRAMES * mode.n_axes
 
 
+def fill_tensors(rows: Iterable[tuple[int, np.ndarray]], labels: np.ndarray,
+                 id_lists: list[list[int]], mode: AblationMode, dtype=np.float32
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One arm's input tensor and labels for each list of record ids, filled in
+    one pass over ``rows``, ``(id, (122, 49, 3) frames)`` pairs; ``labels[id]``
+    is a record's label. Each used record's frames are stacked along the
+    channel axis; a frame's taxels are the first cells of the flat grid (see
+    ``geometry``). A row's frames are copied before the next row is read, so
+    a row source may reuse one buffer."""
+    k = mode.n_axes
+    tensors = [np.zeros((len(ids), N_FRAMES, k, ROWS * COLS), dtype=dtype) for ids in id_lists]
+    slots: dict[int, list[np.ndarray]] = {}
+    for tensor, ids in zip(tensors, id_lists):
+        for slot, i in zip(tensor[..., :N_TAXELS], ids):  # (122, k, 49) each
+            slots.setdefault(i, []).append(slot)
+    for i, frames in rows:
+        for slot in slots.get(i, ()):
+            slot[...] = frames[:, :, 3 - k:].transpose(0, 2, 1)
+    labels = np.asarray(labels, dtype=np.int64)
+    return [(tensor.reshape(len(ids), N_FRAMES * k, ROWS, COLS),
+             labels[np.asarray(ids, dtype=np.intp)]) for tensor, ids in zip(tensors, id_lists)]
+
+
+def _recording_rows(recordings: list[GestureRecording]
+                   ) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray]:
+    """The row source and labels of an in-memory recording list, for ``fill_tensors``."""
+    return enumerate(r.frames for r in recordings), dataio.record_headers(recordings)["label"]
+
+
 def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """Stack each recording's frames along the channel axis; a frame's taxels
-    are the first cells of the flat grid (see ``geometry``)."""
-    n = len(recordings)
-    labels = np.array([int(r.label) for r in recordings], dtype=np.int64)
-    k = mode.n_axes
-    tensor = np.zeros((n, N_FRAMES, k, ROWS * COLS), dtype=dtype)
-    taxels = tensor[..., :N_TAXELS]  # (n, 122, k, 49)
-    for i, rec in enumerate(recordings):
-        taxels[i] = rec.frames[:, :, 3 - k:].transpose(0, 2, 1)
-    return tensor.reshape(n, N_FRAMES * k, ROWS, COLS), labels
+    """One arm's input tensor and labels for every recording of a list."""
+    return fill_tensors(*_recording_rows(recordings), [range(len(recordings))], mode, dtype)[0]
 
 
 @dataclass(frozen=True)
@@ -84,19 +107,19 @@ def _largest_remainder(quotas: np.ndarray, total) -> np.ndarray:
     return base
 
 
-def split_dataset(recordings: list[GestureRecording], seed: int,
-                  ratio: tuple[int, int, int] = SPLIT_RATIO) -> DatasetSplit:
-    """Per-user proportional split at the global train/val/test ratio.
+def split_dataset(records, seed: int, ratio: tuple[int, int, int] = SPLIT_RATIO) -> DatasetSplit:
+    """Per-user proportional split at the global train/val/test ratio, of a
+    recording list or a ``dataio.RECORD_HEADER`` array.
 
     Each user's recordings are shuffled by the seed; per-user allocations use
     largest-remainder rounding, then a repair pass pins the global sizes.
     """
-    if not recordings:
+    user_ids = dataio.record_headers(records)["user_id"]
+    if not len(user_ids):
         raise ValueError("cannot split an empty dataset")
-    users, which, counts = np.unique([r.user_id for r in recordings],
-                                     return_inverse=True, return_counts=True)
+    users, which, counts = np.unique(user_ids, return_inverse=True, return_counts=True)
     by_user = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
-    n_total = len(recordings)
+    n_total = len(user_ids)
     r_tot = sum(ratio)
     targets = _largest_remainder(np.array([n_total * r / r_tot for r in ratio]), n_total)
 
@@ -207,19 +230,31 @@ def apply_normalization(stats: NormalizationStats, tensor: np.ndarray) -> np.nda
     return tensor
 
 
+def prepare_tensors(rows: Iterable[tuple[int, np.ndarray]], labels: np.ndarray,
+                    id_lists: list[list[int]], mode: AblationMode,
+                    stats: NormalizationStats | None = None
+                    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], NormalizationStats]:
+    """One arm's float32 input tensor and labels for each id list, filled in
+    one pass over ``rows`` (see ``fill_tensors``).
+
+    Every tensor is normalized in place by ``stats``; when None, the stats are
+    fitted on the first list's tensor (the training split) and returned for
+    the others. The tensors are the only tensor-sized arrays this allocates.
+    """
+    pairs = fill_tensors(rows, labels, id_lists, mode)
+    if stats is None:
+        stats = fit_normalization(pairs[0][0], mode)
+    for x, _ in pairs:
+        apply_normalization(stats, x)
+    return pairs, stats
+
+
 def prepare(recordings: list[GestureRecording], ids: list[int], mode: AblationMode,
             stats: NormalizationStats | None = None
             ) -> tuple[np.ndarray, np.ndarray, NormalizationStats]:
-    """One arm's float32 input tensor and labels for the recordings ``ids``.
-
-    The tensor is normalized in place by ``stats``; when None, the stats are
-    fitted on these recordings (the training split) and returned for the
-    others. The tensor is the only tensor-sized array this allocates.
-    """
-    x, y = assemble_tensor(select(recordings, ids), mode, dtype=np.float32)
-    if stats is None:
-        stats = fit_normalization(x, mode)
-    return apply_normalization(stats, x), y, stats
+    """``prepare_tensors`` for one id list of an in-memory recording list."""
+    [(x, y)], stats = prepare_tensors(*_recording_rows(recordings), [ids], mode, stats)
+    return x, y, stats
 
 
 @dataclass(frozen=True)
@@ -337,9 +372,8 @@ class AblationReport:
 
 def run_arm(recordings: list[GestureRecording], split: DatasetSplit, mode: AblationMode,
             config: TrainConfig) -> AblationArm:
-    train_x, train_y, stats = prepare(recordings, split.train, mode)
-    val_x, val_y, _ = prepare(recordings, split.val, mode, stats)
-    test_x, test_y, _ = prepare(recordings, split.test, mode, stats)
+    [(train_x, train_y), (val_x, val_y), (test_x, test_y)], _ = prepare_tensors(
+        *_recording_rows(recordings), [split.train, split.val, split.test], mode)
     model, history = train(train_x, train_y, val_x, val_y, config)
     return AblationArm(mode=mode, result=evaluate(model, test_x, test_y), history=history)
 

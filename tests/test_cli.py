@@ -506,6 +506,127 @@ class TestTrainedOn:
         assert "Traceback" not in capsys.readouterr().err
 
 
+RECORD_BYTES = 11 + 122 * 49 * 3 * 4
+
+
+def poke_force(path: Path, record: int, value: float) -> None:
+    """Write ``value`` over one force of a record's frames (frame 0, taxel 0, z)."""
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<f", raw, 20 + record * RECORD_BYTES + 11 + 4 * 2, value)
+    path.write_bytes(bytes(raw))
+
+
+class TestUnusedRows:
+    """A corrupt record exits 5 also when the command does not use it: train
+    and eval check every record, not only the split they read."""
+
+    @pytest.fixture()
+    def data(self, tmp_path, tiny_config):
+        out = tmp_path / "out"
+        assert run("synth", "--config", tiny_config, "--out", str(out)) == 0
+        split = pipeline.split_dataset(load_dataset(out / "dataset.tgk"), seed=7)
+        return out, split
+
+    def exit_code(self, capsys, command, out, tiny_config):
+        code = run(command, "--config", tiny_config, "--out", str(out))
+        assert "Traceback" not in capsys.readouterr().err
+        return code
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_train_non_finite_test_row(self, data, tiny_config, capsys, caplog, value):
+        out, split = data
+        poke_force(out / "dataset.tgk", split.test[0], value)
+        assert self.exit_code(capsys, "train", out, tiny_config) == 5
+        assert f"recording {split.test[0]} has non-finite forces" in caplog.text
+        assert not (out / "model.tgkm").exists()
+
+    def test_train_finite_extreme_test_row_is_unused(self, data, tiny_config, capsys):
+        # 3e38 is a finite float32, so the file is well-formed; in a training row it
+        # overflows the stats (exit 4, test_overflowing_force), in a test row train
+        # never reads it and writes the same checkpoint as on the clean file
+        out, split = data
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        clean = {name: (out / name).read_bytes() for name in ("model.tgkm", "model.tgkm.json")}
+        poke_force(out / "dataset.tgk", split.test[0], 3e38)
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        assert {name: (out / name).read_bytes() for name in clean} == clean
+
+    def test_eval_non_finite_train_row(self, data, tiny_config, capsys, caplog):
+        out, split = data
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        poke_force(out / "dataset.tgk", split.train[0], float("nan"))
+        assert self.exit_code(capsys, "eval", out, tiny_config) == 5
+        assert f"recording {split.train[0]} has non-finite forces" in caplog.text
+        assert not (out / "evaluation.json").exists()
+
+    def test_eval_non_finite_row_of_other_dataset(self, data, tmp_path, tiny_config, capsys):
+        # malformed (5) and not the dataset the checkpoint was trained on (6): 5 wins
+        out, _ = data
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        other = tmp_path / "other"
+        assert run("synth", "--config", tiny_config, "--out", str(other), "--seed", "8") == 0
+        poke_force(other / "dataset.tgk", 0, float("nan"))
+        assert run("eval", "--config", tiny_config, "--out", str(out),
+                   "--dataset", str(other / "dataset.tgk")) == 5
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, unused", [("train", "test"), ("eval", "train")])
+    def test_unknown_label_in_unused_row(self, data, tiny_config, capsys, caplog,
+                                         command, unused):
+        out, split = data
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        record = getattr(split, unused)[0]
+        raw = bytearray((out / "dataset.tgk").read_bytes())
+        raw[20 + record * RECORD_BYTES] = 13
+        (out / "dataset.tgk").write_bytes(bytes(raw))
+        assert self.exit_code(capsys, command, out, tiny_config) == 5
+        assert f"recording {record} has unknown label 13" in caplog.text
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_truncated_mid_record(self, data, tiny_config, capsys, caplog, command):
+        out, _ = data
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        path = out / "dataset.tgk"
+        path.write_bytes(path.read_bytes()[:20 + 3 * RECORD_BYTES + 11 + 500])
+        assert self.exit_code(capsys, command, out, tiny_config) == 5
+        assert "truncated" in caplog.text
+
+
+def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
+    # train and eval stream each record into the tensors; on the desk set they
+    # write what the in-memory path (load_dataset, prepare, as ablate does) gives
+    out = tmp_path / "out"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
+    out.mkdir()
+    save_dataset(synth_dataset(4, 3, 3, 0), out / "dataset.tgk")
+    recs = load_dataset(out / "dataset.tgk")
+    split = pipeline.split_dataset(recs, seed=0)
+    mode = pipeline.AblationMode.NORMAL_ONLY
+    train_x, train_y, stats = pipeline.prepare(recs, split.train, mode)
+    val_x, val_y, _ = pipeline.prepare(recs, split.val, mode, stats)
+    model, history = pipeline.train(train_x, train_y, val_x, val_y,
+                                     pipeline.TrainConfig(epochs=1, seed=0))
+    test_x, test_y, _ = pipeline.prepare(recs, split.test, mode, stats)
+    cm = pipeline.evaluate(model, test_x, test_y)
+
+    def no_block(path):
+        raise AssertionError("train and eval must not load the frame block")
+    monkeypatch.setattr(dataio, "load_dataset", no_block)
+    argv = ["--config", str(config), "--out", str(out)]
+    assert main(["train", "--mode", "normal-only", *argv]) == 0
+    assert main(["eval", *argv]) == 0
+    params, _ = dataio.load_checkpoint(out / "model.tgkm", model.shapes())
+    assert all(params[k].tobytes() == v.tobytes() for k, v in model.params.items())
+    manifest = json.loads((out / "model.tgkm.json").read_text())["config"]
+    assert manifest["norm_mean"] == stats.mean.tolist()
+    assert manifest["norm_std"] == stats.std.tolist()
+    with open(out / "history.csv") as fh:
+        assert list(csv.reader(fh))[1] == [
+            "0", f"{history[0].train_loss:.9g}", f"{history[0].val_acc:.6g}"]
+    assert json.loads((out / "evaluation.json").read_text())["counts"] == cm.counts.tolist()
+
+
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}
 
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxelkit import dataio
-from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, FormatError,
-                             dataset_id, load_checkpoint, load_dataset,
-                             save_checkpoint, save_dataset)
+from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, RECORD_HEADER, DatasetReader,
+                             FormatError, dataset_id, load_checkpoint, load_dataset,
+                             record_headers, save_checkpoint, save_dataset)
 from taxelkit.gestures import synth_dataset
 from taxelkit.nn import CnnModel
 from taxelkit.pipeline import split_dataset
@@ -84,15 +84,51 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         assert dataset_id(load_dataset(path)) != dataset_id(loaded)
 
-    def test_desk_digests_are_pinned(self):
+    def test_desk_digests_are_pinned(self, tmp_path):
         # every checkpoint's manifest stores both digests and eval refuses a mismatch,
         # so a change to either breaks every saved checkpoint; both hash only integers
-        # (seeds, users, labels and row ids), never floats
+        # (seeds, users, labels and row ids), never floats. train and eval take them
+        # from the header array of the file, ablate from the recording list.
         desk = synth_dataset(4, 3, 3, 0)
-        assert dataset_id(desk) == \
-            "5c1e5a7c562ccf10b214b01e74755f34a270bc666c2391d6b5d61a9216a59a53"
-        assert split_dataset(desk, seed=0).digest() == \
-            "7ae3d940d27dee5d6dfed957e81019ac1d2d9fe26d743ef7d11d827657f2ae14"
+        save_dataset(desk, tmp_path / "desk.tgk")
+        with DatasetReader(tmp_path / "desk.tgk") as reader:
+            headers = reader.headers
+        for records in (desk, headers):
+            assert dataset_id(records) == \
+                "5c1e5a7c562ccf10b214b01e74755f34a270bc666c2391d6b5d61a9216a59a53"
+            assert split_dataset(records, seed=0).digest() == \
+                "7ae3d940d27dee5d6dfed957e81019ac1d2d9fe26d743ef7d11d827657f2ae14"
+
+    def test_record_header_layout(self, recordings):
+        # the header array is the file's 11-byte record headers, byte for byte
+        headers = record_headers(recordings)
+        assert RECORD_HEADER.itemsize == 11
+        assert headers.tobytes() == b"".join(struct.pack("<BHQ", int(r.label), r.user_id, r.seed)
+                                             for r in recordings)
+        assert record_headers(headers) is headers
+
+    def test_header_pass_reads_no_frames(self, recordings, tmp_path):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings * 20, path)  # 520 records, 37 MB
+        tracemalloc.start()
+        try:
+            with DatasetReader(path) as reader:
+                _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 71_736  # not even one record's frames
+        assert reader.headers.tobytes() == record_headers(recordings * 20).tobytes()
+        assert not reader.headers.flags.writeable
+
+    def test_frame_pass_reuses_one_row(self, recordings, tmp_path):
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings[:3], path)
+        with DatasetReader(path) as reader:
+            rows = [(i, frames.copy(), frames) for i, frames in reader.frames()]
+        assert [i for i, _, _ in rows] == [0, 1, 2]
+        assert all(frames is rows[0][2] for _, _, frames in rows)
+        for (_, copy, _), rec in zip(rows, recordings):
+            assert copy.tobytes() == rec.frames.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_force(self, recordings, tmp_path, value):
@@ -104,6 +140,10 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="recording 1 has non-finite"):
             load_dataset(path)
+        with DatasetReader(path) as reader, \
+                pytest.raises(FormatError, match="recording 1 has non-finite"):
+            for _ in reader.frames():
+                pass
 
     def test_sidecar(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
@@ -330,13 +370,16 @@ class TestInterruptedWrite:
 
     def test_sidecar_failure_keeps_old_sidecar(self, recordings, tmp_path, full_disk):
         # the data file is complete before its sidecar is written; a failed
-        # sidecar write replaces neither the old sidecar nor leaves a temporary
+        # sidecar write replaces neither file nor leaves a temporary, so a
+        # new data file never sits beside an old sidecar
         path = tmp_path / "data.tgk"
         save_dataset(recordings[:1], path, config={"run": 1})
+        data = path.read_bytes()
         sidecar = (tmp_path / "data.tgk.json").read_bytes()
         data_bytes = 31 + 2 * (11 + 122 * 49 * 3 * 4)
         full_disk(data_bytes + 10)
         with pytest.raises(OSError, match="No space"):
             save_dataset(recordings[:2], path, config={"run": 2})
         assert (tmp_path / "data.tgk.json").read_bytes() == sidecar
+        assert path.read_bytes() == data
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.tgk", "data.tgk.json"]

@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxelkit import pipeline
-from taxelkit.dataio import load_dataset, save_dataset
+from taxelkit.dataio import DatasetReader, load_dataset, save_dataset
 from taxelkit.gestures import GestureClass, GestureRecording, block_recordings, synth_dataset
 from taxelkit.pipeline import (SPLIT_RATIO, STD_FLOOR, SUM_BLOCK, AblationMode, ConfusionMatrix,
                                DatasetSplit, NormalizationStats, TrainConfig,
-                               TrainingDivergedError, assemble_tensor,
-                               apply_normalization, channels_for, evaluate,
-                               fit_normalization, prepare, select, split_dataset, train)
+                               TrainingDivergedError, apply_normalization, assemble_tensor,
+                               channels_for, evaluate, fill_tensors, fit_normalization,
+                               prepare, prepare_tensors, select, split_dataset, train)
 from taxelkit.nn import CnnModel
 
 
@@ -153,6 +153,51 @@ class TestAssembleTensor:
         with pytest.raises(ValueError):
             recordings[0].__class__(frames=recordings[0].frames[:10], label=recordings[0].label,
                                     user_id=0, seed=0)
+
+
+@pytest.fixture(scope="module")
+def saved_recordings(recordings, tmp_path_factory):
+    path = tmp_path_factory.mktemp("streamed") / "data.tgk"
+    save_dataset(recordings, path)
+    return path
+
+
+class TestStreamedTensors:
+    """train and eval fill their tensors from the frame pass of the file; the
+    tensors equal those assembled from the loaded recording list."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_match_assembled_from_loaded(self, saved_recordings, data):
+        # disjoint, unsorted id lists of any size, empty and single ones included
+        with DatasetReader(saved_recordings) as reader:
+            n = len(reader.headers)
+            ids = data.draw(st.permutations(range(n)), label="ids")
+            cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=3, max_size=3),
+                                    label="cuts"))
+            id_lists = [ids[:cuts[0]], ids[cuts[0]:cuts[1]], ids[cuts[1]:cuts[2]]]
+            mode = data.draw(st.sampled_from(AblationMode), label="mode")
+            streamed = fill_tensors(reader.frames(), reader.headers["label"], id_lists, mode)
+        loaded = load_dataset(saved_recordings)
+        for (x, y), id_list in zip(streamed, id_lists):
+            ref_x, ref_y = assemble_tensor(select(loaded, id_list), mode, np.float32)
+            assert x.dtype == ref_x.dtype and x.shape == ref_x.shape
+            assert x.tobytes() == ref_x.tobytes()
+            assert y.dtype == ref_y.dtype and y.tolist() == ref_y.tolist()
+
+    @pytest.mark.parametrize("mode", list(AblationMode))
+    def test_prepared_split_matches_prepare(self, recordings, saved_recordings, mode):
+        split = split_dataset(recordings, seed=0)
+        with DatasetReader(saved_recordings) as reader:
+            pairs, stats = prepare_tensors(reader.frames(), reader.headers["label"],
+                                           [split.train, split.val, split.test], mode)
+        train_x, train_y, fitted = prepare(recordings, split.train, mode)
+        assert stats.mean.tobytes() == fitted.mean.tobytes()
+        assert stats.std.tobytes() == fitted.std.tobytes()
+        refs = [(train_x, train_y)] + [prepare(recordings, ids, mode, fitted)[:2]
+                                       for ids in (split.val, split.test)]
+        for (x, y), (ref_x, ref_y) in zip(pairs, refs):
+            assert x.tobytes() == ref_x.tobytes() and y.tolist() == ref_y.tolist()
 
 
 class TestSplitDataset:
