@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dataio
+
 N_FEATURES = 9
 FEATURE_NAMES = ["bx", "by", "bz", "bx^2", "by^2", "bz^2", "bx*by", "bx*bz", "by*bz"]
 
@@ -92,8 +94,8 @@ def rms_error(model: CalibrationModel, flux, force) -> tuple[float, float, float
 
 def save_models(models: dict[int, CalibrationModel], path) -> None:
     payload = [models[i].to_json_dict(i) for i in sorted(models)]
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+    with dataio.replacing(path) as (fh,):
+        fh.write(json.dumps(payload, indent=1).encode())
 
 
 def load_models(path) -> dict[int, CalibrationModel]:

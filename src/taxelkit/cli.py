@@ -2,17 +2,19 @@
 
 Subcommands: sweep, calibrate, synth, train, eval, ablate, viz — one per
 pipeline artifact (flux curves, calibration table, dataset, checkpoint,
-evaluation report, ablation report, force-field figures).
+evaluation report, ablation report, force-field figures), each file written
+in full through ``dataio.replacing``, then moved into place.
 
 Exit codes: 0 success, 2 config error, 3 missing input or an unusable input or
-output path (e.g. a directory), 4 numerical failure (also no calibratable taxel),
-5 malformed .tgk/.tgkm file (also a dataset with no recordings), 6 a
-checkpoint evaluated on a dataset or split it was not trained on.
+output path (a directory, or one of the command's inputs), 4 numerical failure
+(also no calibratable taxel), 5 malformed .tgk/.tgkm file (also a dataset with
+no recordings), 6 a checkpoint evaluated on a dataset or split it was not trained on.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import math
@@ -44,42 +46,52 @@ class DatasetMismatchError(ValueError):
     """The dataset or split differs from the one a checkpoint was trained on."""
 
 
-def _outdir(args, cfg: RunConfig, *outputs) -> Path:
-    """The output directory, created. Fails before any work if a file the
-    command will write (``outputs``, relative to it) is a directory, and only
-    then echoes the config: a refused command writes no file."""
-    out = Path(args.out or cfg.paths.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as e:
-        raise MissingInputError(f"cannot create output directory {out}: {e}")
-    for path in outputs:
-        if (out / path).is_dir():
-            raise IsADirectoryError(f"output path is a directory: {out / path}")
-    cfg.echo(out)
-    return out
+def _write(path: Path, text: str) -> None:
+    with dataio.replacing(path) as (fh,):
+        fh.write(text.encode())
+
+
+def _csv(header, rows) -> str:
+    """A header row and ``rows`` as CSV text, with csv's CRLF line ends."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([header, *rows])
+    return buf.getvalue()
+
+
+def _outdir(args, cfg: RunConfig, *names, inputs=()) -> list[Path]:
+    """The paths of the files a command writes, ``names`` relative to ``--out``.
+    Fails before any work if one of them (or ``config_echo.json``) is a
+    directory or one of the command's ``inputs``; only then creates their
+    directories and echoes the config, so a refused command writes no file."""
+    paths = [args.out / name for name in ("config_echo.json", *names)]
+    sources = {os.path.realpath(p): p for p in inputs}  # realpath: no error on a symlink loop
+    for path in paths:
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
+        if os.path.realpath(path) in sources:
+            raise OSError(f"output {path} is an input of this command: "
+                          f"{sources[os.path.realpath(path)]}")
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    _write(paths[0], json.dumps(cfg.to_dict(), indent=1, sort_keys=True))
+    return paths[1:]
 
 
 # ---------------------------------------------------------------------------
 # sweep
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg, "sweep.csv", "sweep_bx.svg", "sweep_bz.svg")
+    csv_path, *svgs = _outdir(args, cfg, "sweep.csv", "sweep_bx.svg", "sweep_bz.svg")
     curves = magnetics.flux_sweep(args.heights, args.max_shear, args.steps,
                                   cfg.geometry, cfg.dipole)
-    csv_path = out / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["height_mm", "shear_mm", "bx_mT", "bz_mT"])
-        for c in curves:
-            for d, bx, bz in zip(c.shear_mm, c.bx, c.bz):
-                writer.writerow([c.magnet_height, f"{d:.6g}", f"{bx:.9g}", f"{bz:.9g}"])
-    xs = curves[0].shear_mm
-    for comp in ("bx", "bz"):
+    _write(csv_path, _csv(["height_mm", "shear_mm", "bx_mT", "bz_mT"], (
+        [c.magnet_height, f"{d:.6g}", f"{bx:.9g}", f"{bz:.9g}"]
+        for c in curves for d, bx, bz in zip(c.shear_mm, c.bx, c.bz))))
+    for comp, svg in zip(("bx", "bz"), svgs):
         series = [(f"h = {c.magnet_height:g} mm", getattr(c, comp)) for c in curves]
-        (out / f"sweep_{comp}.svg").write_text(
-            svgplot.curves_svg(xs, series, f"{comp} vs shear displacement"))
-    log.info("wrote %s and sweep_bx.svg / sweep_bz.svg", csv_path)
+        _write(svg, svgplot.curves_svg(curves[0].shear_mm, series,
+                                       f"{comp} vs shear displacement"))
+    log.info("wrote %s, %s and %s", csv_path, *svgs)
     return 0
 
 
@@ -111,7 +123,8 @@ def _calibration_samples(cfg: RunConfig, taxel: int, n: int, noise: float, sourc
 
 
 def cmd_calibrate(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg, "calibration_failures.json", "calibration.json", "rms.csv")
+    failures_json, models_json, rms_csv = _outdir(
+        args, cfg, "calibration_failures.json", "calibration.json", "rms.csv")
     models: dict[int, cal.CalibrationModel] = {}
     per_taxel_rms = {}
     failures = {}
@@ -127,23 +140,20 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
         per_taxel_rms[taxel] = cal.rms_error(model, flux, force)
     # a rerun into the same --out leaves no file of an earlier run behind
     if failures:
-        (out / "calibration_failures.json").write_text(json.dumps(failures, indent=1))
+        _write(failures_json, json.dumps(failures, indent=1))
     else:
-        (out / "calibration_failures.json").unlink(missing_ok=True)
+        failures_json.unlink(missing_ok=True)
     if not models:
-        for stale in ("calibration.json", "rms.csv"):
-            (out / stale).unlink(missing_ok=True)
+        for stale in (models_json, rms_csv):
+            stale.unlink(missing_ok=True)
         raise np.linalg.LinAlgError(f"no taxel could be fitted; the {len(failures)} degenerate "
-                                    f"fits are listed in {out / 'calibration_failures.json'}")
-    cal.save_models(models, out / "calibration.json")
+                                    f"fits are listed in {failures_json}")
+    cal.save_models(models, models_json)
     rms = np.array([per_taxel_rms[i] for i in sorted(per_taxel_rms)])
-    with open(out / "rms.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["taxel", "rms_fx_n", "rms_fy_n", "rms_fz_n"])
-        for i in sorted(per_taxel_rms):
-            writer.writerow([i] + [f"{v:.6g}" for v in per_taxel_rms[i]])
-        writer.writerow(["Mean"] + [f"{v:.6g}" for v in rms.mean(axis=0)])
-        writer.writerow(["Standard Deviation"] + [f"{v:.6g}" for v in rms.std(axis=0)])
+    rows = [[i, *per_taxel_rms[i]] for i in sorted(per_taxel_rms)]
+    rows += [["Mean", *rms.mean(axis=0)], ["Standard Deviation", *rms.std(axis=0)]]
+    _write(rms_csv, _csv(["taxel", "rms_fx_n", "rms_fy_n", "rms_fz_n"],
+                         ([name] + [f"{v:.6g}" for v in values] for name, *values in rows)))
     log.info("calibrated %d/%d taxels; aggregate RMS %s", len(models), N_TAXELS,
              rms.mean(axis=0))
     return 0
@@ -159,8 +169,7 @@ def _synthesize(args, cfg: RunConfig):
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg, cfg.paths.dataset, dataio.sidecar_path(cfg.paths.dataset))
-    path = out / cfg.paths.dataset
+    path, _ = _outdir(args, cfg, cfg.paths.dataset, dataio.sidecar_path(cfg.paths.dataset))
     s, recs = _synthesize(args, cfg)
     dataio.save_dataset(recs, path, config={**asdict(s), "master_seed": cfg.seed})
     log.info("wrote %d recordings to %s", len(recs), path)
@@ -197,19 +206,16 @@ def _read_dataset(path):
 
 
 def _write_history(history, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_acc"])
-        for rec in history:
-            writer.writerow([rec.epoch, f"{rec.train_loss:.9g}", f"{rec.val_acc:.6g}"])
+    _write(path, _csv(["epoch", "train_loss", "val_acc"], (
+        [rec.epoch, f"{rec.train_loss:.9g}", f"{rec.val_acc:.6g}"] for rec in history)))
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg, cfg.paths.checkpoint, dataio.sidecar_path(cfg.paths.checkpoint),
-                  "history.csv")
-    ckpt = out / cfg.paths.checkpoint
+    dataset = args.dataset or args.out / cfg.paths.dataset
+    names = cfg.paths.checkpoint, dataio.sidecar_path(cfg.paths.checkpoint), "history.csv"
+    ckpt, _, history_csv = _outdir(args, cfg, *names, inputs=[dataset])
     mode = pipeline.AblationMode(args.mode.replace("-", "_"))
-    with _read_dataset(args.dataset or out / cfg.paths.dataset) as reader:
+    with _read_dataset(dataset) as reader:
         headers = reader.headers
         split = pipeline.split_dataset(headers, seed=cfg.seed)
         [(train_x, train_y), (val_x, val_y)], stats = pipeline.prepare_tensors(
@@ -222,7 +228,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
         "batch_size": tconf.batch_size,
         "norm_mean": stats.mean.tolist(), "norm_std": stats.std.tolist(),
         "dataset_id": dataio.dataset_id(headers), "split_digest": split.digest()})
-    _write_history(history, out / "history.csv")
+    _write_history(history, history_csv)
     log.info("wrote %s (best val acc %.3f)", ckpt,
              max((h.val_acc for h in history), default=0.0))
     return 0
@@ -268,15 +274,11 @@ def _load_model(ckpt_path):
     return model, stats, split_seed, trained_on
 
 
-def _confusion_outputs(cm: pipeline.ConfusionMatrix, out: Path, stem: str) -> dict:
-    with open(out / f"{stem}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["true\\pred"] + CLASS_NAMES)
-        for name, row in zip(CLASS_NAMES, cm.counts):
-            writer.writerow([name] + row.tolist())
-    (out / f"{stem}.svg").write_text(
-        svgplot.heatmap_svg(cm.rates(), CLASS_NAMES,
-                            f"{stem} (overall {cm.overall_accuracy:.1%})"))
+def _confusion_outputs(cm: pipeline.ConfusionMatrix, csv_path: Path, svg: Path) -> dict:
+    _write(csv_path, _csv(["true\\pred"] + CLASS_NAMES,
+                          ([name] + row.tolist() for name, row in zip(CLASS_NAMES, cm.counts))))
+    _write(svg, svgplot.heatmap_svg(cm.rates(), CLASS_NAMES,
+                                    f"{svg.stem} (overall {cm.overall_accuracy:.1%})"))
     return {"overall_accuracy": cm.overall_accuracy,
             "macro_accuracy": cm.macro_accuracy,
             "counts": cm.counts.tolist(),
@@ -284,9 +286,11 @@ def _confusion_outputs(cm: pipeline.ConfusionMatrix, out: Path, stem: str) -> di
 
 
 def cmd_eval(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg, "evaluation.json", "confusion.csv", "confusion.svg")
-    ckpt = args.checkpoint or out / cfg.paths.checkpoint
-    with _read_dataset(args.dataset or out / cfg.paths.dataset) as reader:
+    dataset = args.dataset or args.out / cfg.paths.dataset
+    ckpt = args.checkpoint or args.out / cfg.paths.checkpoint
+    json_path, *confusion = _outdir(args, cfg, "evaluation.json", "confusion.csv", "confusion.svg",
+                                    inputs=[dataset, ckpt, dataio.sidecar_path(ckpt)])
+    with _read_dataset(dataset) as reader:
         model, stats, split_seed, trained_on = _load_model(ckpt)
         split = pipeline.split_dataset(reader.headers, seed=split_seed)
         # the frame pass checks every record, so a malformed file exits 5 before a mismatch 6
@@ -299,32 +303,33 @@ def cmd_eval(args, cfg: RunConfig) -> int:
             f"but this dataset is {found[0]} with split {found[1]}")
     cm = pipeline.evaluate(model, test_x, test_y)
     report = {"mode": stats.mode.value, "test_size": len(test_y),
-              **_confusion_outputs(cm, out, "confusion")}
-    (out / "evaluation.json").write_text(json.dumps(report, indent=1))
+              **_confusion_outputs(cm, *confusion)}
+    _write(json_path, json.dumps(report, indent=1))
     log.info("test accuracy %.3f (macro %.3f)", cm.overall_accuracy, cm.macro_accuracy)
     return 0
 
 
 def cmd_ablate(args, cfg: RunConfig) -> int:
-    out = _outdir(args, cfg, "ablation.json", *(
+    json_path, *arm_paths = _outdir(args, cfg, "ablation.json", *(
         f"{stem}_{mode.value}.{ext}" for mode in pipeline.AblationMode
-        for stem, ext in (("confusion", "csv"), ("confusion", "svg"), ("history", "csv"))))
+        for stem, ext in (("confusion", "csv"), ("confusion", "svg"), ("history", "csv"))),
+        inputs=[args.dataset] if args.dataset else [])
     recs = _load_recordings(args.dataset) if args.dataset else _synthesize(args, cfg)[1]
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
     report = pipeline.ablate(recs, tconf, split_seed=cfg.seed)
     payload = {}
-    for arm in (report.normal_only, report.normal_and_shear):
-        name = arm.mode.value
-        payload[name] = _confusion_outputs(arm.result, out, f"confusion_{name}")
-        _write_history(arm.history, out / f"history_{name}.csv")
+    for i, arm in enumerate((report.normal_only, report.normal_and_shear)):
+        confusion_csv, confusion_svg, history_csv = arm_paths[3 * i:3 * i + 3]
+        payload[arm.mode.value] = _confusion_outputs(arm.result, confusion_csv, confusion_svg)
+        _write_history(arm.history, history_csv)
     deltas = report.per_class_delta()
     payload["per_class_delta"] = {name: round(float(d), 6)
                                   for name, d in zip(CLASS_NAMES, deltas)}
     payload["per_class_winner"] = {name: ("shear" if d > 0 else "normal" if d < 0 else "tie")
                                    for name, d in zip(CLASS_NAMES, deltas)}
     payload["shear_wins"] = report.shear_wins()
-    (out / "ablation.json").write_text(json.dumps(payload, indent=1))
+    _write(json_path, json.dumps(payload, indent=1))
     log.info("ablation: normal-only %.3f vs normal+shear %.3f",
              payload["normal_only"]["overall_accuracy"],
              payload["normal_and_shear"]["overall_accuracy"])
@@ -333,20 +338,19 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
 
 def cmd_viz(args, cfg: RunConfig) -> int:
     sub = Path(f"recording_{args.recording_id:05d}")
+    dataset = args.dataset or args.out / cfg.paths.dataset
     names = [sub / f"frame_{i:03d}.svg" for i in range(gestures.N_FRAMES)] + [sub / "montage.svg"]
-    out = _outdir(args, cfg, *names)
-    frame_dir = out / sub
-    recs = _load_recordings(args.dataset or out / cfg.paths.dataset)
+    *frame_svgs, montage = _outdir(args, cfg, *names, inputs=[dataset])
+    recs = _load_recordings(dataset)
     if not 0 <= args.recording_id < len(recs):
         raise MissingInputError(f"unknown recording id {args.recording_id} "
                                 f"(dataset has ids 0..{len(recs) - 1})")
     rec = recs[args.recording_id]
-    frame_dir.mkdir(parents=True, exist_ok=True)
-    for name, frame in zip(names, rec.frames):
-        (out / name).write_text(svgplot.force_field_svg(frame))
-    (out / names[-1]).write_text(svgplot.montage_svg(rec.frames))
+    for svg, frame in zip(frame_svgs, rec.frames):
+        _write(svg, svgplot.force_field_svg(frame))
+    _write(montage, svgplot.montage_svg(rec.frames))
     log.info("wrote %d frame SVGs for recording %d (%s) to %s",
-             len(rec.frames), args.recording_id, rec.label.name, frame_dir)
+             len(rec.frames), args.recording_id, rec.label.name, montage.parent)
     return 0
 
 
@@ -423,8 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="paired normal-only vs normal+shear study")
     common(p)
-    p.add_argument("--dataset", help="existing dataset file (default: synthesize per config)")
-    p.add_argument("--full-scale", action="store_true")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dataset",
+                        help="existing dataset file (default: synthesize per config)")
+    source.add_argument("--full-scale", action="store_true")
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("viz", help="per-frame force-field SVGs for one recording")
@@ -446,6 +452,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         if args.seed is not None:
             cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        args.out = Path(args.out or cfg.paths.out_dir)
         return args.func(args, cfg)
     except ConfigError as e:
         log.error("config error: %s", e)

@@ -123,6 +123,3 @@ class RunConfig:
         d = asdict(self)
         d["dipole"]["direction"] = list(d["dipole"]["direction"])
         return d
-
-    def echo(self, out_dir: Path) -> None:
-        (out_dir / "config_echo.json").write_text(json.dumps(self.to_dict(), indent=1, sort_keys=True))

@@ -48,7 +48,7 @@ def sidecar_path(path) -> Path:
 
 
 @contextmanager
-def _replacing(*paths):
+def replacing(*paths):
     """Binary files to write in place of ``paths``: temporary files in the same
     directory, each moved onto its path by ``os.replace`` once the block ends,
     so every file is written in full before any is replaced. If the block
@@ -85,7 +85,7 @@ def save_dataset(recordings: list[GestureRecording], path, config: dict | None =
         "taxels": N_TAXELS,
         "config": config or {},
     }
-    with _replacing(path, sidecar_path(path)) as (fh, side):
+    with replacing(path, sidecar_path(path)) as (fh, side):
         fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES,
                                       N_TAXELS))
         for header, rec in zip(headers, recordings):
@@ -198,7 +198,7 @@ def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict
         "parameters": {name: list(value.shape) for name, value in params.items()},
         "config": config or {},
     }
-    with _replacing(path, sidecar_path(path)) as (fh, side):
+    with replacing(path, sidecar_path(path)) as (fh, side):
         fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, c_in))
         for value in params.values():
             fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())

@@ -249,14 +249,6 @@ def prepare_tensors(rows: Iterable[tuple[int, np.ndarray]], labels: np.ndarray,
     return pairs, stats
 
 
-def prepare(recordings: list[GestureRecording], ids: list[int], mode: AblationMode,
-            stats: NormalizationStats | None = None
-            ) -> tuple[np.ndarray, np.ndarray, NormalizationStats]:
-    """``prepare_tensors`` for one id list of an in-memory recording list."""
-    [(x, y)], stats = prepare_tensors(*_recording_rows(recordings), [ids], mode, stats)
-    return x, y, stats
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import shutil
@@ -35,6 +36,16 @@ def tiny_config(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_crlf_lines(path: Path) -> None:
+    """Every line of a CSV output ends in csv's \\r\\n."""
+    raw = path.read_bytes()
+    assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n")
+
+
+def files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 class TestConfig:
@@ -118,6 +129,7 @@ class TestCalibrate:
             rows = list(csv.reader(fh))
         assert rows[-2][0] == "Mean"
         assert rows[-1][0] == "Standard Deviation"
+        assert_crlf_lines(out / "rms.csv")
         assert all(float(v) < 1e-9 for v in rows[-2][1:])
         assert not (out / "calibration_failures.json").exists()
 
@@ -183,6 +195,7 @@ class TestPipelineCommands:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "train_loss", "val_acc"]
         assert len(rows) == 2  # one epoch
+        assert_crlf_lines(out / "history.csv")
 
         assert run("eval", "--config", tiny_config, "--out", str(out)) == 0
         report = json.loads((out / "evaluation.json").read_text())
@@ -278,6 +291,14 @@ class TestExitCodes:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {argv[1]}:" in err and "Traceback" not in err
+
+    def test_ablate_dataset_and_full_scale_conflict(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("ablate", "--dataset", str(tmp_path / "d.tgk"), "--full-scale",
+                "--out", str(tmp_path / "o"))
+        assert exit_.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_dataset(self, tmp_path, tiny_config):
         assert run("train", "--config", tiny_config, "--out", str(tmp_path / "empty")) == 3
@@ -452,11 +473,14 @@ class TestCheckpointManifest:
         _, stats, split_seed, _ = _load_model(out / "model.tgkm")
         recs = load_dataset(out / "dataset.tgk")
         split = pipeline.split_dataset(recs, seed=split_seed)
-        _, _, fitted = pipeline.prepare(recs, split.train, stats.mode)
+        _, fitted = pipeline.prepare_tensors(*pipeline._recording_rows(recs), [split.train],
+                                             stats.mode)
         assert stats.mean.tobytes() == fitted.mean.tobytes()
         assert stats.std.tobytes() == fitted.std.tobytes()
-        from_manifest, _, _ = pipeline.prepare(recs, split.test, stats.mode, stats)
-        in_process, _, _ = pipeline.prepare(recs, split.test, stats.mode, fitted)
+        [(from_manifest, _)], _ = pipeline.prepare_tensors(
+            *pipeline._recording_rows(recs), [split.test], stats.mode, stats)
+        [(in_process, _)], _ = pipeline.prepare_tensors(
+            *pipeline._recording_rows(recs), [split.test], stats.mode, fitted)
         assert from_manifest.dtype == np.float32
         assert from_manifest.tobytes() == in_process.tobytes()
 
@@ -594,7 +618,7 @@ class TestUnusedRows:
 
 def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     # train and eval stream each record into the tensors; on the desk set they
-    # write what the in-memory path (load_dataset, prepare, as ablate does) gives
+    # write what the in-memory path (load_dataset, prepare_tensors, as ablate does) gives
     out = tmp_path / "out"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
@@ -603,11 +627,10 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     recs = load_dataset(out / "dataset.tgk")
     split = pipeline.split_dataset(recs, seed=0)
     mode = pipeline.AblationMode.NORMAL_ONLY
-    train_x, train_y, stats = pipeline.prepare(recs, split.train, mode)
-    val_x, val_y, _ = pipeline.prepare(recs, split.val, mode, stats)
+    [(train_x, train_y), (val_x, val_y), (test_x, test_y)], stats = pipeline.prepare_tensors(
+        *pipeline._recording_rows(recs), [split.train, split.val, split.test], mode)
     model, history = pipeline.train(train_x, train_y, val_x, val_y,
                                      pipeline.TrainConfig(epochs=1, seed=0))
-    test_x, test_y, _ = pipeline.prepare(recs, split.test, mode, stats)
     cm = pipeline.evaluate(model, test_x, test_y)
 
     def no_block(path):
@@ -625,6 +648,150 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
         assert list(csv.reader(fh))[1] == [
             "0", f"{history[0].train_loss:.9g}", f"{history[0].val_acc:.6g}"]
     assert json.loads((out / "evaluation.json").read_text())["counts"] == cm.counts.tolist()
+
+
+class TestOutputPaths:
+    UNREACHABLE = [(gestures, "synth_dataset"), (pipeline, "train"),
+                   (dataio, "DatasetReader"), (dataio, "load_dataset")]
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("output paths must be checked before any work")
+        for module, name in self.UNREACHABLE:
+            monkeypatch.setattr(module, name, unreachable)
+
+    @pytest.mark.parametrize("argv, paths, name", [
+        (["train"], {"checkpoint": "dataset.tgk"}, "dataset.tgk"),
+        (["train"], {"dataset": "model.tgkm.json"}, "model.tgkm.json"),
+        (["eval", "--dataset", "IN"], {}, "confusion.csv"),
+        (["eval", "--checkpoint", "IN"], {}, "evaluation.json"),
+        (["eval", "--checkpoint", "IN"], {}, "config_echo"),
+        (["ablate", "--dataset", "IN"], {}, "history_normal_only.csv"),
+        (["viz", "--recording-id", "0", "--dataset", "IN"], {}, "recording_00000/montage.svg"),
+    ], ids=["train-checkpoint", "train-manifest", "eval-dataset", "eval-checkpoint",
+            "eval-manifest", "ablate-dataset", "viz-dataset"])
+    def test_output_is_an_input(self, tmp_path, capsys, caplog, no_work, argv, paths, name):
+        # e.g. paths.checkpoint = dataset.tgk: train would replace its own dataset
+        out = tmp_path / "out"
+        source = out / name
+        source.parent.mkdir(parents=True)
+        for path in (source, dataio.sidecar_path(source)):  # a checkpoint and its manifest
+            path.write_bytes(b"input")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": paths}))
+        before = files(out)
+        # the input as given: another spelling of the output's path, or the config's
+        given = str(out / ".." / "out" / name) if "IN" in argv else str(source)
+        argv = [given if a == "IN" else a for a in argv]
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        output = str(source.with_suffix(".json")) if name == "config_echo" else str(source)
+        assert f"output {output} is an input of this command: {given}" in caplog.text
+        assert files(out) == before  # no file written, the config echo included
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_symlink_loop_at_an_input(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        os.symlink("loop.tgk", out / "loop.tgk")
+        assert run(command, "--dataset", str(out / "loop.tgk"), "--out", str(out)) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_parent_directories_created(self, tmp_path, tiny_config):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(Path(tiny_config).read_text()),
+                                      "paths": {"dataset": "sub/d.tgk",
+                                                "checkpoint": "models/a/m.tgkm"}}))
+        out = tmp_path / "out"
+        assert run("synth", "--config", str(config), "--out", str(out)) == 0
+        assert run("train", "--config", str(config), "--out", str(out)) == 0
+        assert run("eval", "--config", str(config), "--out", str(out)) == 0
+        assert {"sub/d.tgk", "sub/d.tgk.json", "models/a/m.tgkm", "models/a/m.tgkm.json",
+                "evaluation.json"} <= {str(p) for p in files(out)}
+
+    def test_parent_directory_not_creatable(self, tmp_path, caplog, no_work):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "sub").write_bytes(b"a file")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"dataset": "sub/d.tgk"}}))
+        assert run("synth", "--config", str(config), "--out", str(out)) == 3
+        assert str(out / "sub") in caplog.text
+        assert files(out) == {Path("sub"): b"a file"}
+
+
+class TestInterruptedWrite:
+    """A command whose write of one output fails part-way leaves that file with
+    its old bytes, every other output old or whole, and no temporary file."""
+
+    @pytest.fixture()
+    def cut(self, monkeypatch):
+        """``cut(name)`` arms ``dataio.open``: the temporary file of output
+        ``name`` takes half its first write, then the disk is full; every other
+        file opens as usual. ``cut(name)`` returns the call that disarms it."""
+        real_open = open
+
+        class CutFile:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                data = memoryview(data).cast("B")
+                self._fh.write(data[:len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+        def arm(name):
+            def opener(path, *args, **kwargs):
+                fh = real_open(path, *args, **kwargs)
+                return CutFile(fh) if Path(path).name.startswith(f".{name}.") else fh
+            monkeypatch.setattr(dataio, "open", opener, raising=False)
+            return monkeypatch.undo
+        return arm
+
+    def check(self, out, cut, name, argv):
+        old = files(out)
+        disarm = cut(name)
+        assert run(*argv) == 3
+        disarm()
+        interrupted = files(out)
+        assert run(*argv) == 0
+        new = files(out)
+        assert interrupted[Path(name)] == old[Path(name)] != new[Path(name)]
+        assert not [p for p in interrupted if p.name.endswith(".tmp")]
+        for path, data in interrupted.items():
+            assert data in (old.get(path), new[path]), path
+
+    @pytest.mark.parametrize("name", ["calibration.json", "rms.csv"])
+    def test_calibrate(self, tmp_path, cut, name):
+        out = tmp_path / "out"
+        assert run("calibrate", "--out", str(out), "--samples", "30") == 0
+        self.check(out, cut, name,
+                   ["calibrate", "--out", str(out), "--samples", "30", "--noise", "0.05"])
+
+    @pytest.mark.parametrize("name", ["confusion.csv", "confusion.svg", "evaluation.json"])
+    def test_eval(self, tmp_path, tiny_config, cut, name):
+        out = tmp_path / "out"
+        argv = ["--config", tiny_config, "--out", str(out)]
+        assert run("synth", *argv) == 0
+        assert run("train", "--mode", "normal-only", *argv) == 0
+        assert run("eval", *argv) == 0
+        assert run("train", *argv) == 0  # normal-and-shear: eval now reports other bytes
+        self.check(out, cut, name, ["eval", *argv])
+
+    @pytest.mark.parametrize("name", ["history_normal_only.csv", "confusion_normal_and_shear.svg",
+                                      "ablation.json"])
+    def test_ablate(self, tmp_path, tiny_config, cut, name):
+        out = tmp_path / "out"
+        argv = ["ablate", "--config", tiny_config, "--out", str(out)]
+        assert run(*argv) == 0
+        self.check(out, cut, name, [*argv, "--seed", "8"])
 
 
 DOCUMENTED_EXIT_CODES = {0, 2, 3, 4, 5, 6}

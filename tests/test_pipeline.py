@@ -13,9 +13,9 @@ from taxelkit.dataio import DatasetReader, load_dataset, save_dataset
 from taxelkit.gestures import GestureClass, GestureRecording, block_recordings, synth_dataset
 from taxelkit.pipeline import (SPLIT_RATIO, STD_FLOOR, SUM_BLOCK, AblationMode, ConfusionMatrix,
                                DatasetSplit, NormalizationStats, TrainConfig,
-                               TrainingDivergedError, apply_normalization, assemble_tensor,
-                               channels_for, evaluate, fill_tensors, fit_normalization,
-                               prepare, prepare_tensors, select, split_dataset, train)
+                               TrainingDivergedError, _recording_rows, apply_normalization,
+                               assemble_tensor, channels_for, evaluate, fill_tensors,
+                               fit_normalization, prepare_tensors, select, split_dataset, train)
 from taxelkit.nn import CnnModel
 
 
@@ -191,11 +191,10 @@ class TestStreamedTensors:
         with DatasetReader(saved_recordings) as reader:
             pairs, stats = prepare_tensors(reader.frames(), reader.headers["label"],
                                            [split.train, split.val, split.test], mode)
-        train_x, train_y, fitted = prepare(recordings, split.train, mode)
+        refs, fitted = prepare_tensors(*_recording_rows(recordings),
+                                       [split.train, split.val, split.test], mode)
         assert stats.mean.tobytes() == fitted.mean.tobytes()
         assert stats.std.tobytes() == fitted.std.tobytes()
-        refs = [(train_x, train_y)] + [prepare(recordings, ids, mode, fitted)[:2]
-                                       for ids in (split.val, split.test)]
         for (x, y), (ref_x, ref_y) in zip(pairs, refs):
             assert x.tobytes() == ref_x.tobytes() and y.tolist() == ref_y.tolist()
 
@@ -417,7 +416,7 @@ class TestPrepare:
     def test_matches_assemble_then_normalize(self, recordings):
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_AND_SHEAR
-        x, y, stats = prepare(recordings, split.train, mode)
+        [(x, y)], stats = prepare_tensors(*_recording_rows(recordings), [split.train], mode)
         raw, raw_y = assemble_tensor(select(recordings, split.train), mode, dtype=np.float32)
         ref = fit_normalization(raw, mode)
         assert x.dtype == np.float32
@@ -428,8 +427,8 @@ class TestPrepare:
     def test_reuses_given_stats(self, recordings):
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_ONLY
-        _, _, stats = prepare(recordings, split.train, mode)
-        x, y, same = prepare(recordings, split.val, mode, stats)
+        _, stats = prepare_tensors(*_recording_rows(recordings), [split.train], mode)
+        [(x, y)], same = prepare_tensors(*_recording_rows(recordings), [split.val], mode, stats)
         assert same is stats
         assert x.shape == (len(split.val), 122, 5, 10) and len(y) == len(split.val)
         raw, _ = assemble_tensor(select(recordings, split.val), mode, dtype=np.float32)
@@ -437,11 +436,12 @@ class TestPrepare:
         # the float32 stats as float64 values, as a checkpoint manifest holds them
         stats64 = NormalizationStats(mode=mode, mean=np.array(stats.mean.tolist()),
                                      std=np.array(stats.std.tolist()))
-        x64, _, _ = prepare(recordings, split.val, mode, stats64)
+        [(x64, _)], _ = prepare_tensors(*_recording_rows(recordings), [split.val], mode,
+                                        stats64)
         assert x64.dtype == np.float32 and x64.tobytes() == x.tobytes()
 
     def test_fits_on_train_once_and_normalizes_once_per_call(self, recordings, monkeypatch):
-        """prepare reaches both stages through the module attributes, once each,
+        """prepare_tensors reaches both stages through the module attributes, once each,
         so the benchmark's wrapped ``pipeline.*_normalization`` rows time the real work."""
         calls = []
         for name in ("fit_normalization", "apply_normalization"):
@@ -451,18 +451,18 @@ class TestPrepare:
             monkeypatch.setattr(pipeline, name, counted)
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_ONLY
-        _, _, stats = prepare(recordings, split.train, mode)
+        _, stats = prepare_tensors(*_recording_rows(recordings), [split.train], mode)
         assert calls == ["fit_normalization", "apply_normalization"]
         calls.clear()
-        prepare(recordings, split.val, mode, stats)
+        prepare_tensors(*_recording_rows(recordings), [split.val], mode, stats)
         assert calls == ["apply_normalization"]
 
     @pytest.mark.parametrize("mode", list(AblationMode))
     def test_tensor_freed_without_the_cycle_collector(self, recordings, mode):
-        """Nothing prepare leaves behind (no closure cycle) keeps a dropped tensor alive."""
+        """Nothing prepare_tensors leaves behind (no closure cycle) keeps a dropped tensor alive."""
         gc.disable()
         try:
-            x, _, _ = prepare(recordings, list(range(40)), mode)
+            [(x, _)], _ = prepare_tensors(*_recording_rows(recordings), [list(range(40))], mode)
             alive = weakref.ref(x if x.base is None else x.base)  # the array owning the data
             del x
             assert alive() is None
@@ -470,7 +470,7 @@ class TestPrepare:
             gc.enable()
 
     def test_holds_one_tensor(self):
-        """Beyond the tensor it returns, prepare allocates one sum block and the
+        """Beyond the tensor it returns, prepare_tensors allocates one sum block and the
         per-row sums, never a second tensor-sized array."""
         n = 300
         rng = np.random.default_rng(0)
@@ -479,7 +479,7 @@ class TestPrepare:
         mode = AblationMode.NORMAL_AND_SHEAR
         tracemalloc.start()
         try:
-            x, _, _ = prepare(recs, list(range(n)), mode)
+            [(x, _)], _ = prepare_tensors(*_recording_rows(recs), [list(range(n))], mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
