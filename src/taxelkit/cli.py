@@ -265,11 +265,18 @@ def _load_model(ckpt_path):
     if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0)).all()):
         raise dataio.FormatError(f"{manifest_path}: normalization stats must be finite float32 "
                                  f"values with std > 0")
-    model = CnnModel(in_channels=c_in)
+    # float32, as trained by ``train``: eval then predicts exactly like ``ablate``
+    model = CnnModel(in_channels=c_in, dtype=np.float32)
     params, header_c_in = dataio.load_checkpoint(ckpt_path, model.shapes())
     if header_c_in != c_in:
         raise dataio.FormatError(f"{ckpt_path}: header has {header_c_in} input channels, "
                                  f"manifest {c_in}")
+    for name, value in params.items():
+        with np.errstate(over="ignore"):
+            inexact = np.count_nonzero(value.astype(np.float32) != value)
+        if inexact:
+            raise dataio.FormatError(f"{ckpt_path}: parameter {name} has {inexact} values "
+                                     f"that are not float32-exact, so it cannot run as trained")
     model.set_params(params)
     return model, stats, split_seed, trained_on
 

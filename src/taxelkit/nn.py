@@ -3,8 +3,9 @@
 Architecture: conv3x3 (pad 1, stride 1) -> ReLU -> dropout(0.5) ->
 maxpool 2x2 (stride 1) -> flatten -> fc -> ReLU -> fc -> 13 logits.
 At full scale the conv has 122 output channels so the flattened feature
-count is 122*4*9 = 4392. Everything is float64 so finite-difference
-gradient checks hold to tight tolerances.
+count is 122*4*9 = 4392. A model computes in the dtype of its parameters:
+float64 by default, so finite-difference gradient checks hold to tight
+tolerances; ``pipeline.train`` builds it in its float32 training tensor's dtype.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ DROPOUT_P = 0.5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-_ADAM_BLOCK = 32 * 1024  # elements per Adam block: 256 KiB of float64
+_ADAM_BLOCK = 32 * 1024  # elements per Adam block: 128 KiB of float32, 256 KiB of float64
 
 
 class ShapeError(ValueError):
@@ -34,12 +35,14 @@ class ShapeError(ValueError):
 # layers (functional, cache-returning)
 
 class Workspace:
-    """Float64 buffers reused from call to call, one per name, each grown to
-    the largest shape asked of it. A model keeps one for its conv, so a
-    training step or prediction allocates no buffer of the batch's im2col
-    size and the heap does not depend on which batch sizes came before."""
+    """Buffers of one dtype reused from call to call, one per name, each grown
+    to the largest shape asked of it. A model keeps one in its parameters'
+    dtype for its conv, so a training step or prediction allocates no buffer
+    of the batch's im2col size and the heap does not depend on which batch
+    sizes came before."""
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self._bufs: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
@@ -49,7 +52,7 @@ class Workspace:
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
             self._bufs.pop(name, None)  # free the smaller buffer before the larger one
-            buf = self._bufs[name] = np.empty(size)
+            buf = self._bufs[name] = np.empty(size, self.dtype)
         return buf[:size].reshape(shape)
 
 
@@ -57,20 +60,21 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                    work: Workspace | None = None):
     """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W), any float dtype.
 
-    The input is written once into a zero-padded float64 (C, N, H+2, W+2)
-    buffer and its windows are copied into the transposed im2col matrix
-    (C*9, R_pad): row (c, i, j), column (n, h, w), R = N*H*W rounded up to a
-    multiple of 8 with zero pad columns. The GEMM is w (K, C*9) @ cols_t.
-    The (C*9, R) view of the matrix is cached: conv2d_backward multiplies it
-    into the weight gradient. Both buffers are taken from ``work`` (a fresh
-    one when None), so the cache holds only until the next call with it.
+    The input is written once, cast to the workspace's dtype, into a
+    zero-padded (C, N, H+2, W+2) buffer and its windows are copied into the
+    transposed im2col matrix (C*9, R_pad): row (c, i, j), column (n, h, w),
+    R = N*H*W rounded up to a multiple of 8 with zero pad columns. The GEMM
+    is w (K, C*9) @ cols_t. The (C*9, R) view of the matrix is cached:
+    conv2d_backward multiplies it into the weight gradient. Both buffers are
+    taken from ``work`` (a fresh one in w's dtype when None), so the cache
+    holds only until the next call with it.
     """
     n, c, h, wd = x.shape
     k_out, c_k, kh, kw = w.shape
     if c != c_k:
         raise ShapeError(f"conv input has {c} channels, kernel expects {c_k}")
     r = n * h * wd
-    work = Workspace() if work is None else work
+    work = Workspace(w.dtype) if work is None else work
     xp = work.take("padded", (c, n, h + kh - 1, wd + kw - 1))
     xp.fill(0.0)  # one pass over the buffer beats four strided border writes
     cols_t = work.take("cols", (c * kh * kw, -(-r // 8) * 8))
@@ -122,7 +126,7 @@ def maxpool2_forward(x: np.ndarray):
 def maxpool2_backward(dy: np.ndarray, cache):
     x_shape, arg = cache
     n, c, ho, wo = dy.shape
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dy.dtype)
     # Window offset a = 2*di + dj. Overlapping windows of one pixel are summed
     # in the order a = 3, 2, 1, 0, the row-major order of the windows, so the
     # result equals the np.add.at scatter bit for bit. A window that did not
@@ -143,9 +147,10 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray):
     return dy * mask
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask, pre-scaled: 0 for a dropped unit, 1/(1-p) for a survivor."""
-    return (rng.random(shape) >= p) * (1.0 / (1.0 - p))
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask, its uniforms drawn in ``dtype``, pre-scaled: 0 for
+    a dropped unit, 1/(1-p) for a survivor."""
+    return (rng.random(shape, dtype=dtype) >= p) * np.asarray(1 / (1 - p), dtype)
 
 
 def dropout_forward(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -188,11 +193,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 # model
 
 class CnnModel:
-    """Conv/FC classifier; full scale is in_channels 122 or 366."""
+    """Conv/FC classifier; full scale is in_channels 122 or 366. Every pass
+    computes in ``dtype``: the weights are drawn in float64 and cast to it."""
 
     def __init__(self, in_channels: int, seed: int = 0, conv_channels: int = CONV_CHANNELS,
-                 hidden: int = HIDDEN):
+                 hidden: int = HIDDEN, dtype=np.float64):
         self.in_channels = in_channels
+        self.dtype = np.dtype(dtype)
         self.flat_dim = conv_channels * (ROWS - 1) * (COLS - 1)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0x494E4954]))
         self.params: dict[str, np.ndarray] = {}
@@ -202,7 +209,8 @@ class CnnModel:
         self.params["fc1_b"] = np.zeros(hidden)
         self.params["fc2_w"] = self._kaiming(rng, (N_CLASSES, hidden), hidden)
         self.params["fc2_b"] = np.zeros(N_CLASSES)
-        self._work = Workspace()  # the conv's buffers, shared by every pass of this model
+        self.params = {k: v.astype(self.dtype) for k, v in self.params.items()}
+        self._work = Workspace(self.dtype)  # the conv's buffers, shared by every pass of this model
 
     @staticmethod
     def _kaiming(rng, shape, fan_in):
@@ -221,7 +229,8 @@ class CnnModel:
         p = self.params
         c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"], self._work)
         r1, r1_mask = relu_forward(c1)
-        drop_mask = None if dropout_rng is None else dropout_mask(r1.shape, DROPOUT_P, dropout_rng)
+        drop_mask = (None if dropout_rng is None
+                     else dropout_mask(r1.shape, DROPOUT_P, dropout_rng, self.dtype))
         d1 = dropout_forward(r1, drop_mask)
         pool, pool_cache = maxpool2_forward(d1)
         flat = pool.reshape(pool.shape[0], -1)
@@ -263,8 +272,9 @@ class CnnModel:
         return {k: v.copy() for k, v in self.params.items()}
 
     def set_params(self, params: dict[str, np.ndarray]) -> None:
+        """Copies of ``params``, cast to the model's dtype."""
         for k in self.params:
-            self.params[k] = params[k].copy()
+            self.params[k] = params[k].astype(self.dtype)
 
 
 @dataclass
@@ -275,10 +285,9 @@ class AdamState:
     step_count: int = field(default=0, init=False)
     m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
     v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
-    # two block-sized work buffers, reused across parameters and steps
-    _work: tuple[np.ndarray, np.ndarray] = field(
-        default_factory=lambda: (np.empty(_ADAM_BLOCK), np.empty(_ADAM_BLOCK)),
-        init=False, repr=False, compare=False)
+    # two block-sized work buffers in the parameters' dtype, reused across
+    # parameters and steps
+    _work: tuple[np.ndarray, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Updates m, v and params in place, with the textbook operation order.
@@ -290,6 +299,8 @@ class AdamState:
         if not self.m:
             self.m = {k: np.zeros_like(v) for k, v in params.items()}
             self.v = {k: np.zeros_like(v) for k, v in params.items()}
+            dtype = np.result_type(*params.values())
+            self._work = (np.empty(_ADAM_BLOCK, dtype), np.empty(_ADAM_BLOCK, dtype))
         self.step_count += 1
         t = self.step_count
         c1 = 1 - ADAM_BETA1**t

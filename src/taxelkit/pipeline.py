@@ -273,8 +273,9 @@ def _predict_batched(model: CnnModel, x: np.ndarray) -> np.ndarray:
 
 def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np.ndarray,
           config: TrainConfig) -> tuple[CnnModel, list[EpochRecord]]:
-    """Mini-batch Adam; returns the best-validation-accuracy checkpoint."""
-    model = CnnModel(in_channels=train_x.shape[1], seed=config.seed)
+    """Mini-batch Adam in the training tensor's dtype; returns the
+    best-validation-accuracy checkpoint."""
+    model = CnnModel(in_channels=train_x.shape[1], seed=config.seed, dtype=train_x.dtype)
     adam = AdamState(lr=config.lr)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x545241494E]))
     history: list[EpochRecord] = []

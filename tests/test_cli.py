@@ -465,6 +465,21 @@ class TestCheckpointManifest:
         ckpt.write_bytes(bytes(data))
         assert self.eval_exit(trained, tiny_config, capsys) == 5
 
+    @pytest.mark.parametrize("bump", ["next_float64", "overflow", "nan"])
+    def test_parameter_not_float32_exact(self, trained, tiny_config, capsys, caplog, bump):
+        # train writes float32 values as float64; eval runs the model in
+        # float32 and refuses a value it would have to round
+        ckpt = trained / "model.tgkm"
+        data = bytearray(ckpt.read_bytes())
+        (last,) = struct.unpack_from("<d", data, len(data) - 8)  # the last fc2_b value
+        value = {"next_float64": np.nextafter(last, np.inf), "overflow": 1e300,
+                 "nan": np.nan}[bump]
+        struct.pack_into("<d", data, len(data) - 8, value)
+        ckpt.write_bytes(bytes(data))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert "parameter fc2_b" in caplog.text and "float32-exact" in caplog.text
+        assert not (trained / "evaluation.json").exists()
+
     @pytest.mark.parametrize("mode", ["normal-only", "normal-and-shear"])
     def test_eval_normalizes_like_ablate(self, tmp_path, tiny_config, mode):
         out = tmp_path / "out"
@@ -640,7 +655,10 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     assert main(["train", "--mode", "normal-only", *argv]) == 0
     assert main(["eval", *argv]) == 0
     params, _ = dataio.load_checkpoint(out / "model.tgkm", model.shapes())
-    assert all(params[k].tobytes() == v.tobytes() for k, v in model.params.items())
+    # the checkpoint stores the float32 model's values as float64, exactly
+    assert all(np.array_equal(params[k], v) for k, v in model.params.items())
+    assert all(params[k].astype(np.float32).tobytes() == v.tobytes()
+               for k, v in model.params.items())
     manifest = json.loads((out / "model.tgkm.json").read_text())["config"]
     assert manifest["norm_mean"] == stats.mean.tolist()
     assert manifest["norm_std"] == stats.std.tolist()

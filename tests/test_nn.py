@@ -124,7 +124,7 @@ def ref_maxpool2_forward(x):
 
 def ref_maxpool2_backward(dy, cache):
     x_shape, arg = cache
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dy.dtype)
     di, dj = np.divmod(arg, 2)
     ni, ci, hi, wi = np.indices(dy.shape)
     np.add.at(dx, (ni, ci, hi + di, wi + dj), dy)
@@ -146,7 +146,7 @@ def ref_masked_maxpool2_forward(x):
 def ref_masked_maxpool2_backward(dy, cache):
     x_shape, arg = cache
     ho, wo = dy.shape[2:]
-    dx = np.zeros(x_shape)
+    dx = np.zeros(x_shape, dy.dtype)
     for a in (3, 2, 1, 0):
         di, dj = divmod(a, 2)
         dx[:, :, di:di + ho, dj:dj + wo] += np.where(arg == a, dy, 0.0)
@@ -237,43 +237,59 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("channels", [122, 366])
     @pytest.mark.parametrize("batch", [21, 22, 32, 47])
     def test_loss_and_grads_bit_identical(self, batch, channels, monkeypatch):
+        # a float64 and a float32 model, each against the reference kernels
         rng = np.random.default_rng(channels + batch)
         x = rng.normal(size=(batch, channels, 5, 10))
         labels = rng.integers(0, 13, size=batch)
-        model = CnnModel(in_channels=channels, seed=1)
-        loss, grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
-        monkeypatch.setattr(nn, "conv2d_forward", ref_conv2d_forward)
-        monkeypatch.setattr(nn, "conv2d_backward", ref_conv2d_backward)
-        monkeypatch.setattr(nn, "maxpool2_forward", ref_maxpool2_forward)
-        monkeypatch.setattr(nn, "maxpool2_backward", ref_maxpool2_backward)
-        ref_loss, ref_grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
-        assert loss == ref_loss
-        for name in grads:
-            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        results = {}
+        for ref in (False, True):
+            if ref:
+                monkeypatch.setattr(nn, "conv2d_forward", ref_conv2d_forward)
+                monkeypatch.setattr(nn, "conv2d_backward", ref_conv2d_backward)
+                monkeypatch.setattr(nn, "maxpool2_forward", ref_maxpool2_forward)
+                monkeypatch.setattr(nn, "maxpool2_backward", ref_maxpool2_backward)
+            for dtype in (np.float64, np.float32):
+                model = CnnModel(in_channels=channels, seed=1, dtype=dtype)
+                results[ref, dtype] = model.loss_and_grads(x.astype(dtype), labels,
+                                                           np.random.default_rng(5))
+        for dtype in (np.float64, np.float32):
+            (loss, grads), (ref_loss, ref_grads) = results[False, dtype], results[True, dtype]
+            assert loss == ref_loss, dtype
+            for name in grads:
+                assert grads[name].dtype == dtype, name
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), (dtype, name)
 
     @pytest.mark.parametrize("channels", [122, 366])
     def test_train_matches_reference_kernels(self, channels, monkeypatch):
-        # two epochs of pipeline.train over 54 float32 samples: a full batch of
-        # 32 and a partial one of 22 per epoch, then a prediction of the
-        # validation set, all of it the same bits with the reference kernels
+        # two epochs of pipeline.train over 54 float32 samples (as ``train``
+        # gets them) and their float64 casts: a full batch of 32 and a partial
+        # one of 22 per epoch, then a prediction of the validation set, all of
+        # it the same bits with the reference kernels
         rng = np.random.default_rng(channels)
         train_x = rng.normal(size=(54, channels, 5, 10)).astype(np.float32)
         train_y = rng.integers(0, 13, size=54)
         val_x = rng.normal(size=(9, channels, 5, 10)).astype(np.float32)
         val_y = rng.integers(0, 13, size=9)
         config = pipeline.TrainConfig(epochs=2, batch_size=32, seed=3, lr=1e-3)
-        model, history = pipeline.train(train_x, train_y, val_x, val_y, config)
-        for name, ref in [("conv2d_forward", ref_conv2d_forward),
-                          ("conv2d_backward", ref_conv2d_backward),
-                          ("maxpool2_forward", ref_maxpool2_forward),
-                          ("maxpool2_backward", ref_maxpool2_backward)]:
-            monkeypatch.setattr(nn, name, ref)
-        ref_model, ref_history = pipeline.train(train_x, train_y, val_x, val_y, config)
-        assert [h.train_loss.hex() for h in history] == \
-            [h.train_loss.hex() for h in ref_history]
-        assert [h.val_acc for h in history] == [h.val_acc for h in ref_history]
-        for name, value in model.params.items():
-            assert value.tobytes() == ref_model.params[name].tobytes(), name
+        results = {}
+        for ref in (False, True):
+            if ref:
+                for name, kernel in [("conv2d_forward", ref_conv2d_forward),
+                                     ("conv2d_backward", ref_conv2d_backward),
+                                     ("maxpool2_forward", ref_maxpool2_forward),
+                                     ("maxpool2_backward", ref_maxpool2_backward)]:
+                    monkeypatch.setattr(nn, name, kernel)
+            for dtype in (np.float64, np.float32):
+                results[ref, dtype] = pipeline.train(train_x.astype(dtype), train_y,
+                                                     val_x.astype(dtype), val_y, config)
+        for dtype in (np.float64, np.float32):
+            (model, history), (ref_model, ref_history) = results[False, dtype], results[True, dtype]
+            assert [h.train_loss.hex() for h in history] == \
+                [h.train_loss.hex() for h in ref_history]
+            assert [h.val_acc for h in history] == [h.val_acc for h in ref_history]
+            for name, value in model.params.items():
+                assert value.dtype == dtype, name
+                assert value.tobytes() == ref_model.params[name].tobytes(), (dtype, name)
 
 
 class TestWorkspace:
@@ -321,17 +337,18 @@ class TestWorkspace:
         for name in grads:
             assert grads[name].tobytes() == ref_grads[name].tobytes(), name
 
-    def test_training_step_allocates_no_im2col_buffer(self):
+    @staticmethod
+    def assert_steps_allocate_no_im2col_buffer(dtype):
         # after the first step, a step of the same or a smaller batch allocates
         # nothing near the im2col matrix's size, partial batches whose N*H*W is
         # not a multiple of 8 included
         rng = np.random.default_rng(6)
-        model = CnnModel(in_channels=366, seed=0)
+        model = CnnModel(in_channels=366, seed=0, dtype=dtype)
         x = rng.normal(size=(32, 366, 5, 10)).astype(np.float32)
         labels = rng.integers(0, 13, size=32)
         gen = np.random.default_rng(0)
         model.loss_and_grads(x, labels, gen)
-        cols_bytes = 366 * 9 * 32 * 50 * 8
+        cols_bytes = 366 * 9 * 32 * 50 * np.dtype(dtype).itemsize
         tracemalloc.start()
         try:
             for n in (32, 24, 22, 21):
@@ -341,6 +358,92 @@ class TestWorkspace:
                 assert tracemalloc.get_traced_memory()[1] - base < cols_bytes / 2, n
         finally:
             tracemalloc.stop()
+
+    def test_training_step_allocates_no_im2col_buffer(self):
+        self.assert_steps_allocate_no_im2col_buffer(np.float64)
+
+    def test_float32_training_step_allocates_no_im2col_buffer(self):
+        self.assert_steps_allocate_no_im2col_buffer(np.float32)
+
+
+LAYERS = ("conv2d_forward", "conv2d_backward", "maxpool2_forward", "maxpool2_backward",
+          "relu_forward", "relu_backward", "dropout_mask", "dropout_forward",
+          "dropout_backward", "linear_forward", "linear_backward", "softmax_cross_entropy")
+
+
+def float_arrays(value):
+    """Every floating-point array in a layer's result, caches included."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype.kind == "f" else []
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in float_arrays(v)]
+    return []
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("channels", [122, 366])
+    def test_no_float64_leaks_into_a_training_step(self, channels, monkeypatch):
+        # every array a float32 step forms or keeps is float32: each layer's
+        # outputs and caches (the dropout mask and maxpool's dx among them),
+        # the gradients, the parameters, Adam's moments and block buffers and
+        # the conv workspace, over a full batch and a partial one
+        rng = np.random.default_rng(channels)
+        x = rng.normal(size=(32, channels, 5, 10)).astype(np.float32)
+        labels = rng.integers(0, 13, size=32)
+        formed = {}
+
+        def recording(name, layer):
+            def wrapped(*args, **kwargs):
+                result = layer(*args, **kwargs)
+                formed.setdefault(name, []).extend(float_arrays(result))
+                return result
+            return wrapped
+        for name in LAYERS:
+            monkeypatch.setattr(nn, name, recording(name, getattr(nn, name)))
+        model = CnnModel(in_channels=channels, seed=0, dtype=np.float32)
+        adam = AdamState()
+        gen = np.random.default_rng(1)
+        for n in (32, 22):
+            _, grads = model.loss_and_grads(x[:n], labels[:n], gen)
+            adam.step(model.params, grads)
+        assert set(formed) == set(LAYERS)
+        for name, arrays in formed.items():
+            assert {a.dtype for a in arrays} == {np.dtype(np.float32)}, name
+        kept = [*grads.values(), *model.params.values(), *adam.m.values(), *adam.v.values(),
+                *adam._work, *model._work._bufs.values()]
+        assert len(model._work._bufs) == 2 and len(adam._work) == 2
+        assert {a.dtype for a in kept} == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("channels", [122, 366])
+    def test_gradients_agree_with_float64(self, channels):
+        # the same rounded parameters and inputs in both dtypes, no dropout
+        rng = np.random.default_rng(channels + 1)
+        x = rng.normal(size=(22, channels, 5, 10)).astype(np.float32)
+        labels = rng.integers(0, 13, size=22)
+        model32 = CnnModel(in_channels=channels, seed=4, dtype=np.float32)
+        model64 = CnnModel(in_channels=channels, seed=4)
+        model64.set_params(model32.params)
+        loss32, grads32 = model32.loss_and_grads(x, labels)
+        loss64, grads64 = model64.loss_and_grads(x, labels)
+        # bounds of about 10 (loss) and 100 (gradients) float32 epsilons;
+        # measured: the loss within 5e-8 and every gradient within 5e-7 relative
+        assert loss32 == pytest.approx(loss64, rel=1e-6)
+        for name in grads64:
+            assert rel_err(grads32[name], grads64[name]) < 1e-5, name
+
+    def test_model_casts_the_float64_draw(self):
+        model32 = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5, dtype=np.float32)
+        model64 = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
+        for name, value in model64.params.items():
+            assert model32.params[name].tobytes() == value.astype(np.float32).tobytes(), name
+        model32.set_params(model64.params)
+        assert all(v.dtype == np.float32 for v in model32.params.values())
+
+    def test_float32_dropout_mask_draws_float32_uniforms(self):
+        mask = dropout_mask((4, 50), nn.DROPOUT_P, np.random.default_rng(3), np.float32)
+        uniforms = np.random.default_rng(3).random((4, 50), dtype=np.float32)
+        assert mask.dtype == np.float32
+        assert np.array_equal(mask, np.where(uniforms >= nn.DROPOUT_P, 2.0, 0.0))
 
 
 class TestMaxpool:
