@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import COLS, ROWS
 from .gestures import N_CLASSES
@@ -38,22 +37,35 @@ class Workspace:
     """Buffers of one dtype reused from call to call, one per name, each grown
     to the largest shape asked of it. A model keeps one in its parameters'
     dtype for its conv, so a training step or prediction allocates no buffer
-    of the batch's im2col size and the heap does not depend on which batch
+    of the conv's stacked-tap size and the heap does not depend on which batch
     sizes came before."""
 
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._bufs: dict[str, np.ndarray] = {}
+        self._shapes: dict[str, tuple[int, ...]] = {}
 
-    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...], zeroed: bool = False) -> np.ndarray:
         """A C-contiguous view of ``shape`` over the buffer ``name``; its
-        contents are whatever the last user left."""
+        contents are whatever the last user left. With ``zeroed`` the view is
+        zero-filled whenever ``shape`` differs from the last take of ``name``,
+        so cells the caller never writes stay zero from call to call."""
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
             self._bufs.pop(name, None)  # free the smaller buffer before the larger one
             buf = self._bufs[name] = np.empty(size, self.dtype)
-        return buf[:size].reshape(shape)
+        view = buf[:size].reshape(shape)
+        if zeroed and self._shapes.get(name) != shape:
+            view.fill(0.0)
+        self._shapes[name] = shape
+        return view
+
+
+def _shift(d: int, n: int) -> tuple[slice, slice]:
+    """(source, target) slices of a tap offset d along an axis of n cells:
+    target cell t reads source cell t + d, for every t that keeps it inside."""
+    return slice(max(0, d), n + min(0, d)), slice(max(0, -d), n - max(0, d))
 
 
 def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -61,43 +73,54 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     """3x3 convolution, zero padding 1, stride 1. x: (N, C, H, W), any float dtype.
 
     The input is written once, cast to the workspace's dtype, into a
-    zero-padded (C, N, H+2, W+2) buffer and its windows are copied into the
-    transposed im2col matrix (C*9, R_pad): row (c, i, j), column (n, h, w),
-    R = N*H*W rounded up to a multiple of 8 with zero pad columns. The GEMM
-    is w (K, C*9) @ cols_t. The (C*9, R) view of the matrix is cached:
-    conv2d_backward multiplies it into the weight gradient. Both buffers are
-    taken from ``work`` (a fresh one in w's dtype when None), so the cache
-    holds only until the next call with it.
+    batch-minor X (C, H*W*N). One GEMM of the stacked taps,
+    Z = w (9K, C) @ X with row (i, j, k), gives every tap's product with the
+    unpadded input; y is the centre tap's Z plus the bias, then the other
+    eight taps' Z added at their shifts in row-major tap order, so no padded
+    or im2col copy of the input is formed. y is returned as the (N, K, H, W)
+    view of a batch-minor (K, H, W, N) array. X is cached for
+    conv2d_backward; it and Z are taken from ``work`` (a fresh one in w's
+    dtype when None), so the cache holds only until the next call with it.
     """
     n, c, h, wd = x.shape
     k_out, c_k, kh, kw = w.shape
     if c != c_k:
         raise ShapeError(f"conv input has {c} channels, kernel expects {c_k}")
-    r = n * h * wd
     work = Workspace(w.dtype) if work is None else work
-    xp = work.take("padded", (c, n, h + kh - 1, wd + kw - 1))
-    xp.fill(0.0)  # one pass over the buffer beats four strided border writes
-    cols_t = work.take("cols", (c * kh * kw, -(-r // 8) * 8))
-    xp[:, :, 1:1 + h, 1:1 + wd] = x.transpose(1, 0, 2, 3)
-    cols_t[:, r:] = 0.0
-    cols = cols_t[:, :r]
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (C, N, H, W, kh, kw)
-    cols.reshape(c, kh, kw, n, h, wd, copy=False)[...] = windows.transpose(0, 4, 5, 1, 2, 3)
-    y = np.dot(w.reshape(k_out, -1), cols_t)[:, :r]  # (K, N*H*W)
-    y = np.transpose(y.reshape(k_out, n, h, wd), (1, 0, 2, 3)) + b[None, :, None, None]
-    return y, (cols, w)
+    xt = work.take("input", (c, h, wd, n))
+    xt[...] = x.transpose(1, 2, 3, 0)
+    xt = xt.reshape(c, -1)
+    z = work.take("taps", (kh, kw, k_out, h, wd, n))
+    np.matmul(w.transpose(2, 3, 0, 1).reshape(-1, c), xt, out=z.reshape(-1, xt.shape[1]))
+    ci, cj = kh // 2, kw // 2
+    y = z[ci, cj] + b[:, None, None, None]
+    for i, j in np.ndindex(kh, kw):
+        if (i, j) != (ci, cj):
+            (hs, ht), (ws, wt) = _shift(i - ci, h), _shift(j - cj, wd)
+            y[:, ht, wt] += z[i, j, :, hs, ws]
+    return y.transpose(3, 0, 1, 2), (xt, w, work)
 
 
 def conv2d_backward(dy: np.ndarray, cache):
     """Returns (None, dw, db). The conv is the network's input layer, so no
-    input gradient is formed; the first slot keeps the (dx, dw, db) layout."""
-    cols, w = cache
-    k_out = dy.shape[1]
-    db = dy.sum(axis=(0, 2, 3))
-    # dW[k, (c,i,j)] = sum_{n,h,w} dy[n,k,h,w] * cols[(c,i,j), (n,h,w)]; matmul hands
-    # BLAS the row-strided view as is, where np.dot copies it unless R % 8 == 0
-    dw = np.matmul(dy.transpose(1, 0, 2, 3).reshape(k_out, -1), cols.T).reshape(w.shape)
-    return None, dw, db
+    input gradient is formed; the first slot keeps the (dx, dw, db) layout.
+
+    dy may be in any memory order. db sums a C-order dy, so its bits do not
+    depend on that order. dW is the (9K, H*W*N) stack of dy shifted by each
+    tap times X.T; the stack's border cells are zeroed only when its shape
+    changes, every other cell is rewritten on each call.
+    """
+    xt, w, work = cache
+    n, k_out, h, wd = dy.shape
+    kh, kw = w.shape[2:]
+    db = np.ascontiguousarray(dy).sum(axis=(0, 2, 3))
+    stack = work.take("dy_taps", (kh, kw, k_out, h, wd, n), zeroed=True)
+    dyt = dy.transpose(1, 2, 3, 0)
+    for i, j in np.ndindex(kh, kw):
+        (hs, ht), (ws, wt) = _shift(i - kh // 2, h), _shift(j - kw // 2, wd)
+        stack[i, j, :, hs, ws] = dyt[:, ht, wt]
+    dw = np.matmul(stack.reshape(-1, xt.shape[1]), xt.T)  # (9K, C), row (i, j, k)
+    return None, np.ascontiguousarray(dw.reshape(kh, kw, k_out, -1).transpose(2, 3, 0, 1)), db
 
 
 def maxpool2_forward(x: np.ndarray):
@@ -126,7 +149,7 @@ def maxpool2_forward(x: np.ndarray):
 def maxpool2_backward(dy: np.ndarray, cache):
     x_shape, arg = cache
     n, c, ho, wo = dy.shape
-    dx = np.zeros(x_shape, dy.dtype)
+    dx = np.zeros_like(dy, shape=x_shape)  # in dy's memory order
     # Window offset a = 2*di + dj. Overlapping windows of one pixel are summed
     # in the order a = 3, 2, 1, 0, the row-major order of the windows, so the
     # result equals the np.add.at scatter bit for bit. A window that did not
@@ -192,9 +215,18 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 # ---------------------------------------------------------------------------
 # model
 
+def _batch_minor(a: np.ndarray) -> np.ndarray:
+    """The (N, C, H, W) view of a copy of ``a`` laid out (C, H, W, N), the
+    memory order the conv's output keeps through ReLU, dropout and maxpool."""
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+
+
 class CnnModel:
     """Conv/FC classifier; full scale is in_channels 122 or 366. Every pass
-    computes in ``dtype``: the weights are drawn in float64 and cast to it."""
+    computes in ``dtype``: the weights are drawn in float64 and cast to it.
+    The conv output keeps its batch-minor memory order through ReLU, dropout
+    and maxpool, which see it as (N, K, H, W) views; the FC layers get a
+    C-order (N, features) copy."""
 
     def __init__(self, in_channels: int, seed: int = 0, conv_channels: int = CONV_CHANNELS,
                  hidden: int = HIDDEN, dtype=np.float64):
@@ -230,10 +262,13 @@ class CnnModel:
         c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"], self._work)
         r1, r1_mask = relu_forward(c1)
         drop_mask = (None if dropout_rng is None
-                     else dropout_mask(r1.shape, DROPOUT_P, dropout_rng, self.dtype))
+                     else _batch_minor(dropout_mask(r1.shape, DROPOUT_P, dropout_rng, self.dtype)))
         d1 = dropout_forward(r1, drop_mask)
         pool, pool_cache = maxpool2_forward(d1)
-        flat = pool.reshape(pool.shape[0], -1)
+        # a C-order copy, features in (k, h, w) order: the reshape alone is a
+        # transposed view, on which the FC GEMMs run about 3x slower and round
+        # differently
+        flat = np.ascontiguousarray(pool.reshape(pool.shape[0], -1))
         h1, fc1_cache = linear_forward(flat, p["fc1_w"], p["fc1_b"])
         a1, a1_mask = relu_forward(h1)
         logits, fc2_cache = linear_forward(a1, p["fc2_w"], p["fc2_b"])
@@ -250,7 +285,7 @@ class CnnModel:
         da1, grads["fc2_w"], grads["fc2_b"] = linear_backward(dlogits, fc2_cache)
         dh1 = relu_backward(da1, a1_mask)
         dflat, grads["fc1_w"], grads["fc1_b"] = linear_backward(dh1, fc1_cache)
-        dpool = dflat.reshape(pool_shape)
+        dpool = _batch_minor(dflat.reshape(pool_shape))
         dd1 = maxpool2_backward(dpool, pool_cache)
         dr1 = dropout_backward(dd1, drop_mask)
         dc1 = relu_backward(dr1, r1_mask)

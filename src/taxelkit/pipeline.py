@@ -30,7 +30,10 @@ SPLIT_RATIO = (3081, 390, 390)
 STD_FLOOR = 1e-8
 SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sum of squares
 
-PREDICT_BATCH = 32  # the default training batch, so predictions fit the conv workspace
+# Bounds the conv workspace a prediction grows: its stacked-tap products hold
+# 9*K*50 values per sample. 32 is the default training batch, so a prediction
+# reuses the buffers a training step grew.
+PREDICT_BATCH = 32
 
 
 class AblationMode(enum.Enum):

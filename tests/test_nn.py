@@ -83,36 +83,104 @@ class TestConv:
         assert rel_err(db, numeric_grad(loss, b)) < 1e-7
 
 
-# Reference kernels: the window-view tensordot convolution, the im2col np.dot
-# convolution, the argmax maxpool with its np.add.at scatter, and the masked
-# np.copyto/np.where maxpool, that the optimized layers must reproduce bit for bit.
+class TestConvProperties:
+    """The stacked-tap conv at random batch, channel and map sizes, in both dtypes."""
+
+    TOLERANCE = {np.float64: 1e-12, np.float32: 1e-5}  # relative to the largest |value|
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), c=st.integers(1, 9), k=st.integers(1, 9),
+           h=st.integers(1, 6), wd=st.integers(1, 11), tap=st.tuples(st.integers(0, 2),
+                                                                    st.integers(0, 2)),
+           dtype=st.sampled_from([np.float64, np.float32]), seed=st.integers(0, 2**32 - 1))
+    def test_conv_properties(self, n, c, k, h, wd, tap, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, c, h, wd)).astype(dtype)
+        # one non-zero tap (i, j), output channel k reading input channel
+        # k % c: y is exactly the zero-padded input shifted by the tap, times
+        # the weight, which an off-by-one border slice would break
+        i, j = tap
+        w = np.zeros((k, c, 3, 3), dtype)
+        weight = rng.normal(size=k).astype(dtype)
+        w[np.arange(k), np.arange(k) % c, i, j] = weight
+        y, _ = conv2d_forward(x, w, np.zeros(k, dtype))
+        shifted = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))[:, :, i:i + h, j:j + wd]
+        assert np.array_equal(y, weight[None, :, None, None] * shifted[:, np.arange(k) % c])
+
+        # a dense kernel: forward and dW equal float64 tensordot to rounding
+        w = rng.normal(size=(k, c, 3, 3)).astype(dtype)
+        b = rng.normal(size=k).astype(dtype)
+        dy = rng.normal(size=(n, k, h, wd)).astype(dtype)
+        y, cache = conv2d_forward(x, w, b)
+        _, dw, db = conv2d_backward(dy, cache)
+        ref_y, ref_dw = tensordot_conv(x, w, b, dy)
+        assert y.dtype == dw.dtype == db.dtype == dtype
+        assert rel_err(y, ref_y) < self.TOLERANCE[dtype]
+        assert rel_err(dw, ref_dw) < self.TOLERANCE[dtype]
+
+        # db is the C-order sum whatever dy's memory order; the model hands
+        # the conv a batch-minor dy, which numpy would sum in another order
+        assert db.tobytes() == dy.sum(axis=(0, 2, 3)).tobytes()
+        batch_minor = np.ascontiguousarray(dy.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+        _, dw_bm, db_bm = conv2d_backward(batch_minor, cache)
+        assert db_bm.tobytes() == db.tobytes()
+        assert dw_bm.tobytes() == dw.tobytes()
+
+
+# Reference kernels: the stacked-tap tensordot convolution, the argmax maxpool
+# with its np.add.at scatter, and the masked np.copyto/np.where maxpool, that
+# the optimized layers must reproduce bit for bit; and the window-view float64
+# tensordot convolution, which the conv must match to rounding.
+
+def ref_tap_slices(d, n):
+    """(target, source) slices of tap offset d along an axis of n cells: the
+    targets t whose source t + d lies inside [0, n)."""
+    target = slice(max(0, -d), n - max(0, d))
+    return target, slice(target.start + d, target.stop + d)
+
+
+OFF_CENTRE_TAPS = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
+
 
 def ref_conv2d_forward(x, w, b, work=None):
-    # the model passes its workspace; the reference allocates its own arrays
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    windows = sliding_window_view(xp, (3, 3), axis=(2, 3))
-    y = np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.transpose(y, (0, 3, 1, 2)) + b[None, :, None, None], (windows, w)
+    # the model passes its workspace; the reference allocates its own arrays.
+    # z[i, j] = w[:, :, i, j] @ X for the unpadded input X (C, H*W*N); y is the
+    # centre tap plus the bias, then each other tap's shifted z in row-major
+    # order. y is returned C-order, so the layers after it run in the memory
+    # order the model used before its batch-minor layout
+    n, c, h, wd = x.shape
+    xt = x.astype(w.dtype).transpose(1, 2, 3, 0).reshape(c, -1)
+    z = np.tensordot(w.transpose(2, 3, 0, 1), xt, axes=1).reshape(3, 3, -1, h, wd, n)
+    y = z[1, 1] + b[:, None, None, None]
+    for i, j in OFF_CENTRE_TAPS:
+        (ht, hs), (wt, ws) = ref_tap_slices(i - 1, h), ref_tap_slices(j - 1, wd)
+        y[:, ht, wt] += z[i, j, :, hs, ws]
+    return np.ascontiguousarray(y.transpose(3, 0, 1, 2)), (xt, w)
 
 
 def ref_conv2d_backward(dy, cache):
-    # the conv is the input layer: no dx, as in conv2d_backward
-    windows, w = cache
-    dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
-    return None, dw, dy.sum(axis=(0, 2, 3))
+    # the conv is the input layer: no dx, as in conv2d_backward. dW is the
+    # stack of dy shifted by each tap, zero where the shift leaves the map,
+    # times X.T; db sums the C-order dy
+    xt, w = cache
+    n, k, h, wd = dy.shape
+    stack = np.zeros((3, 3, k, h, wd, n), w.dtype)
+    for i in range(3):
+        for j in range(3):
+            (ht, hs), (wt, ws) = ref_tap_slices(i - 1, h), ref_tap_slices(j - 1, wd)
+            stack[i, j, :, hs, ws] = dy.transpose(1, 2, 3, 0)[:, ht, wt]
+    dw = (stack.reshape(9 * k, -1) @ xt.T).reshape(3, 3, k, -1).transpose(2, 3, 0, 1)
+    return None, dw, np.ascontiguousarray(dy).sum(axis=(0, 2, 3))
 
 
-def ref_im2col_conv(x, w, b, dy):
-    """(y, dW) of the (N*H*W, C*9) im2col matrix times the transposed kernel."""
-    n, c, h, wd = x.shape
-    k = w.shape[0]
+def tensordot_conv(x, w, b, dy):
+    """(y, dW) of the window-view tensordot over the zero-padded input, in float64."""
+    x, w, b, dy = (np.asarray(a, np.float64) for a in (x, w, b, dy))
     windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1))), (3, 3),
-                                  axis=(2, 3))
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * wd, c * 9)
-    y = np.dot(cols, w.transpose(1, 2, 3, 0).reshape(c * 9, k))
-    y = np.transpose(y.reshape(n, h, wd, k), (0, 3, 1, 2)) + b[None, :, None, None]
-    dw = np.dot(dy.transpose(1, 0, 2, 3).reshape(k, -1), cols).reshape(w.shape)
-    return y, dw
+                                  axis=(2, 3))  # (N, C, H, W, 3, 3)
+    y = np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3]))
+    dw = np.tensordot(dy, windows, axes=([0, 2, 3], [0, 2, 3]))
+    return np.transpose(y, (0, 3, 1, 2)) + b[None, :, None, None], dw
 
 
 def ref_maxpool2_forward(x):
@@ -208,23 +276,33 @@ class TestReferenceEquivalence:
         x = RNG.normal(size=(8, 122, 5, 10))
         w = RNG.normal(size=(122, 122, 3, 3))
         b = RNG.normal(size=122)
-        y, _ = conv2d_forward(x, w, b)
+        dy = RNG.normal(size=(8, 122, 5, 10))
+        y, cache = conv2d_forward(x, w, b)
+        _, dw, _ = conv2d_backward(dy, cache)
         assert y.tobytes() == ref_conv2d_forward(x, w, b)[0].tobytes()
+        # the window-view float64 tensordot sums in another order: equal to
+        # rounding (measured: about 1e-15 relative)
+        ref_y, ref_dw = tensordot_conv(x, w, b, dy)
+        assert rel_err(y, ref_y) < 1e-14
+        assert rel_err(dw, ref_dw) < 1e-14
 
     def test_conv_matches_im2col_dot_over_batch_sizes(self):
-        # batch sizes 1 and 2 take another BLAS path for small matrices and may
-        # differ in the last bit; every larger batch matches bit for bit
+        # the stacked-tap reference at every batch size from 1 to 70, in both
+        # dtypes: the same GEMMs, so the same bits, batch sizes 1 and 2 included
         rng = np.random.default_rng(3)
-        w = rng.normal(size=(122, 122, 3, 3)) * 0.05
-        b = rng.normal(size=122)
-        for n in range(3, 71):
-            x = rng.normal(size=(n, 122, 5, 10))
-            dy = rng.normal(size=(n, 122, 5, 10))
-            y, cache = conv2d_forward(x, w, b)
-            _, dw, _ = conv2d_backward(dy, cache)
-            ref_y, ref_dw = ref_im2col_conv(x, w, b, dy)
-            assert y.tobytes() == ref_y.tobytes(), n
-            assert dw.tobytes() == ref_dw.tobytes(), n
+        for dtype in (np.float64, np.float32):
+            w = (rng.normal(size=(122, 122, 3, 3)) * 0.05).astype(dtype)
+            b = rng.normal(size=122).astype(dtype)
+            for n in range(1, 71):
+                x = rng.normal(size=(n, 122, 5, 10))
+                dy = rng.normal(size=(n, 122, 5, 10)).astype(dtype)
+                y, cache = conv2d_forward(x, w, b)
+                _, dw, db = conv2d_backward(dy, cache)
+                ref_y, ref_cache = ref_conv2d_forward(x, w, b)
+                _, ref_dw, ref_db = ref_conv2d_backward(dy, ref_cache)
+                assert y.tobytes() == ref_y.tobytes(), (dtype, n)
+                assert dw.tobytes() == ref_dw.tobytes(), (dtype, n)
+                assert db.tobytes() == ref_db.tobytes(), (dtype, n)
 
     def test_conv_casts_float32_input_exactly(self):
         x = RNG.normal(size=(5, 4, 5, 10)).astype(np.float32)
@@ -303,16 +381,29 @@ class TestWorkspace:
         assert not np.shares_memory(a, c)  # a larger one grows it
         assert not np.shares_memory(c, work.take("padded", (4, 4)))
 
+    def test_zeroed_take_fills_only_on_a_new_shape(self):
+        work = Workspace()
+        work.take("taps", (12,))[:] = np.nan
+        a = work.take("taps", (2, 5), zeroed=True)
+        assert (a == 0).all()  # a new shape over old contents
+        a[:] = 1.0
+        assert (work.take("taps", (2, 5), zeroed=True) == 1.0).all()  # the same shape keeps them
+        assert (work.take("taps", (5, 2), zeroed=True) == 0).all()
+        work.take("taps", (5, 2))[:] = 1.0
+        assert (work.take("taps", (4, 4), zeroed=True) == 0).all()  # grown
+
     def test_conv_with_workspace_matches_fresh_buffers(self):
-        # batch sizes up and down, over buffers left full of garbage: the pad
-        # border and the pad columns are rewritten on every call
+        # batch sizes up, down and repeated, over buffers left full of garbage:
+        # the shifted-dy stack's border is zeroed whenever its shape changes
+        # and never written, and every other cell is rewritten on every call
         rng = np.random.default_rng(9)
         w = rng.normal(size=(6, 5, 3, 3))
         b = rng.normal(size=6)
         work = Workspace()
-        work.take("padded", (5 * 70 * 7 * 12,))[:] = np.nan
-        work.take("cols", (5 * 9 * 70 * 50,))[:] = np.nan
-        for n in (3, 70, 5, 33, 4):
+        for name, size in (("input", 5 * 70 * 50), ("taps", 9 * 6 * 70 * 50),
+                           ("dy_taps", 9 * 6 * 70 * 50)):
+            work.take(name, (size,))[:] = np.nan
+        for n in (3, 70, 70, 5, 33, 33, 4):
             x = rng.normal(size=(n, 5, 5, 10))
             dy = rng.normal(size=(n, 6, 5, 10))
             y, cache = conv2d_forward(x, w, b, work)
@@ -324,46 +415,53 @@ class TestWorkspace:
             assert db.tobytes() == ref_db.tobytes(), n
 
     def test_model_passes_do_not_leak_into_each_other(self):
+        # one model through the desk set's batch sequence, a full training
+        # batch of 32, the partial one of 22 and a 15-sample prediction, twice:
+        # each pass has the bits of the same pass on a fresh model, so no
+        # buffer (the shifted-dy stack's zero border included) carries over.
+        # A small float64 model, then the float32 model at C = 366
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(32, 8, 5, 10))
-        labels = rng.integers(0, 13, size=32)
-        used = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
-        used.predict(rng.normal(size=(47, 8, 5, 10)))
-        used.loss_and_grads(x[:21], labels[:21], np.random.default_rng(1))
-        fresh = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
-        loss, grads = used.loss_and_grads(x, labels, np.random.default_rng(5))
-        ref_loss, ref_grads = fresh.loss_and_grads(x, labels, np.random.default_rng(5))
-        assert loss == ref_loss
-        for name in grads:
-            assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+        for in_channels, conv_channels, hidden, dtype in [
+                (8, 6, 5, np.float64), (366, nn.CONV_CHANNELS, nn.HIDDEN, np.float32)]:
+            x = rng.normal(size=(32, in_channels, 5, 10)).astype(dtype)
+            labels = rng.integers(0, 13, size=32)
 
-    @staticmethod
-    def assert_steps_allocate_no_im2col_buffer(dtype):
-        # after the first step, a step of the same or a smaller batch allocates
-        # nothing near the im2col matrix's size, partial batches whose N*H*W is
-        # not a multiple of 8 included
+            def new_model():
+                return CnnModel(in_channels=in_channels, seed=2, conv_channels=conv_channels,
+                                hidden=hidden, dtype=dtype)
+
+            def run(model, n, seed):
+                if n == 15:
+                    return [model.predict(x[:n]).tobytes()]
+                loss, grads = model.loss_and_grads(x[:n], labels[:n],
+                                                   np.random.default_rng(seed))
+                return [loss, *(grads[name].tobytes() for name in sorted(grads))]
+
+            used = new_model()
+            for seed, n in enumerate((32, 22, 15, 32, 22, 15)):
+                assert run(used, n, seed) == run(new_model(), n, seed), (in_channels, seed, n)
+
+    def test_training_step_allocates_no_im2col_buffer(self):
+        # after the first step, a float32 batch-32 step at C = 366 allocates
+        # no array of the im2col matrix's 9*C*N*H*W elements (a step's own
+        # arrays peak at about half that), nor do the partial batch after it
+        # and the full batch after that
         rng = np.random.default_rng(6)
-        model = CnnModel(in_channels=366, seed=0, dtype=dtype)
+        model = CnnModel(in_channels=366, seed=0, dtype=np.float32)
         x = rng.normal(size=(32, 366, 5, 10)).astype(np.float32)
         labels = rng.integers(0, 13, size=32)
         gen = np.random.default_rng(0)
         model.loss_and_grads(x, labels, gen)
-        cols_bytes = 366 * 9 * 32 * 50 * np.dtype(dtype).itemsize
+        cols_bytes = 9 * 366 * 32 * 50 * 4
         tracemalloc.start()
         try:
-            for n in (32, 24, 22, 21):
+            for n in (32, 22, 32):
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 model.loss_and_grads(x[:n], labels[:n], gen)
-                assert tracemalloc.get_traced_memory()[1] - base < cols_bytes / 2, n
+                assert tracemalloc.get_traced_memory()[1] - base < cols_bytes, n
         finally:
             tracemalloc.stop()
-
-    def test_training_step_allocates_no_im2col_buffer(self):
-        self.assert_steps_allocate_no_im2col_buffer(np.float64)
-
-    def test_float32_training_step_allocates_no_im2col_buffer(self):
-        self.assert_steps_allocate_no_im2col_buffer(np.float32)
 
 
 LAYERS = ("conv2d_forward", "conv2d_backward", "maxpool2_forward", "maxpool2_backward",
@@ -411,7 +509,7 @@ class TestFloat32:
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}, name
         kept = [*grads.values(), *model.params.values(), *adam.m.values(), *adam.v.values(),
                 *adam._work, *model._work._bufs.values()]
-        assert len(model._work._bufs) == 2 and len(adam._work) == 2
+        assert len(model._work._bufs) == 3 and len(adam._work) == 2
         assert {a.dtype for a in kept} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("channels", [122, 366])
@@ -661,19 +759,39 @@ class TestCnnModel:
         logits, _ = model.forward(x)
         assert np.array_equal(model.predict(x), logits.argmax(axis=1))
 
+    @staticmethod
+    def plain_logits(model, x, dropout_rng=None):
+        """The model's layers composed by hand, over (N, C, H, W) values."""
+        p = model.params
+        h, _ = conv2d_forward(x, p["conv_w"], p["conv_b"])
+        h = relu_forward(h)[0]
+        if dropout_rng is not None:
+            h = dropout_forward(h, dropout_mask(h.shape, nn.DROPOUT_P, dropout_rng))
+        h, _ = maxpool2_forward(h)
+        # flattened from a C-order copy, as the model does: a GEMM's bits depend
+        # on its operands' memory order, and the maxpool output is batch-minor
+        flat = np.ascontiguousarray(h).reshape(len(x), -1)
+        h, _ = relu_forward(linear_forward(flat, p["fc1_w"], p["fc1_b"])[0])
+        return linear_forward(h, p["fc2_w"], p["fc2_b"])[0]
+
     def test_forward_without_generator_is_inference(self):
         # no generator, no dropout: the logits are the plain layer composition,
         # and predict takes their argmax
         model = self.tiny(4)
-        p = model.params
         x = RNG.normal(size=(5, 3, 5, 10))
-        h, _ = conv2d_forward(x, p["conv_w"], p["conv_b"])
-        h, _ = maxpool2_forward(relu_forward(h)[0])
-        h, _ = relu_forward(linear_forward(h.reshape(5, -1), p["fc1_w"], p["fc1_b"])[0])
-        ref, _ = linear_forward(h, p["fc2_w"], p["fc2_b"])
+        ref = self.plain_logits(model, x)
         logits, _ = model.forward(x)
         assert logits.tobytes() == ref.tobytes()
         assert np.array_equal(model.predict(x), ref.argmax(axis=1))
+
+    def test_dropout_mask_is_drawn_over_nchw_units(self):
+        # the mask is one dropout_mask draw of the conv output's (N, K, H, W)
+        # shape, so each uniform drops the unit it indexes in that order,
+        # whatever memory order the model keeps the conv output in
+        model = self.tiny(4)
+        x = RNG.normal(size=(5, 3, 5, 10))
+        logits, _ = model.forward(x, np.random.default_rng(8))
+        assert logits.tobytes() == self.plain_logits(model, x, np.random.default_rng(8)).tobytes()
 
 
 class TestAdam:

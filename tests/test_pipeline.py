@@ -16,7 +16,7 @@ from taxelkit.pipeline import (SPLIT_RATIO, STD_FLOOR, SUM_BLOCK, AblationMode, 
                                TrainingDivergedError, _recording_rows, apply_normalization,
                                assemble_tensor, channels_for, evaluate, fill_tensors,
                                fit_normalization, prepare_tensors, select, split_dataset, train)
-from taxelkit.nn import CnnModel
+from taxelkit.nn import CONV_CHANNELS, CnnModel
 
 
 def reference_tensor(recordings, mode, dtype):
@@ -538,12 +538,14 @@ class TestTrain:
     def test_predictions_fit_the_training_workspace(self):
         # validation (47 rows) and evaluation (390 rows) predict in batches no
         # larger than the training batch, so the conv workspace keeps the
-        # 32-sample im2col size a training step grew it to
+        # 32-sample sizes a training step grew it to
         x, y = self.small_data(n=40, cin=4)
         val_x, val_y = self.small_data(n=47, cin=4, seed=1)
         model, _ = train(x, y, val_x, val_y, TrainConfig(epochs=1, batch_size=32, seed=0))
         evaluate(model, *self.small_data(n=390, cin=4, seed=2))
-        assert model._work._bufs["cols"].size == 4 * 9 * 32 * 5 * 10
+        sizes = {name: buf.size for name, buf in model._work._bufs.items()}
+        taps = 9 * CONV_CHANNELS * 32 * 5 * 10
+        assert sizes == {"input": 4 * 32 * 5 * 10, "taps": taps, "dy_taps": taps}
 
     def test_divergence_detected(self):
         x, y = self.small_data(n=13)
