@@ -163,7 +163,7 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 # synth / train / eval / ablate / viz
 
 def _synthesize(args, cfg: RunConfig):
-    """The synth section ``--full-scale`` or the config selects, and its recordings."""
+    """The synth section ``--full-scale`` or the config selects, and its dataset."""
     s = FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
     return s, gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
 
@@ -189,8 +189,8 @@ def _require_recordings(path, records):
     return records
 
 
-def _load_recordings(path) -> list:
-    """Every recording of a dataset file, its frames rows of one block."""
+def _load_recordings(path) -> np.recarray:
+    """Every record of a dataset file, in one record array."""
     path = _dataset_file(path)
     return _require_recordings(path, dataio.load_dataset(path))
 
@@ -198,7 +198,7 @@ def _load_recordings(path) -> list:
 @contextmanager
 def _read_dataset(path):
     """A dataset file's reader after its header pass; its frame pass streams
-    each record into the tensors, so no frame block is built."""
+    the records one at a time, so no dataset array is built."""
     path = _dataset_file(path)
     with dataio.DatasetReader(path) as reader:
         _require_recordings(path, reader.headers)
@@ -259,7 +259,8 @@ def _load_model(ckpt_path):
         raise dataio.FormatError(f"{manifest_path}: unreadable manifest: {e!r}")
     axes = (mode.n_axes,)
     if (c_in != pipeline.channels_for(mode) or stats.mean.shape != axes
-            or stats.std.shape != axes or not isinstance(split_seed, int) or split_seed < 0):
+            or stats.std.shape != axes or isinstance(split_seed, bool)
+            or not isinstance(split_seed, int) or split_seed < 0):
         raise dataio.FormatError(f"{manifest_path}: c_in, normalization stats or split seed "
                                  f"do not fit mode {mode.value}")
     if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0)).all()):
@@ -348,16 +349,18 @@ def cmd_viz(args, cfg: RunConfig) -> int:
     dataset = args.dataset or args.out / cfg.paths.dataset
     names = [sub / f"frame_{i:03d}.svg" for i in range(gestures.N_FRAMES)] + [sub / "montage.svg"]
     *frame_svgs, montage = _outdir(args, cfg, *names, inputs=[dataset])
-    recs = _load_recordings(dataset)
-    if not 0 <= args.recording_id < len(recs):
+    with _read_dataset(dataset) as reader:
+        # the frame pass checks every record, so a malformed file exits 5 before an unknown id 3
+        picked = [frames.copy() for i, frames in reader.frames() if i == args.recording_id]
+    if not picked:
         raise MissingInputError(f"unknown recording id {args.recording_id} "
-                                f"(dataset has ids 0..{len(recs) - 1})")
-    rec = recs[args.recording_id]
-    for svg, frame in zip(frame_svgs, rec.frames):
+                                f"(dataset has ids 0..{len(reader.headers) - 1})")
+    frames, label = picked[0], GestureClass(reader.headers["label"][args.recording_id])
+    for svg, frame in zip(frame_svgs, frames):
         _write(svg, svgplot.force_field_svg(frame))
-    _write(montage, svgplot.montage_svg(rec.frames))
+    _write(montage, svgplot.montage_svg(frames))
     log.info("wrote %d frame SVGs for recording %d (%s) to %s",
-             len(rec.frames), args.recording_id, rec.label.name, montage.parent)
+             len(frames), args.recording_id, label.name, montage.parent)
     return 0
 
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import N_TAXELS
-from .gestures import N_CLASSES, N_FRAMES, GestureRecording, block_recordings
+from .gestures import N_CLASSES, N_FRAMES, RECORDING
 
 DATASET_MAGIC = b"TGK1"
 CHECKPOINT_MAGIC = b"TGKM"
@@ -67,30 +67,29 @@ def replacing(*paths):
         raise
 
 
-def record_headers(records) -> np.ndarray:
-    """The ``RECORD_HEADER`` array of a recording list, one row per recording;
-    a header array is returned as it is."""
-    if isinstance(records, np.ndarray):
-        return records
-    return np.array([(int(r.label), r.user_id, r.seed) for r in records], dtype=RECORD_HEADER)
+def record_headers(records: np.ndarray) -> np.ndarray:
+    """The file's packed ``RECORD_HEADER`` rows of a ``RECORDING`` dataset or
+    of a header array, field by field in order."""
+    return records[list(RECORD_HEADER.names)].astype(RECORD_HEADER)
 
 
-def save_dataset(recordings: list[GestureRecording], path, config: dict | None = None) -> None:
-    headers = record_headers(recordings)
+def save_dataset(records: np.ndarray, path, config: dict | None = None) -> None:
+    """Write a ``RECORDING`` array as a TGK1 file and its JSON sidecar."""
+    headers = record_headers(records)
     sidecar = {
         "format": "TGK1",
         "version": FORMAT_VERSION,
-        "n_recordings": len(recordings),
+        "n_recordings": len(records),
         "frames": N_FRAMES,
         "taxels": N_TAXELS,
         "config": config or {},
     }
     with replacing(path, sidecar_path(path)) as (fh, side):
-        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(recordings), N_FRAMES,
+        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(records), N_FRAMES,
                                       N_TAXELS))
-        for header, rec in zip(headers, recordings):
+        for header, frames in zip(headers, records["frames"]):
             fh.write(header.tobytes())
-            fh.write(np.ascontiguousarray(rec.frames, dtype="<f4"))
+            fh.write(frames)
         side.write(json.dumps(sidecar, indent=1).encode())
 
 
@@ -154,7 +153,8 @@ class DatasetReader:
     def frames(self, block: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
         """The frame pass: yield ``(i, frames)`` for every record i in file
         order, after checking that its forces are finite, used or not.
-        ``frames`` is ``block[i]`` when a block is given, else one
+        ``frames`` is ``block[i]`` when an ``(n, 122, 49, 3)`` float32 block,
+        such as a dataset's ``frames`` field, is given, else one
         ``(122, 49, 3)`` float32 row that the next record overwrites."""
         fh, path = self._fh, self.path
         fh.seek(_DATASET_HEADER.size)
@@ -169,18 +169,20 @@ class DatasetReader:
             yield i, frames
 
 
-def load_dataset(path) -> list[GestureRecording]:
-    """Read a TGK1 file; the frames are rows of one aligned, read-only block."""
+def load_dataset(path) -> np.recarray:
+    """Read a TGK1 file into a read-only ``RECORDING`` record array."""
     with DatasetReader(path) as reader:
-        block = np.empty((len(reader.headers), N_FRAMES, N_TAXELS, 3), dtype="<f4")
-        for _ in reader.frames(block):
+        records = np.empty(len(reader.headers), dtype=RECORDING)
+        records[list(RECORD_HEADER.names)] = reader.headers
+        for _ in reader.frames(records["frames"]):
             pass
-    return block_recordings(block, reader.headers.tolist())
+    records.flags.writeable = False
+    return records.view(np.recarray)
 
 
-def dataset_id(records) -> str:
+def dataset_id(records: np.ndarray) -> str:
     """SHA-256 over the record count and each record's (label, user, seed) header,
-    of a recording list or a header array.
+    of a dataset or a header array.
 
     Recording seeds derive from the master seed, so the headers tell datasets
     apart without hashing the frames.

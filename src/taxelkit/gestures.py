@@ -9,12 +9,13 @@ downstream classifier.
 
 All randomness flows through numpy SeedSequence keys, so generation is
 bitwise deterministic and safe to parallelize per recording. synth_dataset
-lists every recording's (class, user, seed) in protocol order, then fills one
-(n, 122, 49, 3) float32 block in a shared mapping: the parent takes the first
-contiguous range of rows and one forked child per other usable CPU takes each
-later range. The list, not the worker count, fixes each row's seed, so the
-bytes do not depend on the CPU count. Children call no BLAS and leave through
-os._exit, so they flush no inherited buffer and run no atexit handler.
+lists every recording's (class, user, seed) in protocol order as the header
+fields of one RECORDING array in a shared mapping, then fills its frames: the
+parent takes the first contiguous range of rows and one forked child per
+other usable CPU takes each later range. The list, not the worker count,
+fixes each row's seed, so the bytes do not depend on the CPU count. Children
+call no BLAS and leave through os._exit, so they flush no inherited buffer
+and run no atexit handler.
 """
 from __future__ import annotations
 
@@ -124,19 +125,12 @@ TEMPLATES: dict[GestureClass, GestureTemplate] = {
 }
 
 
-@dataclass(frozen=True)
-class GestureRecording:
-    """122-frame labeled recording, exactly one TGK1 record; frames is
-    (122, 49, 3) float32. A recording's id is its row in its dataset."""
-
-    frames: np.ndarray
-    label: GestureClass
-    user_id: int
-    seed: int
-
-    def __post_init__(self):
-        if self.frames.shape != (N_FRAMES, N_TAXELS, 3):
-            raise ValueError(f"recording must be (122, 49, 3), got {self.frames.shape}")
+# One labeled 122-frame recording, exactly one TGK1 record; a dataset is an
+# array of them and a recording's id is its row. align=True puts frames at
+# byte 16, so each row's frames are C-contiguous and a file's record frames
+# can be read straight into them.
+RECORDING = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8"),
+                      ("frames", "<f4", (N_FRAMES, N_TAXELS, 3))], align=True)
 
 
 def _seed_int(*entropy: int) -> int:
@@ -243,8 +237,9 @@ def _base_trajectory(tmpl: GestureTemplate, t, rng, profile) -> np.ndarray:
 
 
 def synth_recording(gesture: GestureClass, profile: UserProfile,
-                    recording_seed: int) -> GestureRecording:
-    """Generate one 122-frame recording of the given class for one user."""
+                    recording_seed: int) -> np.ndarray:
+    """The (122, 49, 3) float32 frames of one recording of the given class
+    for one user."""
     rng = np.random.default_rng(
         np.random.SeedSequence([recording_seed, int(gesture), profile.seed, _TAG_RECORDING]))
     # channel-first, so each track and each clamp works on contiguous (T, 49) blocks
@@ -259,8 +254,7 @@ def synth_recording(gesture: GestureClass, profile: UserProfile,
         forces += noise.transpose(2, 0, 1)
         _clamp(forces)
 
-    return GestureRecording(frames=forces.transpose(1, 2, 0).astype(np.float32, order="C"),
-                            label=gesture, user_id=profile.user_id, seed=recording_seed)
+    return forces.transpose(1, 2, 0).astype(np.float32, order="C")
 
 
 def _tracks(gesture: GestureClass, profile: UserProfile,
@@ -404,10 +398,10 @@ def protocol_size(n_users: int, n_blocks: int, reps_per_block: int) -> int:
 
 
 def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
-                  master_seed: int) -> list[GestureRecording]:
+                  master_seed: int) -> np.recarray:
     """Full study protocol: every user performs every class reps times per
-    block, in a per-block pseudo-randomized order. The frames are read-only
-    rows of one C-order block, as load_dataset returns them."""
+    block, in a per-block pseudo-randomized order. Returns a read-only
+    RECORDING record array, as load_dataset does."""
     n = protocol_size(n_users, n_blocks, reps_per_block)
     jobs: list[tuple[GestureClass, UserProfile, int]] = []
     for user in range(n_users):
@@ -420,19 +414,12 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
             for k, gesture in enumerate(order):
                 rec_seed = _seed_int(master_seed, user, block, k, int(gesture), _TAG_RECORDING)
                 jobs.append((gesture, profile, rec_seed))
-    frames = np.ndarray((n, N_FRAMES, N_TAXELS, 3), dtype="<f4",
-                        buffer=mmap.mmap(-1, n * N_FRAMES * N_TAXELS * 3 * 4))
-    _fill(frames, jobs)
-    return block_recordings(frames, [(gesture, profile.user_id, seed)
-                                     for gesture, profile, seed in jobs])
-
-
-def block_recordings(block: np.ndarray, headers: list[tuple]) -> list[GestureRecording]:
-    """One recording per (label, user_id, seed) header, its frames the matching
-    row of ``block``; the block is made read-only, and so are the rows."""
-    block.flags.writeable = False
-    return [GestureRecording(frames=row, label=GestureClass(label), user_id=user_id, seed=seed)
-            for row, (label, user_id, seed) in zip(block, headers, strict=True)]
+    records = np.ndarray(n, dtype=RECORDING, buffer=mmap.mmap(-1, n * RECORDING.itemsize))
+    records[["label", "user_id", "seed"]] = [(gesture, profile.user_id, seed)
+                                             for gesture, profile, seed in jobs]
+    _fill(records["frames"], jobs)
+    records.flags.writeable = False
+    return records.view(np.recarray)
 
 
 def _worker_count(n: int) -> int:
@@ -479,4 +466,4 @@ def _fill(frames: np.ndarray, jobs: list) -> None:
 def _fill_rows(frames: np.ndarray, jobs: list, rows: range) -> None:
     for i in rows:
         gesture, profile, seed = jobs[i]
-        frames[i] = synth_recording(gesture, profile, seed).frames
+        frames[i] = synth_recording(gesture, profile, seed)

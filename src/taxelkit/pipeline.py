@@ -12,14 +12,13 @@ import hashlib
 import json
 import logging
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import dataio
 from .geometry import COLS, N_TAXELS, ROWS
-from .gestures import N_CLASSES, N_FRAMES, GestureRecording
+from .gestures import N_CLASSES, N_FRAMES
 from .nn import AdamState, CnnModel
 
 log = logging.getLogger("taxelkit")
@@ -77,16 +76,11 @@ def fill_tensors(rows: Iterable[tuple[int, np.ndarray]], labels: np.ndarray,
              labels[np.asarray(ids, dtype=np.intp)]) for tensor, ids in zip(tensors, id_lists)]
 
 
-def _recording_rows(recordings: list[GestureRecording]
-                   ) -> tuple[Iterator[tuple[int, np.ndarray]], np.ndarray]:
-    """The row source and labels of an in-memory recording list, for ``fill_tensors``."""
-    return enumerate(r.frames for r in recordings), dataio.record_headers(recordings)["label"]
-
-
-def assemble_tensor(recordings: list[GestureRecording], mode: AblationMode,
+def assemble_tensor(records: np.ndarray, mode: AblationMode,
                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """One arm's input tensor and labels for every recording of a list."""
-    return fill_tensors(*_recording_rows(recordings), [range(len(recordings))], mode, dtype)[0]
+    """One arm's input tensor and labels for every record of a dataset."""
+    return fill_tensors(enumerate(records["frames"]), records["label"],
+                        [range(len(records))], mode, dtype)[0]
 
 
 @dataclass(frozen=True)
@@ -110,14 +104,15 @@ def _largest_remainder(quotas: np.ndarray, total) -> np.ndarray:
     return base
 
 
-def split_dataset(records, seed: int, ratio: tuple[int, int, int] = SPLIT_RATIO) -> DatasetSplit:
+def split_dataset(records: np.ndarray, seed: int,
+                  ratio: tuple[int, int, int] = SPLIT_RATIO) -> DatasetSplit:
     """Per-user proportional split at the global train/val/test ratio, of a
-    recording list or a ``dataio.RECORD_HEADER`` array.
+    dataset or a ``dataio.RECORD_HEADER`` array.
 
     Each user's recordings are shuffled by the seed; per-user allocations use
     largest-remainder rounding, then a repair pass pins the global sizes.
     """
-    user_ids = dataio.record_headers(records)["user_id"]
+    user_ids = records["user_id"]
     if not len(user_ids):
         raise ValueError("cannot split an empty dataset")
     users, which, counts = np.unique(user_ids, return_inverse=True, return_counts=True)
@@ -154,8 +149,8 @@ def split_dataset(records, seed: int, ratio: tuple[int, int, int] = SPLIT_RATIO)
     return DatasetSplit(train=train, val=val, test=test)
 
 
-def select(recordings: list[GestureRecording], ids: list[int]) -> list[GestureRecording]:
-    return [recordings[i] for i in ids]
+def select(records: np.ndarray, ids: list[int]) -> np.ndarray:
+    return records[ids]
 
 
 @dataclass(frozen=True)
@@ -366,16 +361,16 @@ class AblationReport:
         return int(np.sum(self.per_class_delta() > 0))
 
 
-def run_arm(recordings: list[GestureRecording], split: DatasetSplit, mode: AblationMode,
+def run_arm(records: np.ndarray, split: DatasetSplit, mode: AblationMode,
             config: TrainConfig) -> AblationArm:
     [(train_x, train_y), (val_x, val_y), (test_x, test_y)], _ = prepare_tensors(
-        *_recording_rows(recordings), [split.train, split.val, split.test], mode)
+        enumerate(records["frames"]), records["label"], [split.train, split.val, split.test],
+        mode)
     model, history = train(train_x, train_y, val_x, val_y, config)
     return AblationArm(mode=mode, result=evaluate(model, test_x, test_y), history=history)
 
 
-def ablate(recordings: list[GestureRecording], config: TrainConfig,
-           split_seed: int = 0) -> AblationReport:
-    """Train and evaluate both arms on identical splits and seeds."""
-    split = split_dataset(recordings, seed=split_seed)
-    return AblationReport(*[run_arm(recordings, split, mode, config) for mode in AblationMode])
+def ablate(records: np.ndarray, config: TrainConfig, split_seed: int = 0) -> AblationReport:
+    """Train and evaluate both arms of a dataset on identical splits and seeds."""
+    split = split_dataset(records, seed=split_seed)
+    return AblationReport(*[run_arm(records, split, mode, config) for mode in AblationMode])

@@ -1,9 +1,10 @@
 """The benchmark's use of the taxelkit API, checked without running it for time.
 
 ``bench/`` calls ``load_dataset``, ``split_dataset``, ``select`` and
-``assemble_tensor(list, mode)``, reads ``recording.label`` and wraps the
-functions listed in ``bench/layers.WRAPS``; a refactor that breaks any of
-these shows up here instead of as failed benchmark operations.
+``assemble_tensor(records, mode)``, reads the ``label`` field of each row of
+the record array ``load_dataset`` returns, and wraps the functions listed in
+``bench/layers.WRAPS``; a refactor that breaks any of these shows up here
+instead of as failed benchmark operations.
 """
 import sys
 from pathlib import Path

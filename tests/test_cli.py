@@ -15,11 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taxelkit
-from taxelkit import dataio, gestures, magnetics, pipeline
+from taxelkit import dataio, gestures, magnetics, pipeline, svgplot
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
-from taxelkit.gestures import synth_dataset
+from taxelkit.gestures import RECORDING, synth_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 
 
@@ -340,7 +340,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["train", "eval", "viz", "ablate"])
     def test_empty_dataset(self, tmp_path, tiny_config, capsys, caplog, command):
         data = tmp_path / "empty.tgk"
-        save_dataset([], data)
+        save_dataset(np.zeros(0, RECORDING), data)
         extra = ["--recording-id", "0"] if command == "viz" else []
         assert run(command, "--dataset", str(data), *extra, "--config", tiny_config,
                    "--out", str(tmp_path / "out")) == 5
@@ -448,6 +448,17 @@ class TestCheckpointManifest:
         path.write_text(json.dumps(manifest))
         assert self.eval_exit(trained, tiny_config, capsys) == 5
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_manifest_bool_split_seed(self, trained, tiny_config, capsys, caplog, value):
+        # JSON true/false load as bools, which isinstance(value, int) would accept as 1/0
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["split_seed"] = value
+        path.write_text(json.dumps(manifest))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert "split seed" in caplog.text
+        assert not (trained / "evaluation.json").exists()
+
     @pytest.mark.parametrize("key,value", [("norm_std", 0.0), ("norm_std", -1.0),
                                            ("norm_std", 1e300), ("norm_mean", 1e300)])
     def test_unusable_normalization_stats(self, trained, tiny_config, capsys, key, value):
@@ -488,14 +499,14 @@ class TestCheckpointManifest:
         _, stats, split_seed, _ = _load_model(out / "model.tgkm")
         recs = load_dataset(out / "dataset.tgk")
         split = pipeline.split_dataset(recs, seed=split_seed)
-        _, fitted = pipeline.prepare_tensors(*pipeline._recording_rows(recs), [split.train],
-                                             stats.mode)
+        _, fitted = pipeline.prepare_tensors(enumerate(recs["frames"]), recs["label"],
+                                             [split.train], stats.mode)
         assert stats.mean.tobytes() == fitted.mean.tobytes()
         assert stats.std.tobytes() == fitted.std.tobytes()
         [(from_manifest, _)], _ = pipeline.prepare_tensors(
-            *pipeline._recording_rows(recs), [split.test], stats.mode, stats)
+            enumerate(recs["frames"]), recs["label"], [split.test], stats.mode, stats)
         [(in_process, _)], _ = pipeline.prepare_tensors(
-            *pipeline._recording_rows(recs), [split.test], stats.mode, fitted)
+            enumerate(recs["frames"]), recs["label"], [split.test], stats.mode, fitted)
         assert from_manifest.dtype == np.float32
         assert from_manifest.tobytes() == in_process.tobytes()
 
@@ -556,8 +567,8 @@ def poke_force(path: Path, record: int, value: float) -> None:
 
 
 class TestUnusedRows:
-    """A corrupt record exits 5 also when the command does not use it: train
-    and eval check every record, not only the split they read."""
+    """A corrupt record exits 5 also when the command does not use it: train,
+    eval and viz check every record, not only the rows they read."""
 
     @pytest.fixture()
     def data(self, tmp_path, tiny_config):
@@ -566,8 +577,8 @@ class TestUnusedRows:
         split = pipeline.split_dataset(load_dataset(out / "dataset.tgk"), seed=7)
         return out, split
 
-    def exit_code(self, capsys, command, out, tiny_config):
-        code = run(command, "--config", tiny_config, "--out", str(out))
+    def exit_code(self, capsys, command, out, tiny_config, *extra):
+        code = run(command, "--config", tiny_config, "--out", str(out), *extra)
         assert "Traceback" not in capsys.readouterr().err
         return code
 
@@ -609,6 +620,25 @@ class TestUnusedRows:
                    "--dataset", str(other / "dataset.tgk")) == 5
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_viz_non_finite_other_row(self, data, tiny_config, capsys, caplog, monkeypatch):
+        out, _ = data
+        frames = load_dataset(out / "dataset.tgk")["frames"][3].copy()
+
+        def no_block(path):
+            raise AssertionError("viz must not load the frame block")
+        monkeypatch.setattr(dataio, "load_dataset", no_block)
+        argv = ["viz", "--config", tiny_config, "--out", str(out), "--recording-id", "3"]
+        assert run(*argv) == 0
+        svgs = files(out / "recording_00003")
+        assert len(svgs) == 123
+        assert svgs[Path("montage.svg")] == svgplot.montage_svg(frames).encode()
+        for i in range(122):
+            assert svgs[Path(f"frame_{i:03d}.svg")] == svgplot.force_field_svg(frames[i]).encode()
+        poke_force(out / "dataset.tgk", 5, float("nan"))  # a row after the one viz draws
+        assert self.exit_code(capsys, "viz", out, tiny_config, "--recording-id", "3") == 5
+        assert "recording 5 has non-finite forces" in caplog.text
+        assert files(out / "recording_00003") == svgs
+
     @pytest.mark.parametrize("command, unused", [("train", "test"), ("eval", "train")])
     def test_unknown_label_in_unused_row(self, data, tiny_config, capsys, caplog,
                                          command, unused):
@@ -643,7 +673,7 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     split = pipeline.split_dataset(recs, seed=0)
     mode = pipeline.AblationMode.NORMAL_ONLY
     [(train_x, train_y), (val_x, val_y), (test_x, test_y)], stats = pipeline.prepare_tensors(
-        *pipeline._recording_rows(recs), [split.train, split.val, split.test], mode)
+        enumerate(recs["frames"]), recs["label"], [split.train, split.val, split.test], mode)
     model, history = pipeline.train(train_x, train_y, val_x, val_y,
                                      pipeline.TrainConfig(epochs=1, seed=0))
     cm = pipeline.evaluate(model, test_x, test_y)

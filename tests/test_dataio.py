@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from taxelkit import dataio
 from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, RECORD_HEADER, DatasetReader,
                              FormatError, dataset_id, load_checkpoint, load_dataset,
                              record_headers, save_checkpoint, save_dataset)
-from taxelkit.gestures import synth_dataset
+from taxelkit.gestures import N_CLASSES, RECORDING, synth_dataset
 from taxelkit.nn import CnnModel
 from taxelkit.pipeline import split_dataset
 
@@ -28,17 +29,15 @@ class TestDataset:
         save_dataset(recordings, path)
         loaded = load_dataset(path)
         assert len(loaded) == len(recordings)
-        for a, b in zip(recordings, loaded):
-            assert np.array_equal(a.frames, b.frames)
-            assert a.label is b.label
-            assert a.user_id == b.user_id
-            assert a.seed == b.seed
+        for name in RECORDING.names:
+            assert loaded[name].tobytes() == recordings[name].tobytes(), name
+        assert [int(r.label) for r in loaded] == recordings["label"].tolist()
 
     def test_loaded_frames_are_read_only_views(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
         save_dataset(recordings, path)
         loaded = load_dataset(path)
-        assert not any(r.frames.flags.writeable for r in loaded)
+        assert not loaded.flags.writeable and not loaded["frames"].flags.writeable
         again = tmp_path / "again.tgk"
         save_dataset(loaded, again)
         assert again.read_bytes() == path.read_bytes()
@@ -47,15 +46,14 @@ class TestDataset:
         path = tmp_path / "data.tgk"
         save_dataset(recordings, path)
         loaded = load_dataset(path)
-        block = loaded[0].frames.base
-        assert block.shape == (len(recordings), 122, 49, 3) and block.dtype == np.dtype("<f4")
-        assert block.flags.c_contiguous and block.flags.aligned
-        assert not block.flags.writeable
-        for i, rec in enumerate(loaded):
-            assert rec.frames.base is block
-            assert rec.frames.__array_interface__["data"][0] == \
-                block.__array_interface__["data"][0] + i * block.strides[0]
-            assert rec.frames.flags.c_contiguous and rec.frames.flags.aligned
+        assert isinstance(loaded, np.recarray) and loaded.dtype == RECORDING
+        assert RECORDING.fields["frames"][1] == 16 and RECORDING.itemsize == 16 + 71_736
+        assert loaded.flags.c_contiguous and loaded.flags.aligned
+        start = loaded.__array_interface__["data"][0]
+        for i, frames in enumerate(loaded["frames"]):
+            assert frames.shape == (122, 49, 3) and frames.dtype == np.dtype("<f4")
+            assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 16
+            assert frames.flags.c_contiguous and frames.flags.aligned
 
     def test_size_checked_before_allocation(self, recordings, tmp_path):
         path = tmp_path / "huge.tgk"
@@ -88,7 +86,7 @@ class TestDataset:
         # every checkpoint's manifest stores both digests and eval refuses a mismatch,
         # so a change to either breaks every saved checkpoint; both hash only integers
         # (seeds, users, labels and row ids), never floats. train and eval take them
-        # from the header array of the file, ablate from the recording list.
+        # from the header array of the file, ablate from the record array.
         desk = synth_dataset(4, 3, 3, 0)
         save_dataset(desk, tmp_path / "desk.tgk")
         with DatasetReader(tmp_path / "desk.tgk") as reader:
@@ -103,13 +101,15 @@ class TestDataset:
         # the header array is the file's 11-byte record headers, byte for byte
         headers = record_headers(recordings)
         assert RECORD_HEADER.itemsize == 11
+        assert headers.dtype == RECORD_HEADER
         assert headers.tobytes() == b"".join(struct.pack("<BHQ", int(r.label), r.user_id, r.seed)
                                              for r in recordings)
-        assert record_headers(headers) is headers
+        assert record_headers(headers).tobytes() == headers.tobytes()
 
     def test_header_pass_reads_no_frames(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
-        save_dataset(recordings * 20, path)  # 520 records, 37 MB
+        many = np.tile(recordings, 20)  # 520 records, 37 MB
+        save_dataset(many, path)
         tracemalloc.start()
         try:
             with DatasetReader(path) as reader:
@@ -117,7 +117,7 @@ class TestDataset:
         finally:
             tracemalloc.stop()
         assert peak < 71_736  # not even one record's frames
-        assert reader.headers.tobytes() == record_headers(recordings * 20).tobytes()
+        assert reader.headers.tobytes() == record_headers(many).tobytes()
         assert not reader.headers.flags.writeable
 
     def test_frame_pass_reuses_one_row(self, recordings, tmp_path):
@@ -127,8 +127,8 @@ class TestDataset:
             rows = [(i, frames.copy(), frames) for i, frames in reader.frames()]
         assert [i for i, _, _ in rows] == [0, 1, 2]
         assert all(frames is rows[0][2] for _, _, frames in rows)
-        for (_, copy, _), rec in zip(rows, recordings):
-            assert copy.tobytes() == rec.frames.tobytes()
+        for (_, copy, _), frames in zip(rows, recordings["frames"]):
+            assert copy.tobytes() == frames.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_force(self, recordings, tmp_path, value):
@@ -171,10 +171,11 @@ class TestDataset:
         save_dataset(recordings, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_empty_dataset(self, tmp_path):
+    def test_empty_dataset(self, recordings, tmp_path):
         path = tmp_path / "empty.tgk"
-        save_dataset([], path)
-        assert load_dataset(path) == []
+        save_dataset(recordings[:0], path)
+        loaded = load_dataset(path)
+        assert len(loaded) == 0 and loaded.dtype == RECORDING
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tgk"
@@ -213,6 +214,34 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="label"):
             load_dataset(path)
+
+
+def _record_arrays(n: int):
+    """Strategy for ``RECORDING`` arrays of n records: any label, user id and
+    seed a record can hold, and finite float32 frames."""
+    frames = st.floats(width=32, allow_nan=False, allow_infinity=False)
+    return st.tuples(hnp.arrays("u1", n, elements=st.integers(0, N_CLASSES - 1)),
+                     hnp.arrays("<u2", n), hnp.arrays("<u8", n),
+                     hnp.arrays("<f4", (n, 122, 49, 3), elements=frames))
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(fields=st.integers(0, 5).flatmap(_record_arrays))
+    def test_any_records(self, tmp_path_factory, fields):
+        records = np.zeros(len(fields[0]), dtype=RECORDING)
+        for name, values in zip(RECORDING.names, fields):
+            records[name] = values
+        path = tmp_path_factory.mktemp("round_trip") / "data.tgk"
+        save_dataset(records, path)
+        loaded = load_dataset(path)
+        for name in RECORDING.names:
+            assert loaded[name].tobytes() == records[name].tobytes(), name
+        with DatasetReader(path) as reader:
+            headers = reader.headers
+        assert dataset_id(headers) == dataset_id(records) == dataset_id(loaded)
+        if len(records):
+            assert split_dataset(headers, seed=3) == split_dataset(records, seed=3)
 
 
 class TestCheckpoint:

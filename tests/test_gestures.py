@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from taxelkit import gestures
 from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.geometry import NORMAL_MIN_N, SHEAR_MAX_N
-from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, GestureClass, UserProfile,
-                               protocol_size, synth_dataset, synth_recording, user_profile)
+from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, RECORDING, GestureClass,
+                               UserProfile, protocol_size, synth_dataset, synth_recording,
+                               user_profile)
 
 # (row, col) of each taxel in index order: the 5x10 grid in row-major order
 # without its phantom cell (4, 9); a taxel's (x, y) is (col, row) * 1.5 cm
@@ -104,43 +105,42 @@ class TestUserProfile:
 
 class TestSynthRecording:
     def test_shape_and_dtype(self):
-        rec = synth_recording(GestureClass.STROKE, QUIET, 5)
-        assert rec.frames.shape == (N_FRAMES, 49, 3)
-        assert rec.frames.dtype == np.float32
-        assert rec.label is GestureClass.STROKE
+        frames = synth_recording(GestureClass.STROKE, QUIET, 5)
+        assert frames.shape == (N_FRAMES, 49, 3)
+        assert frames.dtype == np.float32
 
     def test_deterministic_bitwise(self):
         a = synth_recording(GestureClass.GRAB, QUIET, 17)
         b = synth_recording(GestureClass.GRAB, QUIET, 17)
-        assert np.array_equal(a.frames, b.frames)
+        assert np.array_equal(a, b)
 
     def test_seed_changes_recording(self):
         a = synth_recording(GestureClass.GRAB, QUIET, 17)
         b = synth_recording(GestureClass.GRAB, QUIET, 18)
-        assert not np.array_equal(a.frames, b.frames)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("gesture", list(GestureClass))
     def test_range_safety(self, gesture):
         profile = user_profile(2, 0)
-        rec = synth_recording(gesture, profile, 31)
-        assert np.isfinite(rec.frames).all()
-        assert (np.abs(rec.frames[:, :, 0]) <= 2.0 + 1e-6).all()
-        assert (np.abs(rec.frames[:, :, 1]) <= 2.0 + 1e-6).all()
-        assert (rec.frames[:, :, 2] <= 0).all()
-        assert (rec.frames[:, :, 2] >= -7.0 - 1e-6).all()
+        frames = synth_recording(gesture, profile, 31)
+        assert np.isfinite(frames).all()
+        assert (np.abs(frames[:, :, 0]) <= 2.0 + 1e-6).all()
+        assert (np.abs(frames[:, :, 1]) <= 2.0 + 1e-6).all()
+        assert (frames[:, :, 2] <= 0).all()
+        assert (frames[:, :, 2] >= -7.0 - 1e-6).all()
 
     def test_press_low_shear(self):
         for seed in range(10):
-            rec = synth_recording(GestureClass.PRESS, QUIET, seed)
-            shear = np.abs(rec.frames[:, :, :2]).sum()
-            normal = np.abs(rec.frames[:, :, 2]).sum()
+            frames = synth_recording(GestureClass.PRESS, QUIET, seed)
+            shear = np.abs(frames[:, :, :2]).sum()
+            normal = np.abs(frames[:, :, 2]).sum()
             assert shear / normal < 0.1
 
     def test_pinch_two_opposing_patches(self):
         for seed in range(10):
-            rec = synth_recording(GestureClass.PINCH, QUIET, seed)
-            peak = int(np.argmax(np.abs(rec.frames[:, :, 2]).sum(axis=1)))
-            frame = rec.frames[peak]
+            frames = synth_recording(GestureClass.PINCH, QUIET, seed)
+            peak = int(np.argmax(np.abs(frames[:, :, 2]).sum(axis=1)))
+            frame = frames[peak]
             assert len(active_components(frame)) == 2
             shear_sum = frame[:, :2].sum(axis=0)
             pos = frame[frame[:, 0] > 0.01][:, :2].sum(axis=0)
@@ -148,8 +148,8 @@ class TestSynthRecording:
 
     def test_rub_oscillates(self):
         for seed in range(10):
-            rec = synth_recording(GestureClass.RUB, QUIET, seed)
-            fz = np.abs(rec.frames[:, :, 2])
+            frames = synth_recording(GestureClass.RUB, QUIET, seed)
+            fz = np.abs(frames[:, :, 2])
             active = fz.sum(axis=1) > 0.2 * fz.sum(axis=1).max()
             x = POS[:, 0]
             centroid = (fz[active] * x).sum(axis=1) / fz[active].sum(axis=1)
@@ -162,8 +162,8 @@ class TestSynthRecording:
             press = synth_recording(GestureClass.PRESS, QUIET, seed)
             slap = synth_recording(GestureClass.SLAP, QUIET, seed + 100)
 
-            def duration(rec):
-                total = np.abs(rec.frames[:, :, 2]).sum(axis=1)
+            def duration(frames):
+                total = np.abs(frames[:, :, 2]).sum(axis=1)
                 return int(np.sum(total > 0.2 * total.max()))
 
             assert duration(press) >= 5 * duration(slap)
@@ -174,11 +174,11 @@ class TestSynthRecording:
         def stats(gesture, seeds):
             peaks, opposing = [], []
             for s in seeds:
-                rec = synth_recording(gesture, QUIET, s)
-                fz_total = np.abs(rec.frames[:, :, 2]).sum(axis=1)
+                frames = synth_recording(gesture, QUIET, s)
+                fz_total = np.abs(frames[:, :, 2]).sum(axis=1)
                 peak = int(np.argmax(fz_total))
                 peaks.append(fz_total[peak])
-                shear = rec.frames[peak, :, :2]
+                shear = frames[peak, :, :2]
                 mags = np.linalg.norm(shear, axis=1).sum()
                 net = np.linalg.norm(shear.sum(axis=0))
                 opposing.append(1.0 - net / mags if mags > 1e-6 else 0.0)
@@ -199,14 +199,18 @@ class TestSynthRecording:
            recording_seed=st.integers(0, 2**64 - 1))
     def test_matches_frame_major_reference(self, gesture, user, master_seed, recording_seed):
         profile = QUIET if user is None else user_profile(user, master_seed)
-        frames = synth_recording(gesture, profile, recording_seed).frames
+        frames = synth_recording(gesture, profile, recording_seed)
         assert frames.dtype == np.float32 and frames.flags.c_contiguous
         assert frames.tobytes() == reference_frames(gesture, profile, recording_seed).tobytes()
 
     def test_label_integrity(self):
-        for gesture in GestureClass:
-            rec = synth_recording(gesture, QUIET, 3)
-            assert rec.label is gesture
+        # each record's label is the class its frames were generated as
+        recs = synth_dataset(1, 1, 1, 3)
+        assert sorted(recs["label"].tolist()) == list(range(13))
+        for rec in recs:
+            frames = synth_recording(GestureClass(rec.label), user_profile(rec.user_id, 3),
+                                     int(rec.seed))
+            assert frames.tobytes() == rec.frames.tobytes()
 
 
 class TestSynthDataset:
@@ -241,7 +245,8 @@ class TestSynthDataset:
         recs = synth_dataset(4, 3, 3, 0)  # the default (desk) protocol: 468 recordings
         assert len(recs) == 468
         for i, rec in enumerate(recs):
-            ref = reference_frames(rec.label, user_profile(rec.user_id, 0), rec.seed)
+            ref = reference_frames(GestureClass(rec.label), user_profile(rec.user_id, 0),
+                                   int(rec.seed))
             assert rec.frames.tobytes() == ref.tobytes(), i
 
     def test_invalid_counts(self):
@@ -261,14 +266,13 @@ class TestSynthDataset:
             protocol_size(1, 1, MAX_RECORDINGS // 13 + 1)
 
 
-def block_of(recordings):
-    """The one block whose consecutive rows are the recordings' frames."""
-    block = recordings[0].frames.base
-    for i, rec in enumerate(recordings):
-        assert rec.frames.base is block
-        assert rec.frames.__array_interface__["data"][0] == \
-            block.__array_interface__["data"][0] + i * block.strides[0]
-    return block
+def frames_of(records):
+    """The frames field of a record array, each row's frames at byte 16 of its record."""
+    start = records.__array_interface__["data"][0]
+    for i, frames in enumerate(records["frames"]):
+        assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 16
+        assert frames.flags.c_contiguous
+    return records["frames"]
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
@@ -284,19 +288,20 @@ class TestSharedBlockWorkers:
         monkeypatch.setattr(gestures, "_worker_count", lambda n: 1)
         serial = synth_dataset(4, 3, 3, 0)
         for recs in (every_cpu, five):
-            assert block_of(recs).tobytes() == block_of(serial).tobytes()
+            assert frames_of(recs).tobytes() == frames_of(serial).tobytes()
+            assert recs.tobytes() == serial.tobytes()
             assert [(r.label, r.user_id, r.seed) for r in recs] == \
                 [(r.label, r.user_id, r.seed) for r in serial]
 
     def test_frames_are_read_only_rows_of_one_block(self, tmp_path):
         recs = synth_dataset(1, 2, 1, 4)
-        block = block_of(recs)
-        assert block.shape == (26, N_FRAMES, 49, 3) and block.dtype == np.dtype("<f4")
-        assert block.flags.c_contiguous and block.flags.aligned
-        assert not block.flags.writeable
-        assert not any(r.frames.flags.writeable for r in recs)
+        frames = frames_of(recs)
+        assert isinstance(recs, np.recarray) and recs.dtype == RECORDING
+        assert frames.shape == (26, N_FRAMES, 49, 3) and frames.dtype == np.dtype("<f4")
+        assert recs.flags.c_contiguous and recs.flags.aligned
+        assert not recs.flags.writeable and not frames.flags.writeable
         save_dataset(recs, tmp_path / "data.tgk")
-        assert block_of(load_dataset(tmp_path / "data.tgk")).tobytes() == block.tobytes()
+        assert frames_of(load_dataset(tmp_path / "data.tgk")).tobytes() == frames.tobytes()
 
     @needs_fork
     def test_fewer_recordings_than_cpus(self, monkeypatch):
@@ -305,7 +310,7 @@ class TestSharedBlockWorkers:
         monkeypatch.undo()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert gestures._worker_count(13) == 13  # capped at one worker per recording
-        assert block_of(synth_dataset(1, 1, 1, 0)).tobytes() == block_of(serial).tobytes()
+        assert frames_of(synth_dataset(1, 1, 1, 0)).tobytes() == frames_of(serial).tobytes()
 
     @needs_fork
     def test_failing_child_raises_in_parent(self, monkeypatch, capfd):

@@ -1,5 +1,6 @@
 import gc
 import logging
+import mmap
 import tracemalloc
 import weakref
 
@@ -10,28 +11,43 @@ from hypothesis import strategies as st
 
 from taxelkit import pipeline
 from taxelkit.dataio import DatasetReader, load_dataset, save_dataset
-from taxelkit.gestures import GestureClass, GestureRecording, block_recordings, synth_dataset
+from taxelkit.gestures import RECORDING, synth_dataset
 from taxelkit.pipeline import (SPLIT_RATIO, STD_FLOOR, SUM_BLOCK, AblationMode, ConfusionMatrix,
                                DatasetSplit, NormalizationStats, TrainConfig,
-                               TrainingDivergedError, _recording_rows, apply_normalization,
-                               assemble_tensor, channels_for, evaluate, fill_tensors,
-                               fit_normalization, prepare_tensors, select, split_dataset, train)
+                               TrainingDivergedError, apply_normalization, assemble_tensor,
+                               channels_for, evaluate, fill_tensors, fit_normalization,
+                               prepare_tensors, select, split_dataset, train)
 from taxelkit.nn import CONV_CHANNELS, CnnModel
 
 
-def reference_tensor(recordings, mode, dtype):
+def rows_of(records):
+    """The row source and labels of a record array, for ``fill_tensors``."""
+    return enumerate(records["frames"]), records["label"]
+
+
+def zero_records(user_ids, labels=0):
+    """A ``RECORDING`` array of these users and labels with zero frames, in an
+    anonymous mapping, so only the pages a split reads become resident."""
+    records = np.ndarray(len(user_ids), RECORDING,
+                         buffer=mmap.mmap(-1, max(1, len(user_ids)) * RECORDING.itemsize))
+    records["user_id"] = user_ids
+    records["label"] = labels
+    return records
+
+
+def reference_tensor(records, mode, dtype):
     """The grid-map scatter ``tensor[i][:, rr, cc] = vals`` over the valid cells:
     the 5x10 grid minus the phantom cell (4, 9), in row-major order."""
     mask = np.ones((5, 10), dtype=bool)
     mask[4, 9] = False
     rr, cc = np.nonzero(mask)
     c = channels_for(mode)
-    tensor = np.zeros((len(recordings), c, 5, 10), dtype=dtype)
-    for i, rec in enumerate(recordings):
+    tensor = np.zeros((len(records), c, 5, 10), dtype=dtype)
+    for i, frames in enumerate(records["frames"]):
         if mode is AblationMode.NORMAL_AND_SHEAR:
-            vals = rec.frames.transpose(0, 2, 1).reshape(c, 49)  # (366, 49)
+            vals = frames.transpose(0, 2, 1).reshape(c, 49)  # (366, 49)
         else:
-            vals = rec.frames[:, :, 2]  # (122, 49)
+            vals = frames[:, :, 2]  # (122, 49)
         tensor[i][:, rr, cc] = vals
     return tensor
 
@@ -53,12 +69,13 @@ def _reference_largest_remainder(quotas, total):
     return base
 
 
-def reference_split(recordings, seed, ratio=SPLIT_RATIO):
+def reference_split(records, seed, ratio=SPLIT_RATIO):
     """The per-user loop split_dataset replaced: one pass over the recordings
     per user, and a repair step that rescans every user."""
-    users = sorted({r.user_id for r in recordings})
-    by_user = {u: [i for i, r in enumerate(recordings) if r.user_id == u] for u in users}
-    n_total = len(recordings)
+    user_ids = records["user_id"].tolist()
+    users = sorted(set(user_ids))
+    by_user = {u: [i for i, v in enumerate(user_ids) if v == u] for u in users}
+    n_total = len(user_ids)
     r_tot = sum(ratio)
     targets = _reference_largest_remainder(np.array([n_total * r / r_tot for r in ratio]),
                                            n_total)
@@ -115,12 +132,12 @@ class TestAssembleTensor:
         assert (x[:, :, 4, 9] == 0).all()
 
     def test_channel_order_frame_major_axis_minor(self, recordings):
-        rec = recordings[0]
-        x, _ = assemble_tensor([rec], AblationMode.NORMAL_AND_SHEAR)
+        frames = recordings[0].frames
+        x, _ = assemble_tensor(recordings[:1], AblationMode.NORMAL_AND_SHEAR)
         # channel 3f+a at grid cell (r, c) holds frame f, axis a of that taxel
         for f, taxel, axis, (r, c) in [(0, 0, 0, (0, 0)), (7, 25, 1, (2, 5)),
                                        (121, 48, 2, (4, 8))]:
-            assert x[0, 3 * f + axis, r, c] == rec.frames[f, taxel, axis]
+            assert x[0, 3 * f + axis, r, c] == frames[f, taxel, axis]
 
     def test_normal_only_is_z_slice(self, recordings):
         both, _ = assemble_tensor(recordings[:8], AblationMode.NORMAL_AND_SHEAR)
@@ -132,14 +149,15 @@ class TestAssembleTensor:
            dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
     def test_matches_grid_map_scatter(self, n, mode, dtype, seed):
         rng = np.random.default_rng(seed)
-        recs = [GestureRecording(frames=rng.normal(size=(122, 49, 3)).astype(np.float32),
-                                 label=GestureClass(int(rng.integers(13))), user_id=0,
-                                 seed=i) for i in range(n)]
+        recs = np.zeros(n, RECORDING)
+        recs["frames"] = rng.normal(size=(n, 122, 49, 3))
+        recs["label"] = rng.integers(13, size=n)
+        recs["seed"] = np.arange(n)
         x, y = assemble_tensor(recs, mode, dtype=dtype)
         ref = reference_tensor(recs, mode, dtype)
         assert x.dtype == ref.dtype and x.shape == ref.shape
         assert x.tobytes() == ref.tobytes()
-        assert y.tolist() == [int(r.label) for r in recs]
+        assert y.tolist() == recs["label"].tolist()
 
     def test_loaded_frames_match_grid_map_scatter(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
@@ -150,9 +168,10 @@ class TestAssembleTensor:
             assert x.tobytes() == reference_tensor(loaded, mode, np.float32).tobytes()
 
     def test_wrong_frame_count(self, recordings):
+        # a record holds exactly 122 frames; fewer cannot be stored in one
+        recs = np.zeros(1, RECORDING)
         with pytest.raises(ValueError):
-            recordings[0].__class__(frames=recordings[0].frames[:10], label=recordings[0].label,
-                                    user_id=0, seed=0)
+            recs["frames"] = recordings["frames"][:1, :10]
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +183,7 @@ def saved_recordings(recordings, tmp_path_factory):
 
 class TestStreamedTensors:
     """train and eval fill their tensors from the frame pass of the file; the
-    tensors equal those assembled from the loaded recording list."""
+    tensors equal those assembled from the loaded record array."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -191,7 +210,7 @@ class TestStreamedTensors:
         with DatasetReader(saved_recordings) as reader:
             pairs, stats = prepare_tensors(reader.frames(), reader.headers["label"],
                                            [split.train, split.val, split.test], mode)
-        refs, fitted = prepare_tensors(*_recording_rows(recordings),
+        refs, fitted = prepare_tensors(*rows_of(recordings),
                                        [split.train, split.val, split.test], mode)
         assert stats.mean.tobytes() == fitted.mean.tobytes()
         assert stats.std.tobytes() == fitted.std.tobytes()
@@ -223,17 +242,13 @@ class TestSplitDataset:
 
     def test_full_scale_sizes(self):
         # exercised without synthesis: only ids and users matter
-        from taxelkit.gestures import GestureClass, GestureRecording
-        frames = np.zeros((122, 49, 3), dtype=np.float32)
-        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS,
-                                 user_id=i % 11, seed=i)
-                for i in range(3861)]
+        recs = zero_records(np.arange(3861) % 11)
         split = split_dataset(recs, seed=0)
         assert (len(split.train), len(split.val), len(split.test)) == (3081, 390, 390)
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            split_dataset([], seed=0)
+            split_dataset(np.zeros(0, RECORDING), seed=0)
 
     @settings(max_examples=60, deadline=None)
     @given(per_user=st.lists(st.integers(1, 40), min_size=1, max_size=12),
@@ -241,9 +256,7 @@ class TestSplitDataset:
     def test_partition_at_global_target(self, per_user, seed, data):
         users = [u for u, n in enumerate(per_user) for _ in range(n)]
         users = data.draw(st.permutations(users))
-        frames = np.zeros((122, 49, 3), dtype=np.float32)
-        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u, seed=i)
-                for i, u in enumerate(users)]
+        recs = zero_records(users)
         split = split_dataset(recs, seed=seed)
         parts = (split.train, split.val, split.test)
         assert sorted(split.train + split.val + split.test) == list(range(len(recs)))
@@ -265,15 +278,12 @@ class TestSplitDataset:
         users = data.draw(st.permutations(
             [u for u, n in zip(user_ids, per_user) for _ in range(n)]))
         ratio = data.draw(st.sampled_from([SPLIT_RATIO, (1, 1, 1), (8, 1, 1), (5, 0, 2)]))
-        frames = np.zeros((122, 49, 3), dtype=np.float32)
-        recs = [GestureRecording(frames=frames, label=GestureClass.PRESS, user_id=u, seed=0)
-                for u in users]
+        recs = zero_records(users)
         assert split_dataset(recs, seed, ratio) == reference_split(recs, seed, ratio)
 
     def test_matches_reference_at_many_users(self):
-        frames = np.zeros((122, 49, 3), dtype=np.float32)
-        recs = [GestureRecording(frames=frames, label=GestureClass(i % 13), user_id=i // 13,
-                                 seed=0) for i in range(300 * 13)]
+        ids = np.arange(300 * 13)
+        recs = zero_records(ids // 13, labels=ids % 13)
         assert split_dataset(recs, 5) == reference_split(recs, 5)
 
     def test_digest_names_the_id_lists(self, recordings):
@@ -287,8 +297,10 @@ class TestSplitDataset:
     def test_select(self, recordings):
         split = split_dataset(recordings, seed=0)
         picked = select(recordings, split.val)
-        assert len(picked) == len(split.val)
-        assert all(picked[j] is recordings[i] for j, i in enumerate(split.val))
+        assert len(picked) == len(split.val) and picked.dtype == RECORDING
+        for name in RECORDING.names:
+            assert picked[name].tobytes() == \
+                b"".join(recordings[name][i].tobytes() for i in split.val), name
 
 
 class TestNormalization:
@@ -416,7 +428,7 @@ class TestPrepare:
     def test_matches_assemble_then_normalize(self, recordings):
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_AND_SHEAR
-        [(x, y)], stats = prepare_tensors(*_recording_rows(recordings), [split.train], mode)
+        [(x, y)], stats = prepare_tensors(*rows_of(recordings), [split.train], mode)
         raw, raw_y = assemble_tensor(select(recordings, split.train), mode, dtype=np.float32)
         ref = fit_normalization(raw, mode)
         assert x.dtype == np.float32
@@ -427,8 +439,8 @@ class TestPrepare:
     def test_reuses_given_stats(self, recordings):
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_ONLY
-        _, stats = prepare_tensors(*_recording_rows(recordings), [split.train], mode)
-        [(x, y)], same = prepare_tensors(*_recording_rows(recordings), [split.val], mode, stats)
+        _, stats = prepare_tensors(*rows_of(recordings), [split.train], mode)
+        [(x, y)], same = prepare_tensors(*rows_of(recordings), [split.val], mode, stats)
         assert same is stats
         assert x.shape == (len(split.val), 122, 5, 10) and len(y) == len(split.val)
         raw, _ = assemble_tensor(select(recordings, split.val), mode, dtype=np.float32)
@@ -436,7 +448,7 @@ class TestPrepare:
         # the float32 stats as float64 values, as a checkpoint manifest holds them
         stats64 = NormalizationStats(mode=mode, mean=np.array(stats.mean.tolist()),
                                      std=np.array(stats.std.tolist()))
-        [(x64, _)], _ = prepare_tensors(*_recording_rows(recordings), [split.val], mode,
+        [(x64, _)], _ = prepare_tensors(*rows_of(recordings), [split.val], mode,
                                         stats64)
         assert x64.dtype == np.float32 and x64.tobytes() == x.tobytes()
 
@@ -451,10 +463,10 @@ class TestPrepare:
             monkeypatch.setattr(pipeline, name, counted)
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_ONLY
-        _, stats = prepare_tensors(*_recording_rows(recordings), [split.train], mode)
+        _, stats = prepare_tensors(*rows_of(recordings), [split.train], mode)
         assert calls == ["fit_normalization", "apply_normalization"]
         calls.clear()
-        prepare_tensors(*_recording_rows(recordings), [split.val], mode, stats)
+        prepare_tensors(*rows_of(recordings), [split.val], mode, stats)
         assert calls == ["apply_normalization"]
 
     @pytest.mark.parametrize("mode", list(AblationMode))
@@ -462,7 +474,7 @@ class TestPrepare:
         """Nothing prepare_tensors leaves behind (no closure cycle) keeps a dropped tensor alive."""
         gc.disable()
         try:
-            [(x, _)], _ = prepare_tensors(*_recording_rows(recordings), [list(range(40))], mode)
+            [(x, _)], _ = prepare_tensors(*rows_of(recordings), [list(range(40))], mode)
             alive = weakref.ref(x if x.base is None else x.base)  # the array owning the data
             del x
             assert alive() is None
@@ -474,12 +486,14 @@ class TestPrepare:
         per-row sums, never a second tensor-sized array."""
         n = 300
         rng = np.random.default_rng(0)
-        block = rng.standard_normal((n, 122, 49, 3)).astype(np.float32)
-        recs = block_recordings(block, [(i % 13, 0, i) for i in range(n)])
+        recs = np.zeros(n, RECORDING)
+        recs["frames"] = rng.standard_normal((n, 122, 49, 3)).astype(np.float32)
+        recs["label"] = np.arange(n) % 13
+        recs["seed"] = np.arange(n)
         mode = AblationMode.NORMAL_AND_SHEAR
         tracemalloc.start()
         try:
-            [(x, _)], _ = prepare_tensors(*_recording_rows(recs), [list(range(n))], mode)
+            [(x, _)], _ = prepare_tensors(*rows_of(recs), [list(range(n))], mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
