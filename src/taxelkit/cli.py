@@ -176,32 +176,16 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _dataset_file(path) -> Path:
-    path = Path(path)
-    if not path.is_file():
-        raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
-    return path
-
-
-def _require_recordings(path, records):
-    if not len(records):
-        raise dataio.FormatError(f"{path}: dataset has no recordings")
-    return records
-
-
-def _load_recordings(path) -> np.recarray:
-    """Every record of a dataset file, in one record array."""
-    path = _dataset_file(path)
-    return _require_recordings(path, dataio.load_dataset(path))
-
-
 @contextmanager
 def _read_dataset(path):
     """A dataset file's reader after its header pass; its frame pass streams
     the records one at a time, so no dataset array is built."""
-    path = _dataset_file(path)
+    path = Path(path)
+    if not path.is_file():
+        raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
     with dataio.DatasetReader(path) as reader:
-        _require_recordings(path, reader.headers)
+        if not len(reader.headers):
+            raise dataio.FormatError(f"{path}: dataset has no recordings")
         yield reader
 
 
@@ -322,10 +306,15 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         f"{stem}_{mode.value}.{ext}" for mode in pipeline.AblationMode
         for stem, ext in (("confusion", "csv"), ("confusion", "svg"), ("history", "csv"))),
         inputs=[args.dataset] if args.dataset else [])
-    recs = _load_recordings(args.dataset) if args.dataset else _synthesize(args, cfg)[1]
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
-    report = pipeline.ablate(recs, tconf, split_seed=cfg.seed)
+    if args.dataset:  # one frame pass per arm, as train and eval stream theirs
+        with _read_dataset(args.dataset) as reader:
+            report = pipeline.ablate(reader.headers, reader.frames, tconf, split_seed=cfg.seed)
+    else:
+        recs = _synthesize(args, cfg)[1]
+        report = pipeline.ablate(recs, lambda: enumerate(recs["frames"]), tconf,
+                                 split_seed=cfg.seed)
     payload = {}
     for i, arm in enumerate((report.normal_only, report.normal_and_shear)):
         confusion_csv, confusion_svg, history_csv = arm_paths[3 * i:3 * i + 3]

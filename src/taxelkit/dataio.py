@@ -172,7 +172,7 @@ class DatasetReader:
 def load_dataset(path) -> np.recarray:
     """Read a TGK1 file into a read-only ``RECORDING`` record array."""
     with DatasetReader(path) as reader:
-        records = np.empty(len(reader.headers), dtype=RECORDING)
+        records = np.zeros(len(reader.headers), dtype=RECORDING)  # zeroed padding bytes
         records[list(RECORD_HEADER.names)] = reader.headers
         for _ in reader.frames(records["frames"]):
             pass

@@ -43,23 +43,16 @@ class Workspace:
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._bufs: dict[str, np.ndarray] = {}
-        self._shapes: dict[str, tuple[int, ...]] = {}
 
-    def take(self, name: str, shape: tuple[int, ...], zeroed: bool = False) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """A C-contiguous view of ``shape`` over the buffer ``name``; its
-        contents are whatever the last user left. With ``zeroed`` the view is
-        zero-filled whenever ``shape`` differs from the last take of ``name``,
-        so cells the caller never writes stay zero from call to call."""
+        contents are whatever the last user left."""
         size = math.prod(shape)
         buf = self._bufs.get(name)
         if buf is None or buf.size < size:
             self._bufs.pop(name, None)  # free the smaller buffer before the larger one
             buf = self._bufs[name] = np.empty(size, self.dtype)
-        view = buf[:size].reshape(shape)
-        if zeroed and self._shapes.get(name) != shape:
-            view.fill(0.0)
-        self._shapes[name] = shape
-        return view
+        return buf[:size].reshape(shape)
 
 
 def _shift(d: int, n: int) -> tuple[slice, slice]:
@@ -94,10 +87,12 @@ def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     np.matmul(w.transpose(2, 3, 0, 1).reshape(-1, c), xt, out=z.reshape(-1, xt.shape[1]))
     ci, cj = kh // 2, kw // 2
     y = z[ci, cj] + b[:, None, None, None]
-    for i, j in np.ndindex(kh, kw):
-        if (i, j) != (ci, cj):
-            (hs, ht), (ws, wt) = _shift(i - ci, h), _shift(j - cj, wd)
-            y[:, ht, wt] += z[i, j, :, hs, ws]
+    with np.errstate():  # restores the ufunc buffer size on exit
+        np.setbufsize(256)  # a shifted slice has short contiguous runs: ~2x faster, same bits
+        for i, j in np.ndindex(kh, kw):
+            if (i, j) != (ci, cj):
+                (hs, ht), (ws, wt) = _shift(i - ci, h), _shift(j - cj, wd)
+                y[:, ht, wt] += z[i, j, :, hs, ws]
     return y.transpose(3, 0, 1, 2), (xt, w, work)
 
 
@@ -107,18 +102,22 @@ def conv2d_backward(dy: np.ndarray, cache):
 
     dy may be in any memory order. db sums a C-order dy, so its bits do not
     depend on that order. dW is the (9K, H*W*N) stack of dy shifted by each
-    tap times X.T; the stack's border cells are zeroed only when its shape
-    changes, every other cell is rewritten on each call.
+    tap times X.T. The stack is built in the forward's tap buffer, which the
+    forward no longer needs; its GEMM left values in every cell, so each tap's
+    border row and column, which the shift leaves out, is zeroed here.
     """
     xt, w, work = cache
     n, k_out, h, wd = dy.shape
     kh, kw = w.shape[2:]
     db = np.ascontiguousarray(dy).sum(axis=(0, 2, 3))
-    stack = work.take("dy_taps", (kh, kw, k_out, h, wd, n), zeroed=True)
+    stack = work.take("taps", (kh, kw, k_out, h, wd, n))
     dyt = dy.transpose(1, 2, 3, 0)
     for i, j in np.ndindex(kh, kw):
         (hs, ht), (ws, wt) = _shift(i - kh // 2, h), _shift(j - kw // 2, wd)
-        stack[i, j, :, hs, ws] = dyt[:, ht, wt]
+        tap = stack[i, j]
+        tap[:, hs, ws] = dyt[:, ht, wt]
+        tap[:, :hs.start] = tap[:, hs.stop:] = 0
+        tap[:, :, :ws.start] = tap[:, :, ws.stop:] = 0
     dw = np.matmul(stack.reshape(-1, xt.shape[1]), xt.T)  # (9K, C), row (i, j, k)
     return None, np.ascontiguousarray(dw.reshape(kh, kw, k_out, -1).transpose(2, 3, 0, 1)), db
 

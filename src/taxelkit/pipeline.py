@@ -12,7 +12,7 @@ import hashlib
 import json
 import logging
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -361,16 +361,22 @@ class AblationReport:
         return int(np.sum(self.per_class_delta() > 0))
 
 
-def run_arm(records: np.ndarray, split: DatasetSplit, mode: AblationMode,
-            config: TrainConfig) -> AblationArm:
+def run_arm(headers: np.ndarray, frames: Callable[[], Iterable[tuple[int, np.ndarray]]],
+            split: DatasetSplit, mode: AblationMode, config: TrainConfig) -> AblationArm:
     [(train_x, train_y), (val_x, val_y), (test_x, test_y)], _ = prepare_tensors(
-        enumerate(records["frames"]), records["label"], [split.train, split.val, split.test],
-        mode)
+        frames(), headers["label"], [split.train, split.val, split.test], mode)
     model, history = train(train_x, train_y, val_x, val_y, config)
     return AblationArm(mode=mode, result=evaluate(model, test_x, test_y), history=history)
 
 
-def ablate(records: np.ndarray, config: TrainConfig, split_seed: int = 0) -> AblationReport:
-    """Train and evaluate both arms of a dataset on identical splits and seeds."""
-    split = split_dataset(records, seed=split_seed)
-    return AblationReport(*[run_arm(records, split, mode, config) for mode in AblationMode])
+def ablate(headers: np.ndarray, frames: Callable[[], Iterable[tuple[int, np.ndarray]]],
+           config: TrainConfig, split_seed: int = 0) -> AblationReport:
+    """Train and evaluate both arms of a dataset on identical splits and seeds.
+
+    ``headers`` is a dataset or its ``dataio.RECORD_HEADER`` array; each arm fills
+    its tensors in one pass of ``frames()`` over the ``(id, frames)`` rows, e.g.
+    ``reader.frames`` or ``lambda: enumerate(records["frames"])``, so the first
+    pass reads every row before any training starts."""
+    split = split_dataset(headers, seed=split_seed)
+    return AblationReport(*[run_arm(headers, frames, split, mode, config)
+                            for mode in AblationMode])

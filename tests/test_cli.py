@@ -639,6 +639,21 @@ class TestUnusedRows:
         assert "recording 5 has non-finite forces" in caplog.text
         assert files(out / "recording_00003") == svgs
 
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_ablate_non_finite_row(self, data, tiny_config, capsys, caplog, monkeypatch, part):
+        # the first arm's frame pass checks every record before either arm trains
+        out, split = data
+        record = getattr(split, part)[0]
+        poke_force(out / "dataset.tgk", record, float("nan"))
+        trained = []
+        monkeypatch.setattr(pipeline, "train", lambda *args: trained.append(args))
+        assert self.exit_code(capsys, "ablate", out, tiny_config,
+                              "--dataset", str(out / "dataset.tgk")) == 5
+        assert f"recording {record} has non-finite forces" in caplog.text
+        assert trained == []
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config_echo.json", "dataset.tgk", "dataset.tgk.json"]
+
     @pytest.mark.parametrize("command, unused", [("train", "test"), ("eval", "train")])
     def test_unknown_label_in_unused_row(self, data, tiny_config, capsys, caplog,
                                          command, unused):
@@ -651,13 +666,14 @@ class TestUnusedRows:
         assert self.exit_code(capsys, command, out, tiny_config) == 5
         assert f"recording {record} has unknown label 13" in caplog.text
 
-    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_truncated_mid_record(self, data, tiny_config, capsys, caplog, command):
         out, _ = data
         assert self.exit_code(capsys, "train", out, tiny_config) == 0
         path = out / "dataset.tgk"
         path.write_bytes(path.read_bytes()[:20 + 3 * RECORD_BYTES + 11 + 500])
-        assert self.exit_code(capsys, command, out, tiny_config) == 5
+        extra = ["--dataset", str(path)] if command == "ablate" else []
+        assert self.exit_code(capsys, command, out, tiny_config, *extra) == 5
         assert "truncated" in caplog.text
 
 
@@ -696,6 +712,28 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
         assert list(csv.reader(fh))[1] == [
             "0", f"{history[0].train_loss:.9g}", f"{history[0].val_acc:.6g}"]
     assert json.loads((out / "evaluation.json").read_text())["counts"] == cm.counts.tolist()
+
+
+def test_ablate_never_builds_the_frame_block(tmp_path, monkeypatch):
+    # ablate --dataset runs one frame pass per arm; on the desk set it writes
+    # the bytes the in-memory ablate of the synthesized array writes
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
+    streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
+    streamed.mkdir()
+    save_dataset(synth_dataset(4, 3, 3, 0), streamed / "dataset.tgk")
+
+    def no_block(path):
+        raise AssertionError("ablate must not load the frame block")
+    monkeypatch.setattr(dataio, "load_dataset", no_block)
+    assert main(["ablate", "--config", str(config), "--out", str(in_memory)]) == 0
+    assert main(["ablate", "--config", str(config), "--out", str(streamed),
+                 "--dataset", str(streamed / "dataset.tgk")]) == 0
+    outputs = files(in_memory)
+    assert {"ablation.json", "history_normal_only.csv", "history_normal_and_shear.csv"} <= {
+        str(p) for p in outputs}
+    for name, data in outputs.items():
+        assert (streamed / name).read_bytes() == data, name
 
 
 class TestOutputPaths:
@@ -882,6 +920,7 @@ class TestBitFlips:
             self.check_exit(work, "eval")
             self.check_exit(work, "viz", "--recording-id", "1")
             self.check_exit(work, "train")
+            self.check_exit(work, "ablate", "--dataset", str(work / "dataset.tgk"))
         finally:
             shutil.rmtree(work)
 

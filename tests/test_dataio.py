@@ -55,6 +55,16 @@ class TestDataset:
             assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 16
             assert frames.flags.c_contiguous and frames.flags.aligned
 
+    def test_loaded_bytes_equal_the_synthesized(self, recordings, tmp_path):
+        # the padding bytes of a row (byte 1, bytes 4-7) are zero, not whatever
+        # a freed block of the same size left behind
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings, path)
+        for _ in range(5):
+            dirty = np.full(recordings.nbytes, 0xA5, np.uint8)
+            del dirty
+            assert load_dataset(path).tobytes() == recordings.tobytes()
+
     def test_size_checked_before_allocation(self, recordings, tmp_path):
         path = tmp_path / "huge.tgk"
         save_dataset(recordings[:1], path)

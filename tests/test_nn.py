@@ -381,35 +381,37 @@ class TestWorkspace:
         assert not np.shares_memory(a, c)  # a larger one grows it
         assert not np.shares_memory(c, work.take("padded", (4, 4)))
 
-    def test_zeroed_take_fills_only_on_a_new_shape(self):
-        work = Workspace()
-        work.take("taps", (12,))[:] = np.nan
-        a = work.take("taps", (2, 5), zeroed=True)
-        assert (a == 0).all()  # a new shape over old contents
-        a[:] = 1.0
-        assert (work.take("taps", (2, 5), zeroed=True) == 1.0).all()  # the same shape keeps them
-        assert (work.take("taps", (5, 2), zeroed=True) == 0).all()
-        work.take("taps", (5, 2))[:] = 1.0
-        assert (work.take("taps", (4, 4), zeroed=True) == 0).all()  # grown
+    def test_a_training_step_holds_only_the_input_and_one_tap_buffer(self):
+        # the weight gradient's shifted-dy stack reuses the forward's tap buffer
+        model = CnnModel(in_channels=6, seed=0, conv_channels=4, hidden=3)
+        x = RNG.normal(size=(7, 6, 5, 10))
+        model.loss_and_grads(x, np.arange(7), np.random.default_rng(0))
+        sizes = {name: buf.size for name, buf in model._work._bufs.items()}
+        assert sizes == {"input": 6 * 7 * 50, "taps": 9 * 4 * 7 * 50}
+
+    def test_forward_restores_the_ufunc_buffer_size(self):
+        before = np.getbufsize()
+        conv2d_forward(RNG.normal(size=(2, 3, 5, 10)), RNG.normal(size=(4, 3, 3, 3)), np.zeros(4))
+        assert np.getbufsize() == before
 
     def test_conv_with_workspace_matches_fresh_buffers(self):
-        # batch sizes up, down and repeated, over buffers left full of garbage:
-        # the shifted-dy stack's border is zeroed whenever its shape changes
-        # and never written, and every other cell is rewritten on every call
+        # batch sizes up, down and repeated, over buffers left full of garbage,
+        # against the reference's zero-filled stack: the backward builds its
+        # shifted-dy stack over the forward's taps, so it zeroes each tap's
+        # border itself and rewrites every other cell
         rng = np.random.default_rng(9)
         w = rng.normal(size=(6, 5, 3, 3))
         b = rng.normal(size=6)
         work = Workspace()
-        for name, size in (("input", 5 * 70 * 50), ("taps", 9 * 6 * 70 * 50),
-                           ("dy_taps", 9 * 6 * 70 * 50)):
+        for name, size in (("input", 5 * 70 * 50), ("taps", 9 * 6 * 70 * 50)):
             work.take(name, (size,))[:] = np.nan
         for n in (3, 70, 70, 5, 33, 33, 4):
             x = rng.normal(size=(n, 5, 5, 10))
             dy = rng.normal(size=(n, 6, 5, 10))
             y, cache = conv2d_forward(x, w, b, work)
             _, dw, db = conv2d_backward(dy, cache)
-            ref_y, ref_cache = conv2d_forward(x, w, b)
-            _, ref_dw, ref_db = conv2d_backward(dy, ref_cache)
+            ref_y, ref_cache = ref_conv2d_forward(x, w, b)
+            _, ref_dw, ref_db = ref_conv2d_backward(dy, ref_cache)
             assert y.tobytes() == ref_y.tobytes(), n
             assert dw.tobytes() == ref_dw.tobytes(), n
             assert db.tobytes() == ref_db.tobytes(), n
@@ -516,7 +518,7 @@ class TestFloat32:
             assert {a.dtype for a in arrays} == {np.dtype(np.float32)}, name
         kept = [*grads.values(), *model.params.values(), *adam.m.values(), *adam.v.values(),
                 *adam._work, *model._work._bufs.values()]
-        assert len(model._work._bufs) == 3 and len(adam._work) == 2
+        assert len(model._work._bufs) == 2 and len(adam._work) == 2
         assert {a.dtype for a in kept} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("channels", [122, 366])

@@ -558,8 +558,7 @@ class TestTrain:
         model, _ = train(x, y, val_x, val_y, TrainConfig(epochs=1, batch_size=32, seed=0))
         evaluate(model, *self.small_data(n=390, cin=4, seed=2))
         sizes = {name: buf.size for name, buf in model._work._bufs.items()}
-        taps = 9 * CONV_CHANNELS * 32 * 5 * 10
-        assert sizes == {"input": 4 * 32 * 5 * 10, "taps": taps, "dy_taps": taps}
+        assert sizes == {"input": 4 * 32 * 5 * 10, "taps": 9 * CONV_CHANNELS * 32 * 5 * 10}
 
     def test_divergence_detected(self):
         x, y = self.small_data(n=13)
