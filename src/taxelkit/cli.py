@@ -31,7 +31,7 @@ from . import dataio, gestures, magnetics, pipeline, svgplot
 from .config import FULL_SCALE_SYNTH, ConfigError, RunConfig
 from .geometry import N_TAXELS
 from .gestures import GestureClass
-from .nn import CnnModel
+from .nn import CnnModel, param_shapes
 
 log = logging.getLogger("taxelkit")
 
@@ -162,17 +162,20 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # synth / train / eval / ablate / viz
 
-def _synthesize(args, cfg: RunConfig):
-    """The synth section ``--full-scale`` or the config selects, and its dataset."""
-    s = FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
-    return s, gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
+def _synth_section(args, cfg: RunConfig):
+    """The synth section that ``--full-scale`` or the config selects."""
+    return FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     path, _ = _outdir(args, cfg, cfg.paths.dataset, dataio.sidecar_path(cfg.paths.dataset))
-    s, recs = _synthesize(args, cfg)
-    dataio.save_dataset(recs, path, config={**asdict(s), "master_seed": cfg.seed})
-    log.info("wrote %d recordings to %s", len(recs), path)
+    s = _synth_section(args, cfg)
+    headers = gestures.study_protocol(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
+    config = {**asdict(s), "master_seed": cfg.seed}
+    # every worker writes its own rows into the file, so no process holds the frame block
+    with dataio.writing_dataset(path, headers, config) as write:
+        gestures.synth_frames(headers, cfg.seed, write)
+    log.info("wrote %d recordings to %s", len(headers), path)
     return 0
 
 
@@ -250,9 +253,7 @@ def _load_model(ckpt_path):
     if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0)).all()):
         raise dataio.FormatError(f"{manifest_path}: normalization stats must be finite float32 "
                                  f"values with std > 0")
-    # float32, as trained by ``train``: eval then predicts exactly like ``ablate``
-    model = CnnModel(in_channels=c_in, dtype=np.float32)
-    params, header_c_in = dataio.load_checkpoint(ckpt_path, model.shapes())
+    params, header_c_in = dataio.load_checkpoint(ckpt_path, param_shapes(c_in))
     if header_c_in != c_in:
         raise dataio.FormatError(f"{ckpt_path}: header has {header_c_in} input channels, "
                                  f"manifest {c_in}")
@@ -262,7 +263,8 @@ def _load_model(ckpt_path):
         if inexact:
             raise dataio.FormatError(f"{ckpt_path}: parameter {name} has {inexact} values "
                                      f"that are not float32-exact, so it cannot run as trained")
-    model.set_params(params)
+    # float32, as trained by ``train``: eval then predicts exactly like ``ablate``
+    model = CnnModel(in_channels=c_in, dtype=np.float32, params=params)
     return model, stats, split_seed, trained_on
 
 
@@ -312,7 +314,8 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         with _read_dataset(args.dataset) as reader:
             report = pipeline.ablate(reader.headers, reader.frames, tconf, split_seed=cfg.seed)
     else:
-        recs = _synthesize(args, cfg)[1]
+        s = _synth_section(args, cfg)
+        recs = gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
         report = pipeline.ablate(recs, lambda: enumerate(recs["frames"]), tconf,
                                  split_seed=cfg.seed)
     payload = {}

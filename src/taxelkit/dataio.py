@@ -24,15 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import N_TAXELS
-from .gestures import N_CLASSES, N_FRAMES, RECORDING
+from .gestures import N_CLASSES, N_FRAMES, RECORD_HEADER, RECORDING
 
 DATASET_MAGIC = b"TGK1"
 CHECKPOINT_MAGIC = b"TGKM"
 FORMAT_VERSION = 1
 
 _DATASET_HEADER = struct.Struct("<4sIIII")
-# label u8 | user_id u16 | seed u64, packed: 11 bytes
-RECORD_HEADER = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8")])
 _RECORD_SIZE = RECORD_HEADER.itemsize + N_FRAMES * N_TAXELS * 3 * 4
 _CHECKPOINT_HEADER = struct.Struct("<4sII")
 
@@ -73,24 +71,53 @@ def record_headers(records: np.ndarray) -> np.ndarray:
     return records[list(RECORD_HEADER.names)].astype(RECORD_HEADER)
 
 
-def save_dataset(records: np.ndarray, path, config: dict | None = None) -> None:
-    """Write a ``RECORDING`` array as a TGK1 file and its JSON sidecar."""
-    headers = record_headers(records)
+def _pwrite(fd: int, data, offset: int) -> None:
+    """Write all of ``data`` at ``offset`` of ``fd``. A positional write leaves
+    the descriptor's file position alone, so forked processes may share it."""
+    view = memoryview(data).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
+
+
+@contextmanager
+def writing_dataset(path, headers: np.ndarray, config: dict | None = None):
+    """Write a TGK1 file of the recordings ``headers`` lists (a header array or
+    a dataset) and its JSON sidecar, both through ``replacing``. Yields ``write(i, frames)``, which writes record
+    i's 11-byte header and ``(122, 49, 3)`` frames at the record's offset
+    with positional writes, so any process forked inside the block may call
+    it, in any order. The block must write every record once; the sidecar is
+    written after it ends."""
+    headers = record_headers(headers)
+    n = len(headers)
     sidecar = {
         "format": "TGK1",
         "version": FORMAT_VERSION,
-        "n_recordings": len(records),
+        "n_recordings": n,
         "frames": N_FRAMES,
         "taxels": N_TAXELS,
         "config": config or {},
     }
     with replacing(path, sidecar_path(path)) as (fh, side):
-        fh.write(_DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, len(records), N_FRAMES,
-                                      N_TAXELS))
-        for header, frames in zip(headers, records["frames"]):
-            fh.write(header.tobytes())
-            fh.write(frames)
+        fd = fh.fileno()
+        _pwrite(fd, _DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, n, N_FRAMES, N_TAXELS), 0)
+
+        def write(i: int, frames: np.ndarray) -> None:
+            if not 0 <= i < n or frames.shape != (N_FRAMES, N_TAXELS, 3):
+                raise ValueError(f"no record {i} of {n} with frames of shape {frames.shape}")
+            offset = _DATASET_HEADER.size + i * _RECORD_SIZE
+            _pwrite(fd, headers[i].tobytes(), offset)
+            _pwrite(fd, np.ascontiguousarray(frames, dtype="<f4"), offset + RECORD_HEADER.itemsize)
+
+        yield write
         side.write(json.dumps(sidecar, indent=1).encode())
+
+
+def save_dataset(records: np.ndarray, path, config: dict | None = None) -> None:
+    """Write a ``RECORDING`` array as a TGK1 file and its JSON sidecar."""
+    with writing_dataset(path, records, config) as write:
+        for i, frames in enumerate(records["frames"]):
+            write(i, frames)
 
 
 class DatasetReader:

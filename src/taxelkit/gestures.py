@@ -8,21 +8,25 @@ shear pattern, so removing the shear channels measurably hurts a
 downstream classifier.
 
 All randomness flows through numpy SeedSequence keys, so generation is
-bitwise deterministic and safe to parallelize per recording. synth_dataset
-lists every recording's (class, user, seed) in protocol order as the header
-fields of one RECORDING array in a shared mapping, then fills its frames: the
-parent takes the first contiguous range of rows and one forked child per
-other usable CPU takes each later range. The list, not the worker count,
-fixes each row's seed, so the bytes do not depend on the CPU count. Children
-call no BLAS and leave through os._exit, so they flush no inherited buffer
-and run no atexit handler.
+bitwise deterministic and safe to parallelize per recording. study_protocol
+lists every recording's (class, user, seed) in protocol order as one
+RECORD_HEADER array; synth_frames synthesizes each row's frames and hands
+them to a sink, such as a dataset file's row writer or the frames field of
+a RECORDING array in a shared mapping (synth_dataset). The parent takes the
+first contiguous range of rows and one forked child per other usable CPU
+takes each later range. The list, not the worker count, fixes each row's
+seed, so the bytes do not depend on the CPU count. Children call no BLAS and
+leave through os._exit, so they flush no inherited buffer and run no atexit
+handler.
 """
 from __future__ import annotations
 
 import enum
 import mmap
 import os
+import pickle
 import traceback
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +128,9 @@ TEMPLATES: dict[GestureClass, GestureTemplate] = {
     GestureClass.SHAKE: _GRIP,
 }
 
+
+# A recording's class, user and seed, packed: the 11-byte header of a TGK1 record.
+RECORD_HEADER = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8")])
 
 # One labeled 122-frame recording, exactly one TGK1 record; a dataset is an
 # array of them and a recording's id is its row. align=True puts frames at
@@ -397,27 +404,35 @@ def protocol_size(n_users: int, n_blocks: int, reps_per_block: int) -> int:
     return n
 
 
-def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
-                  master_seed: int) -> np.recarray:
-    """Full study protocol: every user performs every class reps times per
-    block, in a per-block pseudo-randomized order. Returns a read-only
-    RECORDING record array, as load_dataset does."""
-    n = protocol_size(n_users, n_blocks, reps_per_block)
-    jobs: list[tuple[GestureClass, UserProfile, int]] = []
+def study_protocol(n_users: int, n_blocks: int, reps_per_block: int,
+                   master_seed: int) -> np.ndarray:
+    """The full study protocol as a RECORD_HEADER array: every user performs
+    every class reps times per block, in a per-block pseudo-randomized order,
+    and row i holds recording i's (label, user_id, seed)."""
+    protocol_size(n_users, n_blocks, reps_per_block)
+    rows = []
     for user in range(n_users):
-        profile = user_profile(user, master_seed)
         for block in range(n_blocks):
             order = [g for g in GestureClass for _ in range(reps_per_block)]
             block_rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, user, block, _TAG_BLOCK]))
             block_rng.shuffle(order)
-            for k, gesture in enumerate(order):
-                rec_seed = _seed_int(master_seed, user, block, k, int(gesture), _TAG_RECORDING)
-                jobs.append((gesture, profile, rec_seed))
+            rows += [(gesture, user,
+                      _seed_int(master_seed, user, block, k, int(gesture), _TAG_RECORDING))
+                     for k, gesture in enumerate(order)]
+    return np.array(rows, dtype=RECORD_HEADER)
+
+
+def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
+                  master_seed: int) -> np.recarray:
+    """The study protocol's recordings as a read-only RECORDING record array,
+    as load_dataset returns, filled in an anonymous shared mapping."""
+    headers = study_protocol(n_users, n_blocks, reps_per_block, master_seed)
+    n = len(headers)
     records = np.ndarray(n, dtype=RECORDING, buffer=mmap.mmap(-1, n * RECORDING.itemsize))
-    records[["label", "user_id", "seed"]] = [(gesture, profile.user_id, seed)
-                                             for gesture, profile, seed in jobs]
-    _fill(records["frames"], jobs)
+    for name in RECORD_HEADER.names:
+        records[name] = headers[name]
+    synth_frames(headers, master_seed, records["frames"].__setitem__)
     records.flags.writeable = False
     return records.view(np.recarray)
 
@@ -429,41 +444,71 @@ def _worker_count(n: int) -> int:
     return min(n, len(os.sched_getaffinity(0)))
 
 
-def _fill(frames: np.ndarray, jobs: list) -> None:
-    """Write job i's recording into frames[i]; frames must live in shared memory.
+Sink = Callable[[int, np.ndarray], None]
 
-    Forked children fill the later contiguous ranges of rows while the parent
-    fills the first. The parent reaps every child, also when its own range
-    fails, and raises if a child did not exit cleanly.
+
+def synth_frames(headers: np.ndarray, master_seed: int, sink: Sink) -> None:
+    """Synthesize the frames of every row of a RECORD_HEADER array, such as
+    study_protocol's, and call ``sink(i, frames)`` once for each row i.
+
+    Forked children synthesize and sink the later contiguous ranges of rows
+    while this process does the first, so the sink must be safe to call
+    from any of them: a writer of a file at fixed offsets, or the rows of an
+    array in shared memory. The parent reaps every child, also when its own
+    range fails. A child that failed with an OSError (a failed write) passes
+    it to the parent, which raises it; any other failure prints the child's
+    traceback and raises RuntimeError.
     """
+    profiles = {u: user_profile(u, master_seed) for u in set(headers["user_id"].tolist())}
+    jobs = [(GestureClass(label), profiles[user], seed) for label, user, seed in headers.tolist()]
     n_workers = _worker_count(len(jobs))
     bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
-    children: dict[int, range] = {}
+    children: list[tuple[int, range, int]] = []  # pid, rows, read end of its error pipe
     try:
         for k in range(1, n_workers):
             rows = range(bounds[k], bounds[k + 1])
-            pid = os.fork()
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
-                status = 1
-                try:
-                    _fill_rows(frames, jobs, rows)
-                    status = 0
-                except Exception:
-                    os.write(2, traceback.format_exc().encode())
-                finally:
-                    os._exit(status)
-            children[pid] = rows
-        _fill_rows(frames, jobs, range(bounds[0], bounds[1]))
+                _child(sink, jobs, rows, write)
+            os.close(write)
+            children.append((pid, rows, read))
+        _fill_rows(sink, jobs, range(bounds[0], bounds[1]))
     finally:
         exits = [(rows, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-                 for pid, rows in children.items()]
-    for rows, code in exits:
+                 for pid, rows, _ in children]
+        errors = []
+        for _, _, read in children:  # every writer has exited: each read ends at EOF
+            with open(read, "rb") as pipe:
+                errors.append(pipe.read())
+    for (rows, code), error in zip(exits, errors):
+        if error:
+            raise pickle.loads(error)
         if code != 0:
             raise RuntimeError(f"synthesis worker for recordings {rows.start}..{rows.stop - 1} "
                                f"exited with status {code}")
 
 
-def _fill_rows(frames: np.ndarray, jobs: list, rows: range) -> None:
+def _child(sink: Sink, jobs: list, rows: range, errors: int):
+    """A forked worker's whole life: sink ``rows``, then leave through os._exit."""
+    status = 1
+    try:
+        _fill_rows(sink, jobs, rows)
+        status = 0
+    except OSError as e:
+        os.write(errors, pickle.dumps(e))
+    except Exception:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(status)
+
+
+def _fill_rows(sink: Sink, jobs: list, rows: range) -> None:
     for i in rows:
         gesture, profile, seed = jobs[i]
-        frames[i] = synth_recording(gesture, profile, seed)
+        sink(i, synth_recording(gesture, profile, seed))

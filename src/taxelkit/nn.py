@@ -220,32 +220,43 @@ def _batch_minor(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
 
 
+def param_shapes(in_channels: int, conv_channels: int = CONV_CHANNELS,
+                 hidden: int = HIDDEN) -> dict[str, tuple[int, ...]]:
+    """The shape of each of a ``CnnModel``'s parameters, in declared order."""
+    flat_dim = conv_channels * (ROWS - 1) * (COLS - 1)
+    return {"conv_w": (conv_channels, in_channels, 3, 3), "conv_b": (conv_channels,),
+            "fc1_w": (hidden, flat_dim), "fc1_b": (hidden,),
+            "fc2_w": (N_CLASSES, hidden), "fc2_b": (N_CLASSES,)}
+
+
 class CnnModel:
     """Conv/FC classifier; full scale is in_channels 122 or 366. Every pass
-    computes in ``dtype``: the weights are drawn in float64 and cast to it.
+    computes in ``dtype``. Without ``params`` the weights are drawn in
+    float64 (Kaiming uniform) and the biases are zero; given ``params``,
+    such as a checkpoint's, the model starts from them and draws nothing.
+    Either way they are cast to ``dtype``.
     The conv output keeps its batch-minor memory order through ReLU, dropout
     and maxpool, which see it as (N, K, H, W) views; the FC layers get a
     C-order (N, features) copy."""
 
     def __init__(self, in_channels: int, seed: int = 0, conv_channels: int = CONV_CHANNELS,
-                 hidden: int = HIDDEN, dtype=np.float64):
+                 hidden: int = HIDDEN, dtype=np.float64,
+                 params: dict[str, np.ndarray] | None = None):
         self.in_channels = in_channels
         self.dtype = np.dtype(dtype)
-        self.flat_dim = conv_channels * (ROWS - 1) * (COLS - 1)
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x494E4954]))
-        self.params: dict[str, np.ndarray] = {}
-        self.params["conv_w"] = self._kaiming(rng, (conv_channels, in_channels, 3, 3), in_channels * 9)
-        self.params["conv_b"] = np.zeros(conv_channels)
-        self.params["fc1_w"] = self._kaiming(rng, (hidden, self.flat_dim), self.flat_dim)
-        self.params["fc1_b"] = np.zeros(hidden)
-        self.params["fc2_w"] = self._kaiming(rng, (N_CLASSES, hidden), hidden)
-        self.params["fc2_b"] = np.zeros(N_CLASSES)
-        self.params = {k: v.astype(self.dtype) for k, v in self.params.items()}
+        shapes = param_shapes(in_channels, conv_channels, hidden)
+        self.flat_dim = shapes["fc1_w"][1]
+        if params is None:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, 0x494E4954]))
+            # weights in declared order, each with fan-in = the product of its trailing dims
+            params = {k: self._kaiming(rng, s) if k.endswith("_w") else np.zeros(s)
+                      for k, s in shapes.items()}
+        self.params: dict[str, np.ndarray] = {k: params[k].astype(self.dtype) for k in shapes}
         self._work = Workspace(self.dtype)  # the conv's buffers, shared by every pass of this model
 
     @staticmethod
-    def _kaiming(rng, shape, fan_in):
-        limit = np.sqrt(6.0 / fan_in)
+    def _kaiming(rng, shape):
+        limit = np.sqrt(6.0 / np.prod(shape[1:]))
         return rng.uniform(-limit, limit, size=shape)
 
     def shapes(self) -> dict[str, tuple[int, ...]]:

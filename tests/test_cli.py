@@ -21,6 +21,7 @@ from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.gestures import RECORDING, synth_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
+from taxelkit.nn import CnnModel
 
 
 @pytest.fixture()
@@ -714,6 +715,23 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     assert json.loads((out / "evaluation.json").read_text())["counts"] == cm.counts.tolist()
 
 
+def test_eval_draws_no_weights(tmp_path, tiny_config, monkeypatch):
+    # eval builds its model from the checkpoint's parameters without drawing
+    # (and discarding) Kaiming weights, and writes the same bytes
+    out = tmp_path / "out"
+    argv = ["--config", tiny_config, "--out", str(out)]
+    for command in ("synth", "train", "eval"):
+        assert run(command, *argv) == 0
+    before = files(out)
+
+    def no_draw(*args):
+        raise AssertionError("eval must not draw weights")
+    monkeypatch.setattr(CnnModel, "_kaiming", no_draw)
+    (out / "evaluation.json").unlink()
+    assert run("eval", *argv) == 0
+    assert files(out) == before
+
+
 def test_ablate_never_builds_the_frame_block(tmp_path, monkeypatch):
     # ablate --dataset runs one frame pass per arm; on the desk set it writes
     # the bytes the in-memory ablate of the synthesized array writes
@@ -736,8 +754,85 @@ def test_ablate_never_builds_the_frame_block(tmp_path, monkeypatch):
         assert (streamed / name).read_bytes() == data, name
 
 
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                                reason="synth forks workers only where os.fork exists")
+
+
+def in_memory_dataset(tmp_path, n_users, n_blocks, reps_per_block, seed) -> dict:
+    """The dataset file and sidecar of save_dataset(synth_dataset(...)), as synth names them."""
+    out = tmp_path / "in_memory"
+    out.mkdir()
+    config = {"n_users": n_users, "n_blocks": n_blocks, "reps_per_block": reps_per_block,
+              "master_seed": seed}
+    save_dataset(synth_dataset(n_users, n_blocks, reps_per_block, seed), out / "dataset.tgk",
+                 config=config)
+    return files(out)
+
+
+@needs_fork
+@pytest.mark.parametrize("protocol, workers", [
+    ((4, 3, 3), 1), ((4, 3, 3), 3), ((4, 3, 3), 5),
+    ((1, 1, 1), 1), ((1, 1, 1), 3), ((1, 1, 1), 5), ((1, 1, 1), 20),
+], ids=["desk-1", "desk-3", "desk-5", "one-block-1", "one-block-3", "one-block-5",
+        "fewer-recordings-than-workers"])
+def test_synth_writes_the_in_memory_bytes(tmp_path, monkeypatch, protocol, workers):
+    # each worker writes its own rows into the file; the bytes are those of
+    # the in-memory dataset, for any worker count, empty ranges included
+    expected = in_memory_dataset(tmp_path, *protocol, 5)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": dict(zip(
+        ("n_users", "n_blocks", "reps_per_block"), protocol)), "seed": 5}))
+    monkeypatch.setattr(gestures, "_worker_count", lambda n: workers)
+    out = tmp_path / "out"
+    assert run("synth", "--config", str(config), "--out", str(out)) == 0
+    written = files(out)
+    del written[Path("config_echo.json")]
+    assert written == expected
+
+
+def test_synth_never_builds_the_frame_block(tmp_path, monkeypatch):
+    expected = in_memory_dataset(tmp_path, 4, 3, 3, 0)
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("synth must not build the frame block")
+    monkeypatch.setattr(gestures, "synth_dataset", no_block)
+    monkeypatch.setattr(gestures.mmap, "mmap", no_block)
+    monkeypatch.setattr(dataio, "save_dataset", no_block)
+    out = tmp_path / "out"
+    assert run("synth", "--seed", "0", "--out", str(out)) == 0
+    assert {p: data for p, data in files(out).items() if p.name != "config_echo.json"} == expected
+
+
+_PEAK_RSS = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "taxelkit.cli", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@needs_fork
+def test_synth_peak_rss_does_not_grow_with_the_dataset(tmp_path):
+    # no process holds the frame block: with 4x the users (1872 recordings,
+    # 134 MB of frames) synth peaks where the desk set (468, 34 MB) does
+    src = str(Path(taxelkit.__file__).resolve().parents[1])
+    env = {**os.environ, "TAXELKIT_LOG": "WARNING",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peaks = []
+    for n_users in (4, 16):
+        config = tmp_path / f"config{n_users}.json"
+        config.write_text(json.dumps({"synth": {"n_users": n_users}}))
+        # a fresh parent per run: RUSAGE_CHILDREN keeps the largest child it ever reaped
+        proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, "synth", "--config", str(config),
+                               "--out", str(tmp_path / f"out{n_users}")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        peaks.append(int(proc.stdout.split()[-1]) / 1024)  # KiB on Linux
+    assert len(load_dataset(tmp_path / "out16" / "dataset.tgk")) == 4 * 468
+    assert abs(peaks[1] - peaks[0]) < 10, peaks
+
+
 class TestOutputPaths:
-    UNREACHABLE = [(gestures, "synth_dataset"), (pipeline, "train"),
+    UNREACHABLE = [(gestures, "synth_dataset"), (gestures, "synth_frames"), (pipeline, "train"),
                    (dataio, "DatasetReader"), (dataio, "load_dataset")]
 
     @pytest.fixture()

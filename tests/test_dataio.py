@@ -1,5 +1,6 @@
 import errno
 import json
+import os
 import struct
 import tracemalloc
 
@@ -345,21 +346,39 @@ class TestTruncation:
 
 
 class _FullDisk:
-    """A binary file on a disk with ``room[0]`` bytes left, shared by every
-    file opened on it: a write past the room is cut short and raises ENOSPC."""
+    """A disk with ``room`` bytes left, shared by every file written on it:
+    ``open`` stands in for ``dataio.open`` and ``pwrite`` for ``os.pwrite``.
+    A write past the room is cut short and raises ENOSPC."""
 
-    def __init__(self, path, mode, room):
-        self._fh = open(path, mode)
-        self._room = room
+    def __init__(self, room):
+        self.room = room
+        self._pwrite = os.pwrite
+
+    def write(self, data, put):
+        """``put(data)``, or ``put`` of what fits, then ENOSPC."""
+        data = memoryview(data).cast("B")
+        left, self.room = self.room, max(0, self.room - len(data))
+        if len(data) > left:
+            put(data[:left])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return put(data)
+
+    def pwrite(self, fd, data, offset):
+        return self.write(data, lambda part: self._pwrite(fd, part, offset))
+
+    def open(self, path, mode):
+        return _FullDiskFile(self, open(path, mode))
+
+
+class _FullDiskFile:
+    def __init__(self, disk, fh):
+        self._disk, self._fh = disk, fh
 
     def write(self, data):
-        data = memoryview(data).cast("B")
-        left = self._room[0]
-        self._room[0] = max(0, left - len(data))
-        if len(data) > left:
-            self._fh.write(data[:left])
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return self._fh.write(data)
+        return self._disk.write(data, self._fh.write)
+
+    def fileno(self):
+        return self._fh.fileno()
 
     def __enter__(self):
         return self
@@ -374,9 +393,9 @@ class TestInterruptedWrite:
     @pytest.fixture
     def full_disk(self, monkeypatch):
         def arm(room):
-            left = [room]
-            monkeypatch.setattr(dataio, "open", lambda path, mode: _FullDisk(path, mode, left),
-                                raising=False)
+            disk = _FullDisk(room)
+            monkeypatch.setattr(dataio, "open", disk.open, raising=False)
+            monkeypatch.setattr(os, "pwrite", disk.pwrite)
         return arm
 
     @pytest.mark.parametrize("room", [0, 30, 50_000, 150_000])

@@ -1,3 +1,5 @@
+import errno
+import json
 import os
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taxelkit import gestures
+from taxelkit.cli import main
 from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.geometry import NORMAL_MIN_N, SHEAR_MAX_N
 from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, RECORDING, GestureClass,
@@ -328,6 +331,35 @@ class TestSharedBlockWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
         assert "injected child failure" in capfd.readouterr().err
+
+    @needs_fork
+    def test_failing_child_write_exits_3(self, tmp_path, monkeypatch, capfd, caplog):
+        # a child's row write fails as on a full disk: synth exits 3 without a
+        # traceback, like a failed write in the parent, and keeps the old files
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth": {"n_users": 1, "n_blocks": 1, "reps_per_block": 1}}))
+        argv = ["synth", "--config", str(config), "--out", str(out)]
+        assert main([*argv, "--seed", "0"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        parent, real = os.getpid(), os.pwrite
+
+        def full_in_child(fd, data, offset):
+            if os.getpid() != parent:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", full_in_child)
+        monkeypatch.setattr(gestures, "_worker_count", lambda n: 3)
+        assert main([*argv, "--seed", "1"]) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)  # every child was reaped
+        assert "No space left on device" in caplog.text
+        assert "Traceback" not in capfd.readouterr().err
+        after = {p.name: p.read_bytes() for p in out.iterdir()}
+        # the config echo is replaced before any work; the dataset and its sidecar are not
+        assert after.pop("config_echo.json") != before.pop("config_echo.json")
+        assert after == before
 
     @needs_fork
     def test_failing_parent_reaps_children(self, monkeypatch):

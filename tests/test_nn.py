@@ -546,6 +546,25 @@ class TestFloat32:
         model32.set_params(model64.params)
         assert all(v.dtype == np.float32 for v in model32.params.values())
 
+    def test_given_params_draw_nothing(self, monkeypatch):
+        # a checkpoint's model starts from its parameters: the same model as
+        # drawing weights and overwriting them, without the draw
+        drawn = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
+        assert nn.param_shapes(8, conv_channels=6, hidden=5) == drawn.shapes()
+        assert nn.param_shapes(366) == CnnModel(in_channels=366).shapes()
+        overwritten = CnnModel(in_channels=8, conv_channels=6, hidden=5, dtype=np.float32)
+        overwritten.set_params(drawn.params)
+
+        def no_draw(*args):
+            raise AssertionError("a model given its parameters must not draw any")
+        monkeypatch.setattr(CnnModel, "_kaiming", no_draw)
+        given = CnnModel(in_channels=8, conv_channels=6, hidden=5, dtype=np.float32,
+                         params=drawn.params)
+        assert list(given.params) == list(overwritten.params)
+        for name, value in overwritten.params.items():
+            assert given.params[name].dtype == np.float32, name
+            assert given.params[name].tobytes() == value.tobytes(), name
+
     def test_float32_dropout_mask_draws_float32_uniforms(self):
         mask = dropout_mask((4, 50), nn.DROPOUT_P, np.random.default_rng(3), np.float32)
         uniforms = np.random.default_rng(3).random((4, 50), dtype=np.float32)
