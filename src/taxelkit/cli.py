@@ -181,14 +181,18 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 @contextmanager
 def _read_dataset(path):
-    """A dataset file's reader after its header pass; its frame pass streams
-    the records one at a time, so no dataset array is built."""
+    """A dataset file's reader after its header pass and its frame pass, which
+    checks every record, so a malformed file exits 5 before any other input
+    is checked. A command then reads the records it uses with ``reader.read``,
+    so no dataset array is built."""
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
     with dataio.DatasetReader(path) as reader:
         if not len(reader.headers):
             raise dataio.FormatError(f"{path}: dataset has no recordings")
+        for _ in reader.frames():
+            pass
         yield reader
 
 
@@ -202,14 +206,14 @@ def cmd_train(args, cfg: RunConfig) -> int:
     names = cfg.paths.checkpoint, dataio.sidecar_path(cfg.paths.checkpoint), "history.csv"
     ckpt, _, history_csv = _outdir(args, cfg, *names, inputs=[dataset])
     mode = pipeline.AblationMode(args.mode.replace("-", "_"))
+    tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
+                                 seed=cfg.seed)
     with _read_dataset(dataset) as reader:
         headers = reader.headers
         split = pipeline.split_dataset(headers, seed=cfg.seed)
-        [(train_x, train_y), (val_x, val_y)], stats = pipeline.prepare_tensors(
-            reader.frames(), headers["label"], [split.train, split.val], mode)
-    tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                                 seed=cfg.seed)
-    model, history = pipeline.train(train_x, train_y, val_x, val_y, tconf)
+        [(train_x, train_y), (val_x, val_y)], stats = pipeline.prepare_views(
+            reader.read, headers["label"], [split.train, split.val], mode)
+        model, history = pipeline.train(train_x, train_y, val_x, val_y, tconf)
     dataio.save_checkpoint(model.params, model.in_channels, ckpt, config={
         "mode": mode.value, "split_seed": cfg.seed, "epochs": tconf.epochs,
         "batch_size": tconf.batch_size,
@@ -287,15 +291,14 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     with _read_dataset(dataset) as reader:
         model, stats, split_seed, trained_on = _load_model(ckpt)
         split = pipeline.split_dataset(reader.headers, seed=split_seed)
-        # the frame pass checks every record, so a malformed file exits 5 before a mismatch 6
-        [(test_x, test_y)], _ = pipeline.prepare_tensors(
-            reader.frames(), reader.headers["label"], [split.test], stats.mode, stats)
-    found = dataio.dataset_id(reader.headers), split.digest()
-    if found != trained_on:
-        raise DatasetMismatchError(
-            f"{ckpt} was trained on dataset {trained_on[0]} with split {trained_on[1]}, "
-            f"but this dataset is {found[0]} with split {found[1]}")
-    cm = pipeline.evaluate(model, test_x, test_y)
+        found = dataio.dataset_id(reader.headers), split.digest()
+        if found != trained_on:
+            raise DatasetMismatchError(
+                f"{ckpt} was trained on dataset {trained_on[0]} with split {trained_on[1]}, "
+                f"but this dataset is {found[0]} with split {found[1]}")
+        [(test_x, test_y)], _ = pipeline.prepare_views(
+            reader.read, reader.headers["label"], [split.test], stats.mode, stats)
+        cm = pipeline.evaluate(model, test_x, test_y)
     report = {"mode": stats.mode.value, "test_size": len(test_y),
               **_confusion_outputs(cm, *confusion)}
     _write(json_path, json.dumps(report, indent=1))
@@ -310,14 +313,13 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         inputs=[args.dataset] if args.dataset else [])
     tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
                                  seed=cfg.seed)
-    if args.dataset:  # one frame pass per arm, as train and eval stream theirs
+    if args.dataset:  # both arms read their batches from the file, as train and eval do
         with _read_dataset(args.dataset) as reader:
-            report = pipeline.ablate(reader.headers, reader.frames, tconf, split_seed=cfg.seed)
+            report = pipeline.ablate(reader.headers, reader.read, tconf, split_seed=cfg.seed)
     else:
         s = _synth_section(args, cfg)
         recs = gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
-        report = pipeline.ablate(recs, lambda: enumerate(recs["frames"]), tconf,
-                                 split_seed=cfg.seed)
+        report = pipeline.ablate(recs, recs["frames"].__getitem__, tconf, split_seed=cfg.seed)
     payload = {}
     for i, arm in enumerate((report.normal_only, report.normal_and_shear)):
         confusion_csv, confusion_svg, history_csv = arm_paths[3 * i:3 * i + 3]
@@ -342,12 +344,11 @@ def cmd_viz(args, cfg: RunConfig) -> int:
     names = [sub / f"frame_{i:03d}.svg" for i in range(gestures.N_FRAMES)] + [sub / "montage.svg"]
     *frame_svgs, montage = _outdir(args, cfg, *names, inputs=[dataset])
     with _read_dataset(dataset) as reader:
-        # the frame pass checks every record, so a malformed file exits 5 before an unknown id 3
-        picked = [frames.copy() for i, frames in reader.frames() if i == args.recording_id]
-    if not picked:
-        raise MissingInputError(f"unknown recording id {args.recording_id} "
-                                f"(dataset has ids 0..{len(reader.headers) - 1})")
-    frames, label = picked[0], GestureClass(reader.headers["label"][args.recording_id])
+        if not 0 <= args.recording_id < len(reader.headers):
+            raise MissingInputError(f"unknown recording id {args.recording_id} "
+                                    f"(dataset has ids 0..{len(reader.headers) - 1})")
+        frames = reader.read(args.recording_id)
+    label = GestureClass(reader.headers["label"][args.recording_id])
     for svg, frame in zip(frame_svgs, frames):
         _write(svg, svgplot.force_field_svg(frame))
     _write(montage, svgplot.montage_svg(frames))

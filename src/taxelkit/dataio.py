@@ -32,6 +32,7 @@ FORMAT_VERSION = 1
 
 _DATASET_HEADER = struct.Struct("<4sIIII")
 _RECORD_SIZE = RECORD_HEADER.itemsize + N_FRAMES * N_TAXELS * 3 * 4
+_FRAMES_AT = _DATASET_HEADER.size + RECORD_HEADER.itemsize  # offset of record 0's frames
 _CHECKPOINT_HEADER = struct.Struct("<4sII")
 
 
@@ -126,14 +127,17 @@ class DatasetReader:
     Opening runs the header pass: it checks the file header and the exact
     file size, then reads only each record's 11-byte header into
     ``headers``, a read-only ``RECORD_HEADER`` array, and checks its label.
-    Nothing frame-sized is allocated. ``frames()`` runs the frame pass.
+    Nothing frame-sized is allocated. ``frames()`` runs the frame pass;
+    ``read(i)`` reads one record's frames on demand.
     """
 
     def __init__(self, path):
         self.path = path
         self._fh = open(path, "rb", buffering=0)
+        self._fd = self._fh.fileno()
         try:
             self.headers = self._header_pass()
+            self._n = len(self.headers)
         except BaseException:
             self._fh.close()
             raise
@@ -176,6 +180,18 @@ class DatasetReader:
             i = unknown[0]
             raise FormatError(f"{path}: recording {i} has unknown label {headers['label'][i]}")
         return headers
+
+    def read(self, i: int) -> np.ndarray:
+        """Record i's ``(122, 49, 3)`` float32 frames, in a fresh array, read
+        with one positional read at the record's offset, so a frame pass in
+        progress keeps its place. Their forces are as the frame pass checked
+        them, unless the file changed since."""
+        if not 0 <= i < self._n:
+            raise IndexError(f"no record {i} of {self._n}")
+        frames = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
+        if os.preadv(self._fd, [frames], _FRAMES_AT + i * _RECORD_SIZE) != frames.nbytes:
+            raise FormatError(f"{self.path}: truncated at recording {i}")
+        return frames
 
     def frames(self, block: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
         """The frame pass: yield ``(i, frames)`` for every record i in file

@@ -4,6 +4,8 @@ and the normal-vs-normal+shear ablation study.
 Tensor layout is (N, C, 5, 10) with channels stacked frame-major,
 axis-minor: frame 0 (x, y, z), frame 1 (x, y, z), ... The normal-only
 ablation keeps just the z channel of every frame, so C is 366 or 122.
+An arm's tensors are ``TensorView``s: each batch is read from the records
+when it is indexed, so no tensor of a whole split is built.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import hashlib
 import json
 import logging
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,7 @@ log = logging.getLogger("taxelkit")
 SPLIT_RATIO = (3081, 390, 390)
 
 STD_FLOOR = 1e-8
-SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sum of squares
+SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sums
 
 # Bounds the conv workspace a prediction grows: its stacked-tap products hold
 # 9*K*50 values per sample. 32 is the default training batch, so a prediction
@@ -53,34 +55,44 @@ def channels_for(mode: AblationMode) -> int:
     return N_FRAMES * mode.n_axes
 
 
-def fill_tensors(rows: Iterable[tuple[int, np.ndarray]], labels: np.ndarray,
-                 id_lists: list[list[int]], mode: AblationMode, dtype=np.float32
-                 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One arm's input tensor and labels for each list of record ids, filled in
-    one pass over ``rows``, ``(id, (122, 49, 3) frames)`` pairs; ``labels[id]``
-    is a record's label. Each used record's frames are stacked along the
-    channel axis; a frame's taxels are the first cells of the flat grid (see
-    ``geometry``). A row's frames are copied before the next row is read, so
-    a row source may reuse one buffer."""
-    k = mode.n_axes
-    tensors = [np.zeros((len(ids), N_FRAMES, k, ROWS * COLS), dtype=dtype) for ids in id_lists]
-    slots: dict[int, list[np.ndarray]] = {}
-    for tensor, ids in zip(tensors, id_lists):
-        for slot, i in zip(tensor[..., :N_TAXELS], ids):  # (122, k, 49) each
-            slots.setdefault(i, []).append(slot)
-    for i, frames in rows:
-        for slot in slots.get(i, ()):
-            slot[...] = frames[:, :, 3 - k:].transpose(0, 2, 1)
-    labels = np.asarray(labels, dtype=np.int64)
-    return [(tensor.reshape(len(ids), N_FRAMES * k, ROWS, COLS),
-             labels[np.asarray(ids, dtype=np.intp)]) for tensor, ids in zip(tensors, id_lists)]
+class TensorView:
+    """One arm's ``(N, C, 5, 10)`` input tensor over the records ``ids`` names,
+    read on demand. ``read(id)`` gives a record's ``(122, 49, 3)`` frames, e.g.
+    ``DatasetReader.read`` or ``records["frames"].__getitem__``. ``view[index]``,
+    for a slice or an index array, copies the records it selects into a
+    fresh C-order batch of ``dtype`` and normalizes it by ``stats`` with
+    ``apply_normalization`` (a view without stats gives the raw values). A
+    record's frames are stacked along the channel axis, and a frame's taxels
+    are the first cells of the flat grid (see ``geometry``). So an arm is
+    held one batch at a time, never as a tensor."""
+
+    def __init__(self, read: Callable[[int], np.ndarray], ids, mode: AblationMode,
+                 stats: NormalizationStats | None = None, dtype=np.float32):
+        self.read, self.mode, self.stats = read, mode, stats
+        self.ids = np.asarray(ids, dtype=np.intp)
+        self.dtype = np.dtype(dtype)
+        self.shape = (len(self.ids), channels_for(mode), ROWS, COLS)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index) -> np.ndarray:
+        ids = self.ids[index]
+        k = self.mode.n_axes
+        batch = np.empty((len(ids), N_FRAMES, k, ROWS * COLS), dtype=self.dtype)
+        batch[..., N_TAXELS:] = 0
+        for slot, i in zip(batch[..., :N_TAXELS], ids.tolist()):  # (122, k, 49) each
+            slot[...] = self.read(i)[:, :, 3 - k:].transpose(0, 2, 1)
+        batch = batch.reshape(len(ids), *self.shape[1:])
+        return batch if self.stats is None else apply_normalization(self.stats, batch)
 
 
 def assemble_tensor(records: np.ndarray, mode: AblationMode,
                     dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    """One arm's input tensor and labels for every record of a dataset."""
-    return fill_tensors(enumerate(records["frames"]), records["label"],
-                        [range(len(records))], mode, dtype)[0]
+    """One arm's input tensor and labels for every record of a dataset: a
+    full read of its ``TensorView``."""
+    view = TensorView(records["frames"].__getitem__, range(len(records)), mode, dtype=dtype)
+    return view[:], np.asarray(records["label"], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -172,48 +184,64 @@ def _pairwise(leaf, lo: int, n: int):
     return _pairwise(leaf, lo, n2) + _pairwise(leaf, lo + n2, n - n2)
 
 
-def _squared_deviations(view: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Per-axis sum of ``(view - mean)**2`` over a C-contiguous axis view, in
-    ``SUM_BLOCK``-element blocks, added in the order ``np.var`` adds them (numpy 2.x):
+def _axis_sums(x, k: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-axis sum of ``term(block)`` over ``x``, an (N, C, 5, 10) tensor or
+    view whose channel c reads force axis c % k, read by records
+    (``x[lo:hi]``) and added in the order numpy reduces the C-order tensor
+    over every axis but the force axis (numpy 2.x):
 
-    - n_axes > 1: each (recording, frame, axis) row of cells is summed pairwise,
-      then the rows are added in row order;
-    - n_axes = 1: the whole tensor is one run, summed by ``_pairwise``.
+    - k > 1: each (recording, frame, axis) row of cells is summed pairwise,
+      then the rows are added in row order; ``x`` is read in blocks of whole
+      records, at most ``SUM_BLOCK`` elements or one record each;
+    - k = 1: the whole tensor is one run, summed by ``_pairwise``; each leaf
+      reads the records its elements lie in.
+
+    ``term`` maps a ``(rows, k, cells)`` block to the values to add.
     """
-    buf = np.empty(SUM_BLOCK, dtype=view.dtype)
-
-    def block(x, m, out=None):  # the sums of squares of one block of deviations
-        d = np.subtract(x, m, out=buf[:x.size].reshape(x.shape))
-        return np.add.reduce(np.multiply(d, d, out=d), axis=-1, out=out)
-
-    k = view.shape[2]
+    n, c, h, w = x.shape
+    size = c * h * w  # elements per record
     if k == 1:
-        flat = view.reshape(-1)
-        total = _pairwise(lambda lo, n: block(flat[lo:lo + n], mean[0]), 0, flat.size)
-        return np.array([total], dtype=view.dtype)
-    rows = view.reshape(-1, k, view.shape[3] * view.shape[4])
-    part = np.empty(rows.shape[:2], dtype=view.dtype)
-    step = max(1, SUM_BLOCK // (k * rows.shape[2]))
-    for i in range(0, len(rows), step):
-        block(rows[i:i + step], mean[:, None], out=part[i:i + step])
+        def leaf(lo, m):
+            first, start = divmod(lo, size)
+            run = x[first:(lo + m - 1) // size + 1].reshape(1, 1, -1)[..., start:start + m]
+            return np.add.reduce(term(run), axis=-1)[0]
+        return _pairwise(leaf, 0, n * size)
+    rows = c // k  # (frame, axis) rows per record
+    part = np.empty((n * rows, k), dtype=x.dtype)
+    step = max(1, SUM_BLOCK // size)
+    for lo in range(0, n, step):
+        block = x[lo:lo + step].reshape(-1, k, h * w)
+        np.add.reduce(term(block), axis=-1, out=part[lo * rows:(lo + step) * rows])
     return np.add.reduce(part, axis=0)
 
 
-def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> NormalizationStats:
-    """Per-axis mean and floored std, bit for bit ``view.mean`` and ``view.std``
-    over every axis but the force axis, without a tensor-sized temporary."""
-    if train_tensor.size == 0:
+def _squared_deviations(x, mean: np.ndarray, k: int) -> np.ndarray:
+    """Per-axis sum of ``(x - mean)**2`` (see ``_axis_sums``), through one
+    block-sized buffer, so the order is the one ``np.var`` adds in."""
+    buf = np.empty(max(SUM_BLOCK, int(np.prod(x.shape[1:]))), dtype=x.dtype)
+
+    def squares(block):
+        d = np.subtract(block, mean[:, None], out=buf[:block.size].reshape(block.shape))
+        return np.multiply(d, d, out=d)
+    return _axis_sums(x, k, squares)
+
+
+def fit_normalization(x, mode: AblationMode) -> NormalizationStats:
+    """Per-axis mean and floored std of a training tensor or ``TensorView``,
+    bit for bit ``view.mean`` and ``view.std`` of the tensor over every axis
+    but the force axis, read in record blocks without a tensor-sized array."""
+    if not np.prod(x.shape):
         raise ValueError("empty training tensor")
-    n, c, h, w = train_tensor.shape
-    view = train_tensor.reshape(n, c // mode.n_axes, mode.n_axes, h, w)
-    axes = (0, 1, 3, 4)
+    k = mode.n_axes
+    count = np.intp(np.prod(x.shape) // k)
     with np.errstate(over="ignore"):  # an overflow is reported below
-        mean = view.mean(axis=axes)
-        var = _squared_deviations(view, mean)
-        np.true_divide(var, np.intp(view.size // mode.n_axes), out=var, casting="unsafe")
+        mean = _axis_sums(x, k, lambda block: block)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        var = _squared_deviations(x, mean, k)
+        np.true_divide(var, count, out=var, casting="unsafe")
         std = np.maximum(np.sqrt(var, out=var), STD_FLOOR)
     if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-        raise FloatingPointError(f"normalization stats overflow {train_tensor.dtype}: "
+        raise FloatingPointError(f"normalization stats overflow {x.dtype}: "
                                  f"mean {mean.tolist()}, std {std.tolist()}")
     return NormalizationStats(mode=mode, mean=mean, std=std)
 
@@ -221,30 +249,31 @@ def fit_normalization(train_tensor: np.ndarray, mode: AblationMode) -> Normaliza
 def apply_normalization(stats: NormalizationStats, tensor: np.ndarray) -> np.ndarray:
     """Normalize ``tensor`` in place and return it. The stats are cast to the
     tensor's dtype first, so float64 stats on a float32 tensor give exactly
-    what their float32 rounding gives, and the tensor keeps its dtype."""
-    frames = tensor.shape[1] // stats.mode.n_axes  # channel c reads axis c % n_axes
-    tensor -= np.tile(stats.mean.astype(tensor.dtype), frames)[:, None, None]
-    tensor /= np.tile(stats.std.astype(tensor.dtype), frames)[:, None, None]
+    what their float32 rounding gives, and the tensor keeps its dtype. Each is
+    spread over a whole (C, 5, 10) sample first, so numpy runs one long loop
+    per sample instead of one per 50-cell channel."""
+    c, h, w = tensor.shape[1:]
+    k = stats.mode.n_axes  # channel c reads axis c % k
+    sample = np.empty((c // k, k, h * w), dtype=tensor.dtype)
+    for value, op in ((stats.mean, np.subtract), (stats.std, np.divide)):
+        sample[...] = value.astype(tensor.dtype)[:, None]
+        op(tensor, sample.reshape(c, h, w), out=tensor)
     return tensor
 
 
-def prepare_tensors(rows: Iterable[tuple[int, np.ndarray]], labels: np.ndarray,
-                    id_lists: list[list[int]], mode: AblationMode,
-                    stats: NormalizationStats | None = None
-                    ) -> tuple[list[tuple[np.ndarray, np.ndarray]], NormalizationStats]:
-    """One arm's float32 input tensor and labels for each id list, filled in
-    one pass over ``rows`` (see ``fill_tensors``).
-
-    Every tensor is normalized in place by ``stats``; when None, the stats are
-    fitted on the first list's tensor (the training split) and returned for
-    the others. The tensors are the only tensor-sized arrays this allocates.
-    """
-    pairs = fill_tensors(rows, labels, id_lists, mode)
+def prepare_views(read: Callable[[int], np.ndarray], labels: np.ndarray,
+                  id_lists: list[list[int]], mode: AblationMode,
+                  stats: NormalizationStats | None = None
+                  ) -> tuple[list[tuple[TensorView, np.ndarray]], NormalizationStats]:
+    """One arm's normalized float32 ``TensorView`` and labels for each id list;
+    ``labels[id]`` is a record's label. When ``stats`` is None they are fitted
+    on the first list's records (the training split) and returned for the
+    others. Nothing tensor-sized is allocated."""
     if stats is None:
-        stats = fit_normalization(pairs[0][0], mode)
-    for x, _ in pairs:
-        apply_normalization(stats, x)
-    return pairs, stats
+        stats = fit_normalization(TensorView(read, id_lists[0], mode), mode)
+    labels = np.asarray(labels, dtype=np.int64)
+    return [(TensorView(read, ids, mode, stats), labels[np.asarray(ids, dtype=np.intp)])
+            for ids in id_lists], stats
 
 
 @dataclass(frozen=True)
@@ -361,22 +390,22 @@ class AblationReport:
         return int(np.sum(self.per_class_delta() > 0))
 
 
-def run_arm(headers: np.ndarray, frames: Callable[[], Iterable[tuple[int, np.ndarray]]],
-            split: DatasetSplit, mode: AblationMode, config: TrainConfig) -> AblationArm:
-    [(train_x, train_y), (val_x, val_y), (test_x, test_y)], _ = prepare_tensors(
-        frames(), headers["label"], [split.train, split.val, split.test], mode)
+def run_arm(headers: np.ndarray, read: Callable[[int], np.ndarray], split: DatasetSplit,
+            mode: AblationMode, config: TrainConfig) -> AblationArm:
+    [(train_x, train_y), (val_x, val_y), (test_x, test_y)], _ = prepare_views(
+        read, headers["label"], [split.train, split.val, split.test], mode)
     model, history = train(train_x, train_y, val_x, val_y, config)
     return AblationArm(mode=mode, result=evaluate(model, test_x, test_y), history=history)
 
 
-def ablate(headers: np.ndarray, frames: Callable[[], Iterable[tuple[int, np.ndarray]]],
-           config: TrainConfig, split_seed: int = 0) -> AblationReport:
+def ablate(headers: np.ndarray, read: Callable[[int], np.ndarray], config: TrainConfig,
+           split_seed: int = 0) -> AblationReport:
     """Train and evaluate both arms of a dataset on identical splits and seeds.
 
-    ``headers`` is a dataset or its ``dataio.RECORD_HEADER`` array; each arm fills
-    its tensors in one pass of ``frames()`` over the ``(id, frames)`` rows, e.g.
-    ``reader.frames`` or ``lambda: enumerate(records["frames"])``, so the first
-    pass reads every row before any training starts."""
+    ``headers`` is a dataset or its ``dataio.RECORD_HEADER`` array; ``read(id)``
+    gives a record's frames, e.g. ``reader.read`` after the reader's frame
+    pass, or ``records["frames"].__getitem__``. Each arm reads its batches
+    through ``TensorView``s, so neither holds a tensor."""
     split = split_dataset(headers, seed=split_seed)
-    return AblationReport(*[run_arm(headers, frames, split, mode, config)
+    return AblationReport(*[run_arm(headers, read, split, mode, config)
                             for mode in AblationMode])

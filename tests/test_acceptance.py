@@ -128,7 +128,7 @@ def test_criterion_5_ablation_property():
     recs = synth_dataset(n_users=4, n_blocks=3, reps_per_block=3, master_seed=FULL_SEED)
     assert len(recs) == 468
     config = TrainConfig(epochs=60, batch_size=32, seed=FULL_SEED)
-    rep = ablate(recs, lambda: enumerate(recs["frames"]), config, split_seed=FULL_SEED)
+    rep = ablate(recs, recs["frames"].__getitem__, config, split_seed=FULL_SEED)
     acc_n = rep.normal_only.result.overall_accuracy
     acc_s = rep.normal_and_shear.result.overall_accuracy
     elapsed = time.time() - t0

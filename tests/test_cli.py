@@ -500,16 +500,16 @@ class TestCheckpointManifest:
         _, stats, split_seed, _ = _load_model(out / "model.tgkm")
         recs = load_dataset(out / "dataset.tgk")
         split = pipeline.split_dataset(recs, seed=split_seed)
-        _, fitted = pipeline.prepare_tensors(enumerate(recs["frames"]), recs["label"],
-                                             [split.train], stats.mode)
+        read = recs["frames"].__getitem__
+        _, fitted = pipeline.prepare_views(read, recs["label"], [split.train], stats.mode)
         assert stats.mean.tobytes() == fitted.mean.tobytes()
         assert stats.std.tobytes() == fitted.std.tobytes()
-        [(from_manifest, _)], _ = pipeline.prepare_tensors(
-            enumerate(recs["frames"]), recs["label"], [split.test], stats.mode, stats)
-        [(in_process, _)], _ = pipeline.prepare_tensors(
-            enumerate(recs["frames"]), recs["label"], [split.test], stats.mode, fitted)
+        [(from_manifest, _)], _ = pipeline.prepare_views(
+            read, recs["label"], [split.test], stats.mode, stats)
+        [(in_process, _)], _ = pipeline.prepare_views(
+            read, recs["label"], [split.test], stats.mode, fitted)
         assert from_manifest.dtype == np.float32
-        assert from_manifest.tobytes() == in_process.tobytes()
+        assert from_manifest[:].tobytes() == in_process[:].tobytes()
 
 
 class TestTrainedOn:
@@ -642,7 +642,7 @@ class TestUnusedRows:
 
     @pytest.mark.parametrize("part", ["train", "val", "test"])
     def test_ablate_non_finite_row(self, data, tiny_config, capsys, caplog, monkeypatch, part):
-        # the first arm's frame pass checks every record before either arm trains
+        # the frame pass checks every record before either arm trains
         out, split = data
         record = getattr(split, part)[0]
         poke_force(out / "dataset.tgk", record, float("nan"))
@@ -677,10 +677,28 @@ class TestUnusedRows:
         assert self.exit_code(capsys, command, out, tiny_config, *extra) == 5
         assert "truncated" in caplog.text
 
+    @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
+    def test_truncated_after_the_frame_pass(self, data, tiny_config, capsys, caplog, monkeypatch,
+                                            command):
+        # the file is cut once the frame pass has checked it: the batch reads
+        # that follow come up short, which is a malformed file too
+        out, _ = data
+        assert self.exit_code(capsys, "train", out, tiny_config) == 0
+        path = out / "dataset.tgk"
+        frame_pass = dataio.DatasetReader.frames
+
+        def frames_then_cut(reader, *args):
+            yield from frame_pass(reader, *args)
+            os.truncate(path, 20 + 11 + 500)  # the file header and part of record 0
+        monkeypatch.setattr(dataio.DatasetReader, "frames", frames_then_cut)
+        extra = ["--dataset", str(path)] if command == "ablate" else []
+        assert self.exit_code(capsys, command, out, tiny_config, *extra) == 5
+        assert "truncated at recording" in caplog.text
+
 
 def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
-    # train and eval stream each record into the tensors; on the desk set they
-    # write what the in-memory path (load_dataset, prepare_tensors, as ablate does) gives
+    # train and eval read their batches from the file; on the desk set they
+    # write what the in-memory path (load_dataset, prepare_views, as ablate does) gives
     out = tmp_path / "out"
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
@@ -689,8 +707,8 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     recs = load_dataset(out / "dataset.tgk")
     split = pipeline.split_dataset(recs, seed=0)
     mode = pipeline.AblationMode.NORMAL_ONLY
-    [(train_x, train_y), (val_x, val_y), (test_x, test_y)], stats = pipeline.prepare_tensors(
-        enumerate(recs["frames"]), recs["label"], [split.train, split.val, split.test], mode)
+    [(train_x, train_y), (val_x, val_y), (test_x, test_y)], stats = pipeline.prepare_views(
+        recs["frames"].__getitem__, recs["label"], [split.train, split.val, split.test], mode)
     model, history = pipeline.train(train_x, train_y, val_x, val_y,
                                      pipeline.TrainConfig(epochs=1, seed=0))
     cm = pipeline.evaluate(model, test_x, test_y)
@@ -733,8 +751,8 @@ def test_eval_draws_no_weights(tmp_path, tiny_config, monkeypatch):
 
 
 def test_ablate_never_builds_the_frame_block(tmp_path, monkeypatch):
-    # ablate --dataset runs one frame pass per arm; on the desk set it writes
-    # the bytes the in-memory ablate of the synthesized array writes
+    # ablate --dataset reads its batches from the file after one frame pass; on
+    # the desk set it writes the bytes the in-memory ablate of the synthesized array writes
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
     streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
@@ -829,6 +847,70 @@ def test_synth_peak_rss_does_not_grow_with_the_dataset(tmp_path):
         peaks.append(int(proc.stdout.split()[-1]) / 1024)  # KiB on Linux
     assert len(load_dataset(tmp_path / "out16" / "dataset.tgk")) == 4 * 468
     assert abs(peaks[1] - peaks[0]) < 10, peaks
+
+
+@needs_fork
+def test_train_and_ablate_peak_rss_do_not_grow_with_the_dataset(tmp_path):
+    # train and ablate --dataset hold a batch, never an arm's tensors: with 4x
+    # the users (1872 recordings) a 0-epoch normal+shear train and a 1-epoch
+    # ablate peak where they do on the desk set (468)
+    src = str(Path(taxelkit.__file__).resolve().parents[1])
+    env = {**os.environ, "TAXELKIT_LOG": "WARNING",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    peaks = {"train": [], "ablate": []}
+    for n_users in (4, 16):
+        out = tmp_path / f"out{n_users}"
+        configs = {}
+        for command, epochs in (("train", 0), ("ablate", 1)):
+            configs[command] = tmp_path / f"{command}{n_users}.json"
+            configs[command].write_text(json.dumps({"synth": {"n_users": n_users},
+                                                    "train": {"epochs": epochs}}))
+        assert run("synth", "--config", str(configs["train"]), "--out", str(out)) == 0
+        dataset = str(out / "dataset.tgk")
+        for command, extra in (("train", ["--mode", "normal-and-shear"]), ("ablate", [])):
+            # a fresh parent per run: RUSAGE_CHILDREN keeps the largest child it ever reaped
+            proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, command, *extra,
+                                   "--config", str(configs[command]), "--dataset", dataset,
+                                   "--out", str(out / command)],
+                                  capture_output=True, text=True, env=env, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            peaks[command].append(int(proc.stdout.split()[-1]) / 1024)  # KiB on Linux
+    assert json.loads((tmp_path / "out16" / "dataset.tgk.json").read_text())["n_recordings"] == 1872
+    for command, (desk, large) in peaks.items():
+        assert abs(large - desk) < 10, peaks
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 64])
+def test_thirteen_recordings_match_the_in_memory_path(tmp_path, batch_size):
+    # one user, one block, one rep: splits of 11, 1 and 1 recordings, and
+    # batches of one, a ragged last batch, or one batch bigger than the split
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"synth": {"n_users": 1, "n_blocks": 1, "reps_per_block": 1},
+                                  "train": {"epochs": 2, "batch_size": batch_size}, "seed": 4}))
+    out, in_memory = tmp_path / "out", tmp_path / "in_memory"
+    argv = ["--config", str(config)]
+    dataset = str(out / "dataset.tgk")
+    assert run("synth", *argv, "--out", str(out)) == 0
+    assert run("ablate", *argv, "--out", str(in_memory)) == 0
+    assert run("ablate", *argv, "--out", str(out / "streamed"), "--dataset", dataset) == 0
+    assert files(out / "streamed") == files(in_memory)
+    recs = synth_dataset(1, 1, 1, 4)
+    split = pipeline.split_dataset(recs, seed=4)
+    assert [len(split.train), len(split.val), len(split.test)] == [11, 1, 1]
+    for mode in pipeline.AblationMode:
+        arm = out / mode.value
+        assert run("train", *argv, "--out", str(arm), "--dataset", dataset,
+                   "--mode", mode.value.replace("_", "-")) == 0
+        assert run("eval", *argv, "--out", str(arm), "--dataset", dataset) == 0
+        for name in ("history", "confusion"):
+            assert ((arm / f"{name}.csv").read_bytes()
+                    == (in_memory / f"{name}_{mode.value}.csv").read_bytes())
+        [(train_x, train_y), (val_x, val_y)], _ = pipeline.prepare_views(
+            recs["frames"].__getitem__, recs["label"], [split.train, split.val], mode)
+        model, _ = pipeline.train(train_x, train_y, val_x, val_y,
+                                  pipeline.TrainConfig(epochs=2, batch_size=batch_size, seed=4))
+        dataio.save_checkpoint(model.params, model.in_channels, tmp_path / "ref.tgkm")
+        assert (arm / "model.tgkm").read_bytes() == (tmp_path / "ref.tgkm").read_bytes()
 
 
 class TestOutputPaths:

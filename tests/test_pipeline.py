@@ -13,16 +13,16 @@ from taxelkit import pipeline
 from taxelkit.dataio import DatasetReader, load_dataset, save_dataset
 from taxelkit.gestures import RECORDING, synth_dataset
 from taxelkit.pipeline import (SPLIT_RATIO, STD_FLOOR, SUM_BLOCK, AblationMode, ConfusionMatrix,
-                               DatasetSplit, NormalizationStats, TrainConfig,
+                               DatasetSplit, NormalizationStats, TensorView, TrainConfig,
                                TrainingDivergedError, apply_normalization, assemble_tensor,
-                               channels_for, evaluate, fill_tensors, fit_normalization,
-                               prepare_tensors, select, split_dataset, train)
+                               channels_for, evaluate, fit_normalization, prepare_views,
+                               select, split_dataset, train)
 from taxelkit.nn import CONV_CHANNELS, CnnModel
 
 
-def rows_of(records):
-    """The row source and labels of a record array, for ``fill_tensors``."""
-    return enumerate(records["frames"]), records["label"]
+def read_of(records):
+    """The record reader and labels of a record array, for ``prepare_views``."""
+    return records["frames"].__getitem__, records["label"]
 
 
 def zero_records(user_ids, labels=0):
@@ -182,13 +182,15 @@ def saved_recordings(recordings, tmp_path_factory):
 
 
 class TestStreamedTensors:
-    """train and eval fill their tensors from the frame pass of the file; the
-    tensors equal those assembled from the loaded record array."""
+    """train, eval and ablate --dataset read their batches from the file; a
+    view's batches are the bytes of the tensor assembled and normalized in
+    memory."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_match_assembled_from_loaded(self, saved_recordings, data):
         # disjoint, unsorted id lists of any size, empty and single ones included
+        loaded = load_dataset(saved_recordings)
         with DatasetReader(saved_recordings) as reader:
             n = len(reader.headers)
             ids = data.draw(st.permutations(range(n)), label="ids")
@@ -196,26 +198,68 @@ class TestStreamedTensors:
                                     label="cuts"))
             id_lists = [ids[:cuts[0]], ids[cuts[0]:cuts[1]], ids[cuts[1]:cuts[2]]]
             mode = data.draw(st.sampled_from(AblationMode), label="mode")
-            streamed = fill_tensors(reader.frames(), reader.headers["label"], id_lists, mode)
-        loaded = load_dataset(saved_recordings)
-        for (x, y), id_list in zip(streamed, id_lists):
-            ref_x, ref_y = assemble_tensor(select(loaded, id_list), mode, np.float32)
-            assert x.dtype == ref_x.dtype and x.shape == ref_x.shape
-            assert x.tobytes() == ref_x.tobytes()
-            assert y.dtype == ref_y.dtype and y.tolist() == ref_y.tolist()
+            for id_list in id_lists:
+                x = TensorView(reader.read, id_list, mode)[:]
+                ref_x, _ = assemble_tensor(select(loaded, id_list), mode, np.float32)
+                assert x.dtype == ref_x.dtype and x.shape == ref_x.shape
+                assert x.tobytes() == ref_x.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), mode=st.sampled_from(AblationMode),
+           dtype=st.sampled_from([np.float32, np.float64]), source=st.sampled_from(["file", "memory"]))
+    def test_view_matches_prepared_tensor(self, recordings, saved_recordings, data, mode, dtype,
+                                          source):
+        # at least 12 training records: the normal-only sums then take more than
+        # one pairwise leaf, and the leaves cross record boundaries
+        n = len(recordings)
+        assert 12 * 122 * 50 > SUM_BLOCK
+        ids = data.draw(st.permutations(range(n)), label="ids")
+        n_train = data.draw(st.integers(12, n), label="n_train")
+        n_val = data.draw(st.integers(0, n - n_train), label="n_val")
+        n_test = data.draw(st.sampled_from([0, 1, 3, n - n_train - n_val]), label="n_test")
+        n_test = min(n_test, n - n_train - n_val)
+        id_lists = [ids[:n_train], ids[n_train:n_train + n_val],
+                    ids[n_train + n_val:n_train + n_val + n_test]]
+        k = mode.n_axes
+        with DatasetReader(saved_recordings) as reader:
+            read = reader.read if source == "file" else recordings["frames"].__getitem__
+            stats = fit_normalization(TensorView(read, id_lists[0], mode, dtype=dtype), mode)
+            train_x, _ = assemble_tensor(select(recordings, id_lists[0]), mode, dtype)
+            view = train_x.reshape(n_train, 122, k, 5, 10)
+            axes = (0, 1, 3, 4)
+            assert stats.mean.dtype == stats.std.dtype == dtype
+            assert stats.mean.tobytes() == view.mean(axis=axes).tobytes()
+            assert stats.std.tobytes() == np.maximum(view.std(axis=axes), STD_FLOOR).tobytes()
+            for id_list in id_lists:
+                x = TensorView(read, id_list, mode, stats, dtype)
+                raw, labels = assemble_tensor(select(recordings, id_list), mode, dtype)
+                prepared = one_expression(stats, raw)
+                assert x.shape == prepared.shape and len(x) == len(id_list) and x.dtype == dtype
+                ints = st.lists(st.integers(0, len(x) - 1), max_size=9) if len(x) else st.just([])
+                idx = np.array(data.draw(ints, label="idx"), dtype=np.intp)
+                lo, hi = sorted(data.draw(st.lists(st.integers(-len(x) - 1, len(x) + 1),
+                                                   min_size=2, max_size=2), label="slice"))
+                step = data.draw(st.sampled_from([None, 1, 2, 3]), label="step")
+                for index in (idx, slice(lo, hi, step), slice(None)):
+                    batch = x[index]
+                    assert batch.flags.c_contiguous and batch.dtype == dtype
+                    assert batch.tobytes() == prepared[index].tobytes()
+                _, y = prepare_views(read, recordings["label"], [id_list], mode, stats)[0][0]
+                assert y.dtype == np.int64 and y.tolist() == labels.tolist()
 
     @pytest.mark.parametrize("mode", list(AblationMode))
     def test_prepared_split_matches_prepare(self, recordings, saved_recordings, mode):
         split = split_dataset(recordings, seed=0)
         with DatasetReader(saved_recordings) as reader:
-            pairs, stats = prepare_tensors(reader.frames(), reader.headers["label"],
-                                           [split.train, split.val, split.test], mode)
-        refs, fitted = prepare_tensors(*rows_of(recordings),
-                                       [split.train, split.val, split.test], mode)
+            pairs, stats = prepare_views(reader.read, reader.headers["label"],
+                                         [split.train, split.val, split.test], mode)
+            streamed = [(x[:], y) for x, y in pairs]
+        refs, fitted = prepare_views(*read_of(recordings),
+                                     [split.train, split.val, split.test], mode)
         assert stats.mean.tobytes() == fitted.mean.tobytes()
         assert stats.std.tobytes() == fitted.std.tobytes()
-        for (x, y), (ref_x, ref_y) in zip(pairs, refs):
-            assert x.tobytes() == ref_x.tobytes() and y.tolist() == ref_y.tolist()
+        for (x, y), (ref_x, ref_y) in zip(streamed, refs):
+            assert x.tobytes() == ref_x[:].tobytes() and y.tolist() == ref_y.tolist()
 
 
 class TestSplitDataset:
@@ -385,7 +429,7 @@ def assert_fit_matches_numpy(x, mode):
     stats = fit_normalization(x, mode)
     mean = view.mean(axis=axes)
     d = view - mean[None, None, :, None, None]
-    assert (pipeline._squared_deviations(view, mean).tobytes()
+    assert (pipeline._squared_deviations(x, mean, mode.n_axes).tobytes()
             == np.add.reduce(d * d, axis=axes).tobytes())
     std = np.maximum(view.std(axis=axes), STD_FLOOR)
     assert stats.mean.dtype == mean.dtype and stats.std.dtype == std.dtype == x.dtype
@@ -428,33 +472,35 @@ class TestPrepare:
     def test_matches_assemble_then_normalize(self, recordings):
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_AND_SHEAR
-        [(x, y)], stats = prepare_tensors(*rows_of(recordings), [split.train], mode)
+        [(x, y)], stats = prepare_views(*read_of(recordings), [split.train], mode)
         raw, raw_y = assemble_tensor(select(recordings, split.train), mode, dtype=np.float32)
         ref = fit_normalization(raw, mode)
-        assert x.dtype == np.float32
+        assert x.dtype == np.float32 and x.shape == raw.shape
         assert np.array_equal(y, raw_y)
-        assert np.array_equal(stats.mean, ref.mean) and np.array_equal(stats.std, ref.std)
-        assert x.tobytes() == one_expression(ref, raw).tobytes()
+        assert stats.mean.tobytes() == ref.mean.tobytes()
+        assert stats.std.tobytes() == ref.std.tobytes()
+        assert x[:].tobytes() == one_expression(ref, raw).tobytes()
 
     def test_reuses_given_stats(self, recordings):
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_ONLY
-        _, stats = prepare_tensors(*rows_of(recordings), [split.train], mode)
-        [(x, y)], same = prepare_tensors(*rows_of(recordings), [split.val], mode, stats)
+        _, stats = prepare_views(*read_of(recordings), [split.train], mode)
+        [(x, y)], same = prepare_views(*read_of(recordings), [split.val], mode, stats)
         assert same is stats
         assert x.shape == (len(split.val), 122, 5, 10) and len(y) == len(split.val)
         raw, _ = assemble_tensor(select(recordings, split.val), mode, dtype=np.float32)
-        assert x.tobytes() == one_expression(stats, raw).tobytes()
+        assert x[:].tobytes() == one_expression(stats, raw).tobytes()
         # the float32 stats as float64 values, as a checkpoint manifest holds them
         stats64 = NormalizationStats(mode=mode, mean=np.array(stats.mean.tolist()),
                                      std=np.array(stats.std.tolist()))
-        [(x64, _)], _ = prepare_tensors(*rows_of(recordings), [split.val], mode,
-                                        stats64)
-        assert x64.dtype == np.float32 and x64.tobytes() == x.tobytes()
+        [(x64, _)], _ = prepare_views(*read_of(recordings), [split.val], mode,
+                                      stats64)
+        assert x64.dtype == np.float32 and x64[:].tobytes() == x[:].tobytes()
 
     def test_fits_on_train_once_and_normalizes_once_per_call(self, recordings, monkeypatch):
-        """prepare_tensors reaches both stages through the module attributes, once each,
-        so the benchmark's wrapped ``pipeline.*_normalization`` rows time the real work."""
+        """prepare_views fits once, and each batch read normalizes once, both through
+        the module attributes, so the benchmark's wrapped ``pipeline.*_normalization``
+        rows time the real work."""
         calls = []
         for name in ("fit_normalization", "apply_normalization"):
             def counted(*args, _real=getattr(pipeline, name), _name=name):
@@ -463,43 +509,53 @@ class TestPrepare:
             monkeypatch.setattr(pipeline, name, counted)
         split = split_dataset(recordings, seed=0)
         mode = AblationMode.NORMAL_ONLY
-        _, stats = prepare_tensors(*rows_of(recordings), [split.train], mode)
-        assert calls == ["fit_normalization", "apply_normalization"]
+        _, stats = prepare_views(*read_of(recordings), [split.train], mode)
+        assert calls == ["fit_normalization"]
         calls.clear()
-        prepare_tensors(*rows_of(recordings), [split.val], mode, stats)
-        assert calls == ["apply_normalization"]
+        [(x, _)], _ = prepare_views(*read_of(recordings), [split.val], mode, stats)
+        assert calls == []
+        x[:3], x[np.array([4, 0])]
+        assert calls == ["apply_normalization"] * 2
 
     @pytest.mark.parametrize("mode", list(AblationMode))
     def test_tensor_freed_without_the_cycle_collector(self, recordings, mode):
-        """Nothing prepare_tensors leaves behind (no closure cycle) keeps a dropped tensor alive."""
+        """Nothing a view leaves behind (no closure cycle) keeps a dropped batch or view alive."""
         gc.disable()
         try:
-            [(x, _)], _ = prepare_tensors(*rows_of(recordings), [list(range(40))], mode)
-            alive = weakref.ref(x if x.base is None else x.base)  # the array owning the data
-            del x
-            assert alive() is None
+            [(view, _)], _ = prepare_views(*read_of(recordings), [list(range(40))], mode)
+            x = view[:]
+            alive = [weakref.ref(x if x.base is None else x.base), weakref.ref(view)]
+            del x, view
+            assert [ref() for ref in alive] == [None, None]
         finally:
             gc.enable()
 
-    def test_holds_one_tensor(self):
-        """Beyond the tensor it returns, prepare_tensors allocates one sum block and the
-        per-row sums, never a second tensor-sized array."""
+    def test_holds_no_tensor(self):
+        """prepare_views allocates one record block, one sum block and the per-row
+        sums, never a tensor-sized array; a batch read allocates its batch and
+        one record's frames."""
         n = 300
         rng = np.random.default_rng(0)
         recs = np.zeros(n, RECORDING)
         recs["frames"] = rng.standard_normal((n, 122, 49, 3)).astype(np.float32)
         recs["label"] = np.arange(n) % 13
         recs["seed"] = np.arange(n)
-        mode = AblationMode.NORMAL_AND_SHEAR
-        tracemalloc.start()
-        try:
-            [(x, _)], _ = prepare_tensors(*rows_of(recs), [list(range(n))], mode)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one sum block, the per-row sums, and 256 KiB for labels, lists and tiled stats
-        margin = SUM_BLOCK * x.itemsize + n * 122 * 3 * x.itemsize + (1 << 18)
-        assert peak <= x.nbytes + margin, (peak, x.nbytes)
+        for mode in AblationMode:
+            record = 122 * mode.n_axes * 50 * 4
+            tensor = n * record
+            tracemalloc.start()
+            try:
+                [(x, _)], _ = prepare_views(*read_of(recs), [list(range(n))], mode)
+                fit_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                batch = x[np.arange(32)]
+                batch_peak = tracemalloc.get_traced_memory()[1] - batch.nbytes
+            finally:
+                tracemalloc.stop()
+            # record and sum blocks, the per-row sums, and 256 KiB for labels and lists
+            margin = max(SUM_BLOCK * 4, record) * 2 + n * 122 * mode.n_axes * 4 + (1 << 18)
+            assert fit_peak <= margin and fit_peak < tensor / 10, (mode, fit_peak, margin, tensor)
+            assert batch_peak <= 122 * 49 * 3 * 4 + (1 << 16), (mode, batch_peak)
 
 
 class TestTrain:
