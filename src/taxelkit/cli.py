@@ -181,18 +181,16 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 @contextmanager
 def _read_dataset(path):
-    """A dataset file's reader after its header pass and its frame pass, which
-    checks every record, so a malformed file exits 5 before any other input
-    is checked. A command then reads the records it uses with ``reader.read``,
-    so no dataset array is built."""
+    """A dataset file's reader, whose opening scan checks every record, so a
+    malformed file exits 5 before any other input is checked. A command then
+    reads the records it uses with ``reader.read``, so no dataset array is
+    built."""
     path = Path(path)
     if not path.is_file():
         raise MissingInputError(f"dataset file not found: {path} (run 'synth' first)")
     with dataio.DatasetReader(path) as reader:
         if not len(reader.headers):
             raise dataio.FormatError(f"{path}: dataset has no recordings")
-        for _ in reader.frames():
-            pass
         yield reader
 
 

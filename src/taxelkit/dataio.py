@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import struct
-from collections.abc import Iterator
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -122,13 +121,14 @@ def save_dataset(records: np.ndarray, path, config: dict | None = None) -> None:
 
 
 class DatasetReader:
-    """A TGK1 file read in two passes, one open file for both.
+    """A TGK1 file, one open file for all of its reads.
 
-    Opening runs the header pass: it checks the file header and the exact
-    file size, then reads only each record's 11-byte header into
-    ``headers``, a read-only ``RECORD_HEADER`` array, and checks its label.
-    Nothing frame-sized is allocated. ``frames()`` runs the frame pass;
-    ``read(i)`` reads one record's frames on demand.
+    Opening checks the file header and the exact file size before it
+    allocates anything, then scans the records once in file order: each
+    11-byte header goes into ``headers``, a read-only ``RECORD_HEADER``
+    array, and the frames into one reused ``(122, 49, 3)`` row, and the
+    record's label, then its forces, are checked, so a ``FormatError`` names
+    the first corrupt record. ``read(i)`` reads one record's frames on demand.
     """
 
     def __init__(self, path):
@@ -136,8 +136,7 @@ class DatasetReader:
         self._fh = open(path, "rb", buffering=0)
         self._fd = self._fh.fileno()
         try:
-            self.headers = self._header_pass()
-            self._n = len(self.headers)
+            self.headers = self._scan()
         except BaseException:
             self._fh.close()
             raise
@@ -148,7 +147,7 @@ class DatasetReader:
     def __exit__(self, *exc) -> None:
         self._fh.close()
 
-    def _header_pass(self) -> np.ndarray:
+    def _scan(self) -> np.ndarray:
         fh, path = self._fh, self.path
         header = fh.read(_DATASET_HEADER.size)
         if len(header) < _DATASET_HEADER.size:
@@ -170,46 +169,28 @@ class DatasetReader:
         # the size check above bounds this allocation by the file's size
         headers = np.empty(n_rec, dtype=RECORD_HEADER)
         raw = headers.view(np.uint8).reshape(n_rec, RECORD_HEADER.itemsize)
+        labels = headers["label"]
+        row = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
         for i, record in enumerate(raw):
-            fh.seek(_DATASET_HEADER.size + i * _RECORD_SIZE)
-            if fh.readinto(record) != record.nbytes:
+            if os.readv(self._fd, [record, row]) != _RECORD_SIZE:
                 raise FormatError(f"{path}: truncated at recording {i}")
+            if labels[i] >= N_CLASSES:
+                raise FormatError(f"{path}: recording {i} has unknown label {labels[i]}")
+            if not np.isfinite(row).all():
+                raise FormatError(f"{path}: recording {i} has non-finite forces")
         headers.flags.writeable = False
-        unknown = np.flatnonzero(headers["label"] >= N_CLASSES)
-        if unknown.size:
-            i = unknown[0]
-            raise FormatError(f"{path}: recording {i} has unknown label {headers['label'][i]}")
         return headers
 
     def read(self, i: int) -> np.ndarray:
         """Record i's ``(122, 49, 3)`` float32 frames, in a fresh array, read
-        with one positional read at the record's offset, so a frame pass in
-        progress keeps its place. Their forces are as the frame pass checked
-        them, unless the file changed since."""
-        if not 0 <= i < self._n:
-            raise IndexError(f"no record {i} of {self._n}")
+        with one positional read at the record's offset. Their forces are as
+        the scan checked them, unless the file changed since."""
+        if not 0 <= i < len(self.headers):
+            raise IndexError(f"no record {i} of {len(self.headers)}")
         frames = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
         if os.preadv(self._fd, [frames], _FRAMES_AT + i * _RECORD_SIZE) != frames.nbytes:
             raise FormatError(f"{self.path}: truncated at recording {i}")
         return frames
-
-    def frames(self, block: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
-        """The frame pass: yield ``(i, frames)`` for every record i in file
-        order, after checking that its forces are finite, used or not.
-        ``frames`` is ``block[i]`` when an ``(n, 122, 49, 3)`` float32 block,
-        such as a dataset's ``frames`` field, is given, else one
-        ``(122, 49, 3)`` float32 row that the next record overwrites."""
-        fh, path = self._fh, self.path
-        fh.seek(_DATASET_HEADER.size)
-        record = bytearray(RECORD_HEADER.itemsize)
-        row = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
-        for i in range(len(self.headers)):
-            frames = row if block is None else block[i]
-            if fh.readinto(record) != len(record) or fh.readinto(frames) != frames.nbytes:
-                raise FormatError(f"{path}: truncated at recording {i}")
-            if not np.isfinite(frames).all():
-                raise FormatError(f"{path}: recording {i} has non-finite forces")
-            yield i, frames
 
 
 def load_dataset(path) -> np.recarray:
@@ -217,8 +198,8 @@ def load_dataset(path) -> np.recarray:
     with DatasetReader(path) as reader:
         records = np.zeros(len(reader.headers), dtype=RECORDING)  # zeroed padding bytes
         records[list(RECORD_HEADER.names)] = reader.headers
-        for _ in reader.frames(records["frames"]):
-            pass
+        for i in range(len(records)):
+            records["frames"][i] = reader.read(i)
     records.flags.writeable = False
     return records.view(np.recarray)
 

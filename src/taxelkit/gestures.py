@@ -134,8 +134,8 @@ RECORD_HEADER = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8")])
 
 # One labeled 122-frame recording, exactly one TGK1 record; a dataset is an
 # array of them and a recording's id is its row. align=True puts frames at
-# byte 16, so each row's frames are C-contiguous and a file's record frames
-# can be read straight into them.
+# byte 16, so each row's frames are C-contiguous, the layout of the
+# (122, 49, 3) array dataio.DatasetReader.read returns.
 RECORDING = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8"),
                       ("frames", "<f4", (N_FRAMES, N_TAXELS, 3))], align=True)
 

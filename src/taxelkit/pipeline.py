@@ -58,7 +58,8 @@ def channels_for(mode: AblationMode) -> int:
 class TensorView:
     """One arm's ``(N, C, 5, 10)`` input tensor over the records ``ids`` names,
     read on demand. ``read(id)`` gives a record's ``(122, 49, 3)`` frames, e.g.
-    ``DatasetReader.read`` or ``records["frames"].__getitem__``. ``view[index]``,
+    ``DatasetReader.read``, whose records the reader checked when it opened
+    the file, or ``records["frames"].__getitem__``. ``view[index]``,
     for a slice or an index array, copies the records it selects into a
     fresh C-order batch of ``dtype`` and normalizes it by ``stats`` with
     ``apply_normalization`` (a view without stats gives the raw values). A
@@ -162,7 +163,12 @@ def split_dataset(records: np.ndarray, seed: int,
 
 
 def select(records: np.ndarray, ids: list[int]) -> np.ndarray:
-    return records[ids]
+    """The rows ``ids`` names, in order, in a fresh array whose bytes are those
+    rows' bytes, padding included: the rows are gathered as raw items, since
+    numpy's structured fancy index copies field by field and leaves the
+    padding of a short selection uninitialized."""
+    rows = records.view(np.dtype((np.void, records.dtype.itemsize)))
+    return rows[ids].view(records.dtype)
 
 
 @dataclass(frozen=True)
@@ -403,8 +409,8 @@ def ablate(headers: np.ndarray, read: Callable[[int], np.ndarray], config: Train
     """Train and evaluate both arms of a dataset on identical splits and seeds.
 
     ``headers`` is a dataset or its ``dataio.RECORD_HEADER`` array; ``read(id)``
-    gives a record's frames, e.g. ``reader.read`` after the reader's frame
-    pass, or ``records["frames"].__getitem__``. Each arm reads its batches
+    gives a record's frames, e.g. a ``dataio.DatasetReader``'s ``read``, or
+    ``records["frames"].__getitem__``. Each arm reads its batches
     through ``TensorView``s, so neither holds a tensor."""
     split = split_dataset(headers, seed=split_seed)
     return AblationReport(*[run_arm(headers, read, split, mode, config)

@@ -642,7 +642,7 @@ class TestUnusedRows:
 
     @pytest.mark.parametrize("part", ["train", "val", "test"])
     def test_ablate_non_finite_row(self, data, tiny_config, capsys, caplog, monkeypatch, part):
-        # the frame pass checks every record before either arm trains
+        # opening the file checks every record before either arm trains
         out, split = data
         record = getattr(split, part)[0]
         poke_force(out / "dataset.tgk", record, float("nan"))
@@ -680,17 +680,17 @@ class TestUnusedRows:
     @pytest.mark.parametrize("command", ["train", "eval", "ablate"])
     def test_truncated_after_the_frame_pass(self, data, tiny_config, capsys, caplog, monkeypatch,
                                             command):
-        # the file is cut once the frame pass has checked it: the batch reads
-        # that follow come up short, which is a malformed file too
+        # the file is cut once the reader's opening scan has checked it: the
+        # batch reads that follow come up short, which is a malformed file too
         out, _ = data
         assert self.exit_code(capsys, "train", out, tiny_config) == 0
         path = out / "dataset.tgk"
-        frame_pass = dataio.DatasetReader.frames
+        scan = dataio.DatasetReader.__init__
 
-        def frames_then_cut(reader, *args):
-            yield from frame_pass(reader, *args)
+        def scan_then_cut(reader, *args):
+            scan(reader, *args)
             os.truncate(path, 20 + 11 + 500)  # the file header and part of record 0
-        monkeypatch.setattr(dataio.DatasetReader, "frames", frames_then_cut)
+        monkeypatch.setattr(dataio.DatasetReader, "__init__", scan_then_cut)
         extra = ["--dataset", str(path)] if command == "ablate" else []
         assert self.exit_code(capsys, command, out, tiny_config, *extra) == 5
         assert "truncated at recording" in caplog.text
@@ -751,8 +751,8 @@ def test_eval_draws_no_weights(tmp_path, tiny_config, monkeypatch):
 
 
 def test_ablate_never_builds_the_frame_block(tmp_path, monkeypatch):
-    # ablate --dataset reads its batches from the file after one frame pass; on
-    # the desk set it writes the bytes the in-memory ablate of the synthesized array writes
+    # ablate --dataset reads its batches from the file after one opening scan;
+    # on the desk set it writes the bytes the in-memory ablate of the synthesized array writes
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
     streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"

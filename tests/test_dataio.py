@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -117,29 +117,24 @@ class TestDataset:
                                              for r in recordings)
         assert record_headers(headers).tobytes() == headers.tobytes()
 
-    def test_header_pass_reads_no_frames(self, recordings, tmp_path):
-        path = tmp_path / "data.tgk"
-        many = np.tile(recordings, 20)  # 520 records, 37 MB
-        save_dataset(many, path)
-        tracemalloc.start()
-        try:
-            with DatasetReader(path) as reader:
-                _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 71_736  # not even one record's frames
+    def test_open_holds_one_row(self, recordings, tmp_path):
+        # opening scans every record through one reused row, so its peak is
+        # below two records' frames and does not grow with the file
+        peaks = []
+        for copies in (1, 20):  # 26 and 520 records, 1.9 and 37 MB
+            path = tmp_path / f"data{copies}.tgk"
+            many = np.tile(recordings, copies)
+            save_dataset(many, path)
+            tracemalloc.start()
+            try:
+                with DatasetReader(path) as reader:
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * 71_736
+        assert peaks[1] < peaks[0] + 8_192  # 494 more 11-byte headers are 5,434 bytes
         assert reader.headers.tobytes() == record_headers(many).tobytes()
         assert not reader.headers.flags.writeable
-
-    def test_frame_pass_reuses_one_row(self, recordings, tmp_path):
-        path = tmp_path / "data.tgk"
-        save_dataset(recordings[:3], path)
-        with DatasetReader(path) as reader:
-            rows = [(i, frames.copy(), frames) for i, frames in reader.frames()]
-        assert [i for i, _, _ in rows] == [0, 1, 2]
-        assert all(frames is rows[0][2] for _, _, frames in rows)
-        for (_, copy, _), frames in zip(rows, recordings["frames"]):
-            assert copy.tobytes() == frames.tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_force(self, recordings, tmp_path, value):
@@ -151,10 +146,8 @@ class TestDataset:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="recording 1 has non-finite"):
             load_dataset(path)
-        with DatasetReader(path) as reader, \
-                pytest.raises(FormatError, match="recording 1 has non-finite"):
-            for _ in reader.frames():
-                pass
+        with pytest.raises(FormatError, match="recording 1 has non-finite"):
+            DatasetReader(path)
 
     def test_sidecar(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
@@ -343,6 +336,95 @@ class TestTruncation:
         cut.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
         with pytest.raises(FormatError):
             load_checkpoint(cut, shapes)
+
+
+_RECORD_BYTES = 11 + 122 * 49 * 3 * 4
+_FORCES = 122 * 49 * 3
+
+
+@st.composite
+def _corrupted_files(draw):
+    """A record count from 1 to 4 and up to two corruptions, in the order
+    they are made: ``("label", record, value)``, ``("force", record, float,
+    value)``, then at most one ``("cut", length)`` or ``("trailing", count)``."""
+    n = draw(st.integers(1, 4))
+    record = st.integers(0, n - 1)
+    in_records = draw(st.lists(st.one_of(
+        st.tuples(st.just("label"), record, st.integers(N_CLASSES, 255)),
+        st.tuples(st.just("force"), record, st.integers(0, _FORCES - 1),
+                  st.sampled_from([np.nan, np.inf, -np.inf]))), max_size=2))
+    size = st.one_of(st.tuples(st.just("cut"), st.integers(0, 20 + n * _RECORD_BYTES - 1)),
+                     st.tuples(st.just("trailing"), st.integers(1, 64)))
+    return n, in_records + draw(st.lists(size, max_size=min(1, 2 - len(in_records))))
+
+
+def _expected_error(n, corruptions, size):
+    """The message opening a file of n records with ``corruptions`` gives
+    (``size`` bytes long), or None for a clean file: the size check first,
+    then the first corrupt record in file order, its label before its forces."""
+    for kind, *amount in corruptions:
+        if kind == "cut":
+            return "truncated header" if size < 20 else (
+                f"truncated: {n} recordings need {20 + n * _RECORD_BYTES} bytes, file has {size}")
+        if kind == "trailing":
+            return f"{amount[0]} trailing bytes"
+    if not corruptions:
+        return None
+    first = min(c[1] for c in corruptions)
+    labels = [c[2] for c in corruptions if c[:2] == ("label", first)]
+    return (f"recording {first} has unknown label {labels[-1]}" if labels
+            else f"recording {first} has non-finite forces")
+
+
+@pytest.fixture(scope="module")
+def clean_files(tmp_path_factory):
+    """Files of the first 1 to 4 of four records with random finite forces."""
+    rng = np.random.default_rng(5)
+    records = np.zeros(4, dtype=RECORDING)
+    records["label"] = rng.integers(0, N_CLASSES, 4)
+    records["user_id"] = rng.integers(0, 2**16, 4)
+    records["seed"] = rng.integers(0, 2**63, 4)
+    records["frames"] = rng.normal(size=records["frames"].shape)
+    root = tmp_path_factory.mktemp("one_pass")
+    for n in range(1, 5):
+        save_dataset(records[:n], root / f"{n}.tgk")
+    return root, records
+
+
+class TestOnePassOpen:
+    """Opening a file checks it in one scan: a corrupt file raises the size
+    message, else names its first corrupt record in file order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_corrupted_files())
+    @example(case=(2, [("force", 0, 5, np.nan), ("label", 1, 13)]))  # the earlier record wins
+    def test_first_corrupt_record(self, clean_files, case):
+        root, records = clean_files
+        n, corruptions = case
+        raw = bytearray((root / f"{n}.tgk").read_bytes())
+        for kind, *args in corruptions:
+            if kind == "label":
+                raw[20 + args[0] * _RECORD_BYTES] = args[1]
+            elif kind == "force":
+                struct.pack_into("<f", raw, 20 + args[0] * _RECORD_BYTES + 11 + 4 * args[1],
+                                 args[2])
+            elif kind == "cut":
+                del raw[args[0]:]
+            else:
+                raw += bytes(args[0])
+        path = root / "corrupt.tgk"
+        path.write_bytes(raw)
+        message = _expected_error(n, corruptions, len(raw))
+        if message is None:
+            with DatasetReader(path) as reader:
+                for i in range(n):
+                    assert reader.read(i).tobytes() == records["frames"][i].tobytes()
+            assert load_dataset(path).tobytes() == records[:n].tobytes()
+            return
+        for open_file in (DatasetReader, load_dataset):
+            with pytest.raises(FormatError) as error:
+                open_file(path)
+            assert str(error.value) == f"{path}: {message}"
 
 
 class _FullDisk:

@@ -346,6 +346,16 @@ class TestSplitDataset:
             assert picked[name].tobytes() == \
                 b"".join(recordings[name][i].tobytes() for i in split.val), name
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_select_bytes(self, recordings, saved_recordings, data):
+        # empty, repeated and unsorted id lists: whole rows, padding included,
+        # of a synthesized and of a loaded array
+        for records in (recordings, load_dataset(saved_recordings)):
+            ids = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=12))
+            assert select(records, ids).tobytes() == \
+                b"".join(records[i:i + 1].tobytes() for i in ids)
+
 
 class TestNormalization:
     def test_train_stats(self, recordings):

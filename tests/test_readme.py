@@ -1,12 +1,14 @@
-"""The README's physics API table names only public names that exist, and
-its CLI block parses."""
+"""The README's physics API table and its prose name only taxelkit names
+that exist, and its CLI block parses."""
 import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import taxelkit
 from taxelkit.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -33,6 +35,35 @@ def test_api_table_names_resolve():
         module, _, attr = name.partition(".")
         assert attr, f"README API table entry {name!r} does not name its module"
         assert hasattr(importlib.import_module(f"taxelkit.{module}"), attr), name
+
+
+MODULES = [module.name for module in pkgutil.iter_modules(taxelkit.__path__)]
+# last parts that end a benchmark metric row, e.g. ``gestures.synth_recording.calls``,
+# or a file name, e.g. ``calibration.json``, not a taxelkit name
+NOT_NAMES = {"calls", "s", "self_s", "p50_ms", "tail_ms", "gflop_s", "mb_per_s", "json"}
+
+
+def prose_names() -> list[str]:
+    """The distinct dotted names at the start of backticked spans outside the
+    README's code blocks that begin with a taxelkit module, e.g.
+    ``dataio.DatasetReader`` or ``pipeline.ablate`` of ``pipeline.ablate(...)``,
+    less metric rows and file names."""
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    pattern = re.compile(rf"(?:{'|'.join(MODULES)})\.[\w.]+")
+    names = {m.group() for span in re.findall(r"`([^`\n]*)`", prose)
+             if (m := pattern.match(span))}
+    return sorted(name for name in names if name.rsplit(".", 1)[1] not in NOT_NAMES)
+
+
+def test_prose_names_resolve():
+    names = prose_names()
+    assert len(names) >= 25
+    for name in names:
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"taxelkit.{module}")
+        for attr in attrs:
+            assert hasattr(obj, attr), f"README names {name!r}, which does not exist"
+            obj = getattr(obj, attr)
 
 
 def cli_block_lines() -> list[str]:
