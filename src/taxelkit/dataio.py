@@ -24,6 +24,7 @@ import numpy as np
 
 from .geometry import N_TAXELS
 from .gestures import N_CLASSES, N_FRAMES, RECORD_HEADER, RECORDING
+from .workers import run_chunks, shared_array
 
 DATASET_MAGIC = b"TGK1"
 CHECKPOINT_MAGIC = b"TGKM"
@@ -33,6 +34,7 @@ _DATASET_HEADER = struct.Struct("<4sIIII")
 _RECORD_SIZE = RECORD_HEADER.itemsize + N_FRAMES * N_TAXELS * 3 * 4
 _FRAMES_AT = _DATASET_HEADER.size + RECORD_HEADER.itemsize  # offset of record 0's frames
 _CHECKPOINT_HEADER = struct.Struct("<4sII")
+SCAN_CHUNK = 256  # records per chunk of the opening scan's workers, ~6 ms of scan
 
 
 class FormatError(ValueError):
@@ -124,11 +126,14 @@ class DatasetReader:
     """A TGK1 file, one open file for all of its reads.
 
     Opening checks the file header and the exact file size before it
-    allocates anything, then scans the records once in file order: each
-    11-byte header goes into ``headers``, a read-only ``RECORD_HEADER``
-    array, and the frames into one reused ``(122, 49, 3)`` row, and the
-    record's label, then its forces, are checked, so a ``FormatError`` names
-    the first corrupt record. ``read(i)`` reads one record's frames on demand.
+    allocates anything, then scans every record once, in chunks of records
+    on ``workers.run_chunks``' workers: each 11-byte header goes into
+    ``headers``, a read-only ``RECORD_HEADER`` array in a shared mapping,
+    and the frames into one reused ``(122, 49, 3)`` row per worker, and the
+    record's label, then its forces, are checked. A chunk stops at its first
+    corrupt record and the lowest failing chunk's ``FormatError`` is raised,
+    so it names the first corrupt record in file order. ``read(i)`` reads
+    one record's frames on demand.
     """
 
     def __init__(self, path):
@@ -167,27 +172,32 @@ class DatasetReader:
         if size > expected:
             raise FormatError(f"{path}: {size - expected} trailing bytes")
         # the size check above bounds this allocation by the file's size
-        headers = np.empty(n_rec, dtype=RECORD_HEADER)
+        headers = shared_array(n_rec, RECORD_HEADER)
         raw = headers.view(np.uint8).reshape(n_rec, RECORD_HEADER.itemsize)
         labels = headers["label"]
-        row = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
-        for i, record in enumerate(raw):
-            if os.readv(self._fd, [record, row]) != _RECORD_SIZE:
-                raise FormatError(f"{path}: truncated at recording {i}")
-            if labels[i] >= N_CLASSES:
-                raise FormatError(f"{path}: recording {i} has unknown label {labels[i]}")
-            if not np.isfinite(row).all():
-                raise FormatError(f"{path}: recording {i} has non-finite forces")
+
+        def scan(lo: int, hi: int) -> None:
+            row = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
+            for i in range(lo, hi):
+                offset = _DATASET_HEADER.size + i * _RECORD_SIZE
+                if os.preadv(self._fd, [raw[i], row], offset) != _RECORD_SIZE:
+                    raise FormatError(f"{path}: truncated at recording {i}")
+                if labels[i] >= N_CLASSES:
+                    raise FormatError(f"{path}: recording {i} has unknown label {labels[i]}")
+                if not np.isfinite(row).all():
+                    raise FormatError(f"{path}: recording {i} has non-finite forces")
+        run_chunks(n_rec, SCAN_CHUNK, scan, errors=(OSError, FormatError))
         headers.flags.writeable = False
         return headers
 
-    def read(self, i: int) -> np.ndarray:
-        """Record i's ``(122, 49, 3)`` float32 frames, in a fresh array, read
-        with one positional read at the record's offset. Their forces are as
-        the scan checked them, unless the file changed since."""
+    def read(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Record i's ``(122, 49, 3)`` float32 frames, in ``out`` (a C-order
+        array of that shape and dtype) or a fresh array, read with one
+        positional read at the record's offset. Their forces are as the scan
+        checked them, unless the file changed since."""
         if not 0 <= i < len(self.headers):
             raise IndexError(f"no record {i} of {len(self.headers)}")
-        frames = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
+        frames = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4") if out is None else out
         if os.preadv(self._fd, [frames], _FRAMES_AT + i * _RECORD_SIZE) != frames.nbytes:
             raise FormatError(f"{self.path}: truncated at recording {i}")
         return frames
@@ -198,8 +208,8 @@ def load_dataset(path) -> np.recarray:
     with DatasetReader(path) as reader:
         records = np.zeros(len(reader.headers), dtype=RECORDING)  # zeroed padding bytes
         records[list(RECORD_HEADER.names)] = reader.headers
-        for i in range(len(records)):
-            records["frames"][i] = reader.read(i)
+        for i, frames in enumerate(records["frames"]):
+            reader.read(i, out=frames)
     records.flags.writeable = False
     return records.view(np.recarray)
 

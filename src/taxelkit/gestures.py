@@ -12,25 +12,19 @@ bitwise deterministic and safe to parallelize per recording. study_protocol
 lists every recording's (class, user, seed) in protocol order as one
 RECORD_HEADER array; synth_frames synthesizes each row's frames and hands
 them to a sink, such as a dataset file's row writer or the frames field of
-a RECORDING array in a shared mapping (synth_dataset). The parent takes the
-first contiguous range of rows and one forked child per other usable CPU
-takes each later range. The list, not the worker count, fixes each row's
-seed, so the bytes do not depend on the CPU count. Children call no BLAS and
-leave through os._exit, so they flush no inherited buffer and run no atexit
-handler.
+a RECORDING array in a shared mapping (synth_dataset), in chunks of rows
+spread over every usable CPU by workers.run_chunks. The list, not the worker
+count, fixes each row's seed, so the bytes do not depend on the CPU count.
 """
 from __future__ import annotations
 
 import enum
-import mmap
-import os
-import pickle
-import traceback
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .geometry import (COLS, N_TAXELS, NORMAL_MIN_N, PITCH_CM, POSITIONS_CM, ROWS,
                        SHEAR_MAX_N)
 
@@ -428,8 +422,7 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
     """The study protocol's recordings as a read-only RECORDING record array,
     as load_dataset returns, filled in an anonymous shared mapping."""
     headers = study_protocol(n_users, n_blocks, reps_per_block, master_seed)
-    n = len(headers)
-    records = np.ndarray(n, dtype=RECORDING, buffer=mmap.mmap(-1, n * RECORDING.itemsize))
+    records = workers.shared_array(len(headers), RECORDING)
     for name in RECORD_HEADER.names:
         records[name] = headers[name]
     synth_frames(headers, master_seed, records["frames"].__setitem__)
@@ -437,11 +430,7 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
     return records.view(np.recarray)
 
 
-def _worker_count(n: int) -> int:
-    """One worker per CPU this process may run on, at most one per recording."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(n, len(os.sched_getaffinity(0)))
+SYNTH_CHUNK = 4  # recordings per chunk of synth_frames' workers, ~5 ms of synthesis
 
 
 Sink = Callable[[int, np.ndarray], None]
@@ -451,64 +440,17 @@ def synth_frames(headers: np.ndarray, master_seed: int, sink: Sink) -> None:
     """Synthesize the frames of every row of a RECORD_HEADER array, such as
     study_protocol's, and call ``sink(i, frames)`` once for each row i.
 
-    Forked children synthesize and sink the later contiguous ranges of rows
-    while this process does the first, so the sink must be safe to call
-    from any of them: a writer of a file at fixed offsets, or the rows of an
-    array in shared memory. The parent reaps every child, also when its own
-    range fails. A child that failed with an OSError (a failed write) passes
-    it to the parent, which raises it; any other failure prints the child's
-    traceback and raises RuntimeError.
+    The rows run in chunks on ``workers.run_chunks``' forked workers, so the
+    sink must be safe to call from any of them: a writer of a file at fixed
+    offsets, or the rows of an array in shared memory. A worker's OSError
+    (a failed write) is raised here; any other failure of a child prints
+    its traceback and raises RuntimeError.
     """
     profiles = {u: user_profile(u, master_seed) for u in set(headers["user_id"].tolist())}
     jobs = [(GestureClass(label), profiles[user], seed) for label, user, seed in headers.tolist()]
-    n_workers = _worker_count(len(jobs))
-    bounds = [len(jobs) * k // n_workers for k in range(n_workers + 1)]
-    children: list[tuple[int, range, int]] = []  # pid, rows, read end of its error pipe
-    try:
-        for k in range(1, n_workers):
-            rows = range(bounds[k], bounds[k + 1])
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                _child(sink, jobs, rows, write)
-            os.close(write)
-            children.append((pid, rows, read))
-        _fill_rows(sink, jobs, range(bounds[0], bounds[1]))
-    finally:
-        exits = [(rows, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-                 for pid, rows, _ in children]
-        errors = []
-        for _, _, read in children:  # every writer has exited: each read ends at EOF
-            with open(read, "rb") as pipe:
-                errors.append(pipe.read())
-    for (rows, code), error in zip(exits, errors):
-        if error:
-            raise pickle.loads(error)
-        if code != 0:
-            raise RuntimeError(f"synthesis worker for recordings {rows.start}..{rows.stop - 1} "
-                               f"exited with status {code}")
 
-
-def _child(sink: Sink, jobs: list, rows: range, errors: int):
-    """A forked worker's whole life: sink ``rows``, then leave through os._exit."""
-    status = 1
-    try:
-        _fill_rows(sink, jobs, rows)
-        status = 0
-    except OSError as e:
-        os.write(errors, pickle.dumps(e))
-    except Exception:
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(status)
-
-
-def _fill_rows(sink: Sink, jobs: list, rows: range) -> None:
-    for i in rows:
-        gesture, profile, seed = jobs[i]
-        sink(i, synth_recording(gesture, profile, seed))
+    def work(lo: int, hi: int) -> None:
+        for i in range(lo, hi):
+            gesture, profile, seed = jobs[i]
+            sink(i, synth_recording(gesture, profile, seed))
+    workers.run_chunks(len(jobs), SYNTH_CHUNK, work, errors=(OSError,))

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import FormatError
 from .geometry import COLS, N_TAXELS, ROWS
 from .gestures import N_CLASSES, N_FRAMES
 from .nn import AdamState, CnnModel
+from .workers import run_chunks, shared_array
 
 log = logging.getLogger("taxelkit")
 
@@ -30,6 +32,9 @@ SPLIT_RATIO = (3081, 390, 390)
 
 STD_FLOOR = 1e-8
 SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sums
+# Tensor elements per chunk of fit_normalization's workers: about 7 ms of a
+# pass at C = 366 (114 records), more than forking a ~80 MB process costs.
+FIT_CHUNK = 32 * SUM_BLOCK
 
 # Bounds the conv workspace a prediction grows: its stacked-tap products hold
 # 9*K*50 values per sample. 32 is the default training batch, so a prediction
@@ -78,14 +83,19 @@ class TensorView:
         return len(self.ids)
 
     def __getitem__(self, index) -> np.ndarray:
+        batch = np.empty((len(self.ids[index]), *self.shape[1:]), dtype=self.dtype)
+        return self.read_into(index, batch)
+
+    def read_into(self, index, out: np.ndarray) -> np.ndarray:
+        """``view[index]``, written into ``out``, a C-order array of the
+        batch's shape and the view's dtype, and returned."""
         ids = self.ids[index]
         k = self.mode.n_axes
-        batch = np.empty((len(ids), N_FRAMES, k, ROWS * COLS), dtype=self.dtype)
-        batch[..., N_TAXELS:] = 0
-        for slot, i in zip(batch[..., :N_TAXELS], ids.tolist()):  # (122, k, 49) each
+        rows = out.reshape(len(ids), N_FRAMES, k, ROWS * COLS)
+        rows[..., N_TAXELS:] = 0
+        for slot, i in zip(rows[..., :N_TAXELS], ids.tolist()):  # (122, k, 49) each
             slot[...] = self.read(i)[:, :, 3 - k:].transpose(0, 2, 1)
-        batch = batch.reshape(len(ids), *self.shape[1:])
-        return batch if self.stats is None else apply_normalization(self.stats, batch)
+        return out if self.stats is None else apply_normalization(self.stats, out)
 
 
 def assemble_tensor(records: np.ndarray, mode: AblationMode,
@@ -190,34 +200,68 @@ def _pairwise(leaf, lo: int, n: int):
     return _pairwise(leaf, lo, n2) + _pairwise(leaf, lo + n2, n - n2)
 
 
+def _leaf_sums(x, term: Callable[[np.ndarray], np.ndarray], leaves: list[tuple[int, int]],
+               out: np.ndarray) -> None:
+    """``out[j]``: the sum of ``term`` over leaf j's run of x's flattened
+    elements (see ``_pairwise``), for a list of consecutive leaves. Each
+    record the leaves lie in is read once, into a buffer of the most records
+    one leaf spans: a record that a leaf shares with the leaf before it is
+    kept in the buffer, not read again."""
+    size = int(np.prod(x.shape[1:]))  # elements per record
+    buf = np.empty((SUM_BLOCK // size + 2, *x.shape[1:]), dtype=x.dtype)
+    flat = buf.reshape(1, 1, -1)
+    held = range(0)  # the records in buf's first rows
+    for j, (lo, m) in enumerate(leaves):
+        first, stop = lo // size, (lo + m - 1) // size + 1
+        kept = max(0, held.stop - first)
+        buf[:kept] = buf[len(held) - kept:len(held)]
+        if isinstance(x, TensorView):
+            x.read_into(slice(first + kept, stop), buf[kept:stop - first])
+        else:
+            buf[kept:stop - first] = x[first + kept:stop]
+        held = range(first, stop)
+        start = lo - first * size
+        out[j] = np.add.reduce(term(flat[..., start:start + m]), axis=-1)[0]
+
+
 def _axis_sums(x, k: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """Per-axis sum of ``term(block)`` over ``x``, an (N, C, 5, 10) tensor or
-    view whose channel c reads force axis c % k, read by records
-    (``x[lo:hi]``) and added in the order numpy reduces the C-order tensor
-    over every axis but the force axis (numpy 2.x):
+    view whose channel c reads force axis c % k, read by records and added
+    in the order numpy reduces the C-order tensor over every axis but the
+    force axis (numpy 2.x):
 
     - k > 1: each (recording, frame, axis) row of cells is summed pairwise,
       then the rows are added in row order; ``x`` is read in blocks of whole
-      records, at most ``SUM_BLOCK`` elements or one record each;
-    - k = 1: the whole tensor is one run, summed by ``_pairwise``; each leaf
-      reads the records its elements lie in.
+      records (``x[lo:hi]``), at most ``SUM_BLOCK`` elements or one record
+      each;
+    - k = 1: the whole tensor is one run, summed by ``_pairwise``; the
+      leaves are summed by ``_leaf_sums``.
 
-    ``term`` maps a ``(rows, k, cells)`` block to the values to add.
+    The row sums or leaf sums are made in chunks on ``workers.run_chunks``'
+    workers, into an array in a shared mapping, and added here in the same
+    order as in one process. ``term`` maps a ``(rows, k, cells)`` block to
+    the values to add.
     """
     n, c, h, w = x.shape
     size = c * h * w  # elements per record
     if k == 1:
-        def leaf(lo, m):
-            first, start = divmod(lo, size)
-            run = x[first:(lo + m - 1) // size + 1].reshape(1, 1, -1)[..., start:start + m]
-            return np.add.reduce(term(run), axis=-1)[0]
-        return _pairwise(leaf, 0, n * size)
+        leaves = _pairwise(lambda lo, m: [(lo, m)], 0, n * size)  # list + list: in order
+        sums = shared_array((len(leaves), 1), x.dtype)
+        run_chunks(len(leaves), max(1, FIT_CHUNK * len(leaves) // (n * size)),
+                   lambda lo, hi: _leaf_sums(x, term, leaves[lo:hi], sums[lo:hi]),
+                   errors=(OSError, FormatError))
+        at = {lo: j for j, (lo, _) in enumerate(leaves)}
+        return _pairwise(lambda lo, m: sums[at[lo]].copy(), 0, n * size)
     rows = c // k  # (frame, axis) rows per record
-    part = np.empty((n * rows, k), dtype=x.dtype)
+    part = shared_array((n * rows, k), x.dtype)
     step = max(1, SUM_BLOCK // size)
-    for lo in range(0, n, step):
-        block = x[lo:lo + step].reshape(-1, k, h * w)
-        np.add.reduce(term(block), axis=-1, out=part[lo * rows:(lo + step) * rows])
+
+    def row_sums(lo: int, hi: int) -> None:
+        for first in range(lo, hi, step):
+            stop = min(first + step, hi)
+            block = x[first:stop].reshape(-1, k, h * w)
+            np.add.reduce(term(block), axis=-1, out=part[first * rows:stop * rows])
+    run_chunks(n, max(1, FIT_CHUNK // size), row_sums, errors=(OSError, FormatError))
     return np.add.reduce(part, axis=0)
 
 

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import mmap
 import os
 import shutil
 import struct
@@ -15,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import taxelkit
-from taxelkit import dataio, gestures, magnetics, pipeline, svgplot
+from taxelkit import dataio, gestures, magnetics, pipeline, svgplot, workers
 from taxelkit.cli import _load_model, main
 from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
@@ -788,19 +789,19 @@ def in_memory_dataset(tmp_path, n_users, n_blocks, reps_per_block, seed) -> dict
 
 
 @needs_fork
-@pytest.mark.parametrize("protocol, workers", [
+@pytest.mark.parametrize("protocol, n_workers", [
     ((4, 3, 3), 1), ((4, 3, 3), 3), ((4, 3, 3), 5),
     ((1, 1, 1), 1), ((1, 1, 1), 3), ((1, 1, 1), 5), ((1, 1, 1), 20),
 ], ids=["desk-1", "desk-3", "desk-5", "one-block-1", "one-block-3", "one-block-5",
         "fewer-recordings-than-workers"])
-def test_synth_writes_the_in_memory_bytes(tmp_path, monkeypatch, protocol, workers):
+def test_synth_writes_the_in_memory_bytes(tmp_path, monkeypatch, protocol, n_workers):
     # each worker writes its own rows into the file; the bytes are those of
-    # the in-memory dataset, for any worker count, empty ranges included
+    # the in-memory dataset, for any worker count, more workers than chunks included
     expected = in_memory_dataset(tmp_path, *protocol, 5)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"synth": dict(zip(
         ("n_users", "n_blocks", "reps_per_block"), protocol)), "seed": 5}))
-    monkeypatch.setattr(gestures, "_worker_count", lambda n: workers)
+    monkeypatch.setattr(workers, "worker_count", lambda n: n_workers)
     out = tmp_path / "out"
     assert run("synth", "--config", str(config), "--out", str(out)) == 0
     written = files(out)
@@ -814,7 +815,7 @@ def test_synth_never_builds_the_frame_block(tmp_path, monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("synth must not build the frame block")
     monkeypatch.setattr(gestures, "synth_dataset", no_block)
-    monkeypatch.setattr(gestures.mmap, "mmap", no_block)
+    monkeypatch.setattr(mmap, "mmap", no_block)
     monkeypatch.setattr(dataio, "save_dataset", no_block)
     out = tmp_path / "out"
     assert run("synth", "--seed", "0", "--out", str(out)) == 0

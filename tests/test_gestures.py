@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxelkit import gestures
+from taxelkit import gestures, workers
 from taxelkit.cli import main
 from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.geometry import NORMAL_MIN_N, SHEAR_MAX_N
@@ -286,9 +286,9 @@ class TestSharedBlockWorkers:
     @needs_fork
     def test_desk_scale_bytes_independent_of_worker_count(self, monkeypatch):
         every_cpu = synth_dataset(4, 3, 3, 0)
-        monkeypatch.setattr(gestures, "_worker_count", lambda n: 5)  # uneven ranges
+        monkeypatch.setattr(workers, "worker_count", lambda n: 5)  # five workers, 117 chunks
         five = synth_dataset(4, 3, 3, 0)
-        monkeypatch.setattr(gestures, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(workers, "worker_count", lambda n: 1)
         serial = synth_dataset(4, 3, 3, 0)
         for recs in (every_cpu, five):
             assert frames_of(recs).tobytes() == frames_of(serial).tobytes()
@@ -308,11 +308,11 @@ class TestSharedBlockWorkers:
 
     @needs_fork
     def test_fewer_recordings_than_cpus(self, monkeypatch):
-        monkeypatch.setattr(gestures, "_worker_count", lambda n: 1)
+        monkeypatch.setattr(workers, "worker_count", lambda n: 1)
         serial = synth_dataset(1, 1, 1, 0)
         monkeypatch.undo()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert gestures._worker_count(13) == 13  # capped at one worker per recording
+        assert workers.worker_count(13) == 13  # capped at one worker per recording
         assert frames_of(synth_dataset(1, 1, 1, 0)).tobytes() == frames_of(serial).tobytes()
 
     @needs_fork
@@ -325,7 +325,7 @@ class TestSharedBlockWorkers:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gestures, "synth_recording", fail_in_child)
-        monkeypatch.setattr(gestures, "_worker_count", lambda n: 3)
+        monkeypatch.setattr(workers, "worker_count", lambda n: 3)
         with pytest.raises(RuntimeError, match="exited with status 1"):
             synth_dataset(1, 1, 1, 0)
         with pytest.raises(ChildProcessError):
@@ -350,7 +350,7 @@ class TestSharedBlockWorkers:
             return real(fd, data, offset)
 
         monkeypatch.setattr(os, "pwrite", full_in_child)
-        monkeypatch.setattr(gestures, "_worker_count", lambda n: 3)
+        monkeypatch.setattr(workers, "worker_count", lambda n: 3)
         assert main([*argv, "--seed", "1"]) == 3
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
@@ -371,7 +371,7 @@ class TestSharedBlockWorkers:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gestures, "synth_recording", fail_in_parent)
-        monkeypatch.setattr(gestures, "_worker_count", lambda n: 3)
+        monkeypatch.setattr(workers, "worker_count", lambda n: 3)
         with pytest.raises(KeyError, match="injected parent failure"):
             synth_dataset(1, 1, 1, 0)
         with pytest.raises(ChildProcessError):
