@@ -5,7 +5,8 @@ sidecar/manifest describing the file.
 
 TGK1 layout:
     magic "TGK1" | version u32 | n_recordings u32 | frames u32 | taxels u32
-    per recording: label u8 | user_id u16 | seed u64 | frames*taxels*3 float32
+    per recording: label u8 | user_id u16 | seed u64 | frames*taxels*3 float32,
+    one ``gestures.RECORDING`` row
 
 TGKM layout:
     magic "TGKM" | version u32 | c_in u32
@@ -31,7 +32,7 @@ CHECKPOINT_MAGIC = b"TGKM"
 FORMAT_VERSION = 1
 
 _DATASET_HEADER = struct.Struct("<4sIIII")
-_RECORD_SIZE = RECORD_HEADER.itemsize + N_FRAMES * N_TAXELS * 3 * 4
+_RECORD_SIZE = RECORDING.itemsize
 _FRAMES_AT = _DATASET_HEADER.size + RECORD_HEADER.itemsize  # offset of record 0's frames
 _CHECKPOINT_HEADER = struct.Struct("<4sII")
 SCAN_CHUNK = 256  # records per chunk of the opening scan's workers, ~6 ms of scan
@@ -67,12 +68,6 @@ def replacing(*paths):
         raise
 
 
-def record_headers(records: np.ndarray) -> np.ndarray:
-    """The file's packed ``RECORD_HEADER`` rows of a ``RECORDING`` dataset or
-    of a header array, field by field in order."""
-    return records[list(RECORD_HEADER.names)].astype(RECORD_HEADER)
-
-
 def _pwrite(fd: int, data, offset: int) -> None:
     """Write all of ``data`` at ``offset`` of ``fd``. A positional write leaves
     the descriptor's file position alone, so forked processes may share it."""
@@ -84,13 +79,13 @@ def _pwrite(fd: int, data, offset: int) -> None:
 
 @contextmanager
 def writing_dataset(path, headers: np.ndarray, config: dict | None = None):
-    """Write a TGK1 file of the recordings ``headers`` lists (a header array or
-    a dataset) and its JSON sidecar, both through ``replacing``. Yields ``write(i, frames)``, which writes record
-    i's 11-byte header and ``(122, 49, 3)`` frames at the record's offset
-    with positional writes, so any process forked inside the block may call
-    it, in any order. The block must write every record once; the sidecar is
-    written after it ends."""
-    headers = record_headers(headers)
+    """Write a TGK1 file of the recordings a ``RECORD_HEADER`` array lists and
+    its JSON sidecar, both through ``replacing``. Yields ``write(i, frames)``,
+    which writes record i's 11-byte header and ``(122, 49, 3)`` frames at the
+    record's offset with positional writes, so any process forked inside the
+    block may call it, in any order. The block must write every record once;
+    the sidecar is written after it ends."""
+    headers = np.asarray(headers, dtype=RECORD_HEADER)
     n = len(headers)
     sidecar = {
         "format": "TGK1",
@@ -117,7 +112,8 @@ def writing_dataset(path, headers: np.ndarray, config: dict | None = None):
 
 def save_dataset(records: np.ndarray, path, config: dict | None = None) -> None:
     """Write a ``RECORDING`` array as a TGK1 file and its JSON sidecar."""
-    with writing_dataset(path, records, config) as write:
+    headers = records[list(RECORD_HEADER.names)].astype(RECORD_HEADER)
+    with writing_dataset(path, headers, config) as write:
         for i, frames in enumerate(records["frames"]):
             write(i, frames)
 
@@ -190,38 +186,43 @@ class DatasetReader:
         headers.flags.writeable = False
         return headers
 
-    def read(self, i: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Record i's ``(122, 49, 3)`` float32 frames, in ``out`` (a C-order
-        array of that shape and dtype) or a fresh array, read with one
-        positional read at the record's offset. Their forces are as the scan
-        checked them, unless the file changed since."""
+    def read(self, i: int) -> np.ndarray:
+        """Record i's ``(122, 49, 3)`` float32 frames in a fresh array, read
+        with one positional read at the record's offset. Their forces are as
+        the scan checked them, unless the file changed since."""
         if not 0 <= i < len(self.headers):
             raise IndexError(f"no record {i} of {len(self.headers)}")
-        frames = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4") if out is None else out
+        frames = np.empty((N_FRAMES, N_TAXELS, 3), dtype="<f4")
         if os.preadv(self._fd, [frames], _FRAMES_AT + i * _RECORD_SIZE) != frames.nbytes:
             raise FormatError(f"{self.path}: truncated at recording {i}")
         return frames
 
 
 def load_dataset(path) -> np.recarray:
-    """Read a TGK1 file into a read-only ``RECORDING`` record array."""
+    """Read a TGK1 file into a read-only ``RECORDING`` record array. Once the
+    reader's opening scan has checked the file, its records, the array's
+    bytes, are read in one sequential read (one per 2 GiB, the most Linux
+    reads at once); a file cut since the scan raises FormatError."""
     with DatasetReader(path) as reader:
-        records = np.zeros(len(reader.headers), dtype=RECORDING)  # zeroed padding bytes
-        records[list(RECORD_HEADER.names)] = reader.headers
-        for i, frames in enumerate(records["frames"]):
-            reader.read(i, out=frames)
+        records = np.empty(len(reader.headers), dtype=RECORDING)
+        body, done = records.view(np.uint8), 0
+        while done < body.size:
+            got = os.preadv(reader._fd, [body[done:]], _DATASET_HEADER.size + done)
+            if not got:
+                raise FormatError(f"{path}: truncated at recording {done // _RECORD_SIZE}")
+            done += got
     records.flags.writeable = False
     return records.view(np.recarray)
 
 
-def dataset_id(records: np.ndarray) -> str:
-    """SHA-256 over the record count and each record's (label, user, seed) header,
-    of a dataset or a header array.
+def dataset_id(headers: np.ndarray) -> str:
+    """SHA-256 over the record count and each record's (label, user, seed)
+    header, of a ``RECORD_HEADER`` array.
 
     Recording seeds derive from the master seed, so the headers tell datasets
     apart without hashing the frames.
     """
-    headers = record_headers(records)
+    headers = np.asarray(headers, dtype=RECORD_HEADER)
     return hashlib.sha256(struct.pack("<I", len(headers)) + headers.tobytes()).hexdigest()
 
 

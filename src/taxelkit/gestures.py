@@ -126,12 +126,10 @@ TEMPLATES: dict[GestureClass, GestureTemplate] = {
 # A recording's class, user and seed, packed: the 11-byte header of a TGK1 record.
 RECORD_HEADER = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8")])
 
-# One labeled 122-frame recording, exactly one TGK1 record; a dataset is an
-# array of them and a recording's id is its row. align=True puts frames at
-# byte 16, so each row's frames are C-contiguous, the layout of the
-# (122, 49, 3) array dataio.DatasetReader.read returns.
-RECORDING = np.dtype([("label", "u1"), ("user_id", "<u2"), ("seed", "<u8"),
-                      ("frames", "<f4", (N_FRAMES, N_TAXELS, 3))], align=True)
+# One labeled 122-frame recording, byte for byte one TGK1 record: its header,
+# then its frames at byte 11. A dataset is an array of them, whose bytes are
+# a TGK1 file's after its file header, and a recording's id is its row.
+RECORDING = np.dtype(RECORD_HEADER.descr + [("frames", "<f4", (N_FRAMES, N_TAXELS, 3))])
 
 
 def _seed_int(*entropy: int) -> int:
@@ -423,8 +421,7 @@ def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
     as load_dataset returns, filled in an anonymous shared mapping."""
     headers = study_protocol(n_users, n_blocks, reps_per_block, master_seed)
     records = workers.shared_array(len(headers), RECORDING)
-    for name in RECORD_HEADER.names:
-        records[name] = headers[name]
+    records[list(RECORD_HEADER.names)] = headers
     synth_frames(headers, master_seed, records["frames"].__setitem__)
     records.flags.writeable = False
     return records.view(np.recarray)

@@ -173,12 +173,8 @@ def split_dataset(records: np.ndarray, seed: int,
 
 
 def select(records: np.ndarray, ids: list[int]) -> np.ndarray:
-    """The rows ``ids`` names, in order, in a fresh array whose bytes are those
-    rows' bytes, padding included: the rows are gathered as raw items, since
-    numpy's structured fancy index copies field by field and leaves the
-    padding of a short selection uninitialized."""
-    rows = records.view(np.dtype((np.void, records.dtype.itemsize)))
-    return rows[ids].view(records.dtype)
+    """The rows ``ids`` names, in order, in a fresh array."""
+    return records[ids]
 
 
 @dataclass(frozen=True)

@@ -526,7 +526,8 @@ class TestTrainedOn:
     def test_manifest_binds_dataset_and_split(self, trained):
         config = json.loads((trained / "model.tgkm.json").read_text())["config"]
         recs = load_dataset(trained / "dataset.tgk")
-        assert config["dataset_id"] == dataio.dataset_id(recs)
+        with dataio.DatasetReader(trained / "dataset.tgk") as reader:
+            assert config["dataset_id"] == dataio.dataset_id(reader.headers)
         assert config["split_digest"] == pipeline.split_dataset(recs, seed=0).digest()
 
     def test_other_dataset(self, trained, tmp_path, tiny_config, capsys, caplog):
@@ -536,7 +537,8 @@ class TestTrainedOn:
                    "--dataset", str(other / "dataset.tgk")) == 6
         assert "Traceback" not in capsys.readouterr().err
         config = json.loads((trained / "model.tgkm.json").read_text())["config"]
-        other_id = dataio.dataset_id(load_dataset(other / "dataset.tgk"))
+        with dataio.DatasetReader(other / "dataset.tgk") as reader:
+            other_id = dataio.dataset_id(reader.headers)
         assert config["dataset_id"] in caplog.text and other_id in caplog.text
 
     def test_other_split(self, trained, tiny_config, capsys, caplog):

@@ -11,17 +11,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from taxelkit import dataio
+from taxelkit.cli import main
 from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, RECORD_HEADER, DatasetReader,
                              FormatError, dataset_id, load_checkpoint, load_dataset,
-                             record_headers, save_checkpoint, save_dataset)
-from taxelkit.gestures import N_CLASSES, RECORDING, synth_dataset
+                             save_checkpoint, save_dataset)
+from taxelkit.gestures import N_CLASSES, RECORDING, study_protocol, synth_dataset
 from taxelkit.nn import CnnModel
-from taxelkit.pipeline import split_dataset
+from taxelkit.pipeline import select, split_dataset
 
 
 @pytest.fixture(scope="module")
 def recordings():
     return synth_dataset(n_users=2, n_blocks=1, reps_per_block=1, master_seed=42)
+
+
+def headers_of(records: np.ndarray) -> np.ndarray:
+    """A dataset's ``RECORD_HEADER`` array, packed as ``save_dataset`` packs it."""
+    return records[list(RECORD_HEADER.names)].astype(RECORD_HEADER)
 
 
 class TestDataset:
@@ -48,23 +54,24 @@ class TestDataset:
         save_dataset(recordings, path)
         loaded = load_dataset(path)
         assert isinstance(loaded, np.recarray) and loaded.dtype == RECORDING
-        assert RECORDING.fields["frames"][1] == 16 and RECORDING.itemsize == 16 + 71_736
+        # a row is one TGK1 record: its 11-byte header, then its frames
+        assert RECORDING.fields["frames"][1] == 11 and RECORDING.itemsize == 71_747
         assert loaded.flags.c_contiguous and loaded.flags.aligned
         start = loaded.__array_interface__["data"][0]
         for i, frames in enumerate(loaded["frames"]):
             assert frames.shape == (122, 49, 3) and frames.dtype == np.dtype("<f4")
-            assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 16
-            assert frames.flags.c_contiguous and frames.flags.aligned
+            assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 11
+            assert frames.flags.c_contiguous
 
     def test_loaded_bytes_equal_the_synthesized(self, recordings, tmp_path):
-        # the padding bytes of a row (byte 1, bytes 4-7) are zero, not whatever
-        # a freed block of the same size left behind
+        # every byte of a row is a field's, so a loaded array holds the file's
+        # bytes, not whatever a freed block of the same size left behind
         path = tmp_path / "data.tgk"
         save_dataset(recordings, path)
         for _ in range(5):
             dirty = np.full(recordings.nbytes, 0xA5, np.uint8)
             del dirty
-            assert load_dataset(path).tobytes() == recordings.tobytes()
+            assert load_dataset(path).tobytes() == recordings.tobytes() == path.read_bytes()[20:]
 
     def test_size_checked_before_allocation(self, recordings, tmp_path):
         path = tmp_path / "huge.tgk"
@@ -84,38 +91,40 @@ class TestDataset:
     def test_dataset_id_covers_record_headers(self, recordings, tmp_path):
         path = tmp_path / "data.tgk"
         save_dataset(recordings, path)
-        loaded = load_dataset(path)
-        assert dataset_id(loaded) == dataset_id(recordings)
+        loaded = headers_of(load_dataset(path))
+        assert dataset_id(loaded) == dataset_id(headers_of(recordings))
         assert dataset_id(loaded[:-1]) != dataset_id(loaded)
         assert dataset_id(loaded[::-1]) != dataset_id(loaded)
         raw = bytearray(path.read_bytes())
         raw[20 + 3] ^= 1  # a bit of the first record's seed
         path.write_bytes(bytes(raw))
-        assert dataset_id(load_dataset(path)) != dataset_id(loaded)
+        assert dataset_id(headers_of(load_dataset(path))) != dataset_id(loaded)
 
     def test_desk_digests_are_pinned(self, tmp_path):
         # every checkpoint's manifest stores both digests and eval refuses a mismatch,
         # so a change to either breaks every saved checkpoint; both hash only integers
         # (seeds, users, labels and row ids), never floats. train and eval take them
-        # from the header array of the file, ablate from the record array.
+        # from the header array of the file, ablate's split from the record array.
         desk = synth_dataset(4, 3, 3, 0)
         save_dataset(desk, tmp_path / "desk.tgk")
         with DatasetReader(tmp_path / "desk.tgk") as reader:
             headers = reader.headers
         for records in (desk, headers):
-            assert dataset_id(records) == \
+            assert dataset_id(headers_of(records)) == \
                 "5c1e5a7c562ccf10b214b01e74755f34a270bc666c2391d6b5d61a9216a59a53"
             assert split_dataset(records, seed=0).digest() == \
                 "7ae3d940d27dee5d6dfed957e81019ac1d2d9fe26d743ef7d11d827657f2ae14"
 
     def test_record_header_layout(self, recordings):
-        # the header array is the file's 11-byte record headers, byte for byte
-        headers = record_headers(recordings)
+        # the header array is the file's 11-byte record headers, byte for byte,
+        # and the first 11 bytes of each row of a dataset
+        headers = study_protocol(2, 1, 1, 42)
         assert RECORD_HEADER.itemsize == 11
         assert headers.dtype == RECORD_HEADER
         assert headers.tobytes() == b"".join(struct.pack("<BHQ", int(r.label), r.user_id, r.seed)
                                              for r in recordings)
-        assert record_headers(headers).tobytes() == headers.tobytes()
+        rows = recordings.view(np.uint8).reshape(len(recordings), RECORDING.itemsize)
+        assert rows[:, :11].tobytes() == headers_of(recordings).tobytes() == headers.tobytes()
 
     def test_open_holds_one_row(self, recordings, tmp_path):
         # opening scans every record through one reused row, so its peak is
@@ -133,7 +142,7 @@ class TestDataset:
                 tracemalloc.stop()
         assert peaks[1] < 2 * 71_736
         assert peaks[1] < peaks[0] + 8_192  # 494 more 11-byte headers are 5,434 bytes
-        assert reader.headers.tobytes() == record_headers(many).tobytes()
+        assert reader.headers.tobytes() == headers_of(many).tobytes()
         assert not reader.headers.flags.writeable
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -243,9 +252,48 @@ class TestRoundTripProperty:
             assert loaded[name].tobytes() == records[name].tobytes(), name
         with DatasetReader(path) as reader:
             headers = reader.headers
-        assert dataset_id(headers) == dataset_id(records) == dataset_id(loaded)
+        assert dataset_id(headers) == dataset_id(headers_of(records)) == \
+            dataset_id(headers_of(loaded))
         if len(records):
             assert split_dataset(headers, seed=3) == split_dataset(records, seed=3)
+
+
+class TestPackedRows:
+    """A ``RECORDING`` row is byte for byte one TGK1 record, so a dataset's
+    bytes are its file's after the 20-byte file header."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(n_users=st.integers(1, 3), n_blocks=st.integers(1, 2), seed=st.integers(0, 3),
+           data=st.data())
+    def test_file_body_is_the_array(self, tmp_path_factory, n_users, n_blocks, seed, data):
+        out = tmp_path_factory.mktemp("synth")
+        config = out / "config.json"
+        config.write_text(json.dumps({"synth": {"n_users": n_users, "n_blocks": n_blocks,
+                                                "reps_per_block": 1}, "seed": seed}))
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        raw = (out / "dataset.tgk").read_bytes()
+        records = synth_dataset(n_users, n_blocks, 1, seed)
+        assert RECORDING.itemsize == 71_747
+        assert raw[20:] == records.tobytes() == load_dataset(out / "dataset.tgk").tobytes()
+        # empty, repeated and unsorted id lists select those rows of the file
+        drawn = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=12))
+        for ids in ([], [12, 3, 3, 0], drawn):
+            assert select(records, ids).tobytes() == \
+                b"".join(raw[20 + i * 71_747:20 + (i + 1) * 71_747] for i in ids)
+
+    def test_cut_after_the_scan(self, recordings, tmp_path, monkeypatch):
+        # load_dataset reads the records once the scan has checked the file;
+        # a file cut in between is malformed, not a short array
+        path = tmp_path / "data.tgk"
+        save_dataset(recordings[:3], path)
+        scan = DatasetReader.__init__
+
+        def scan_then_cut(reader, *args):
+            scan(reader, *args)
+            os.truncate(path, 20 + 2 * 71_747 + 500)  # part of record 2
+        monkeypatch.setattr(DatasetReader, "__init__", scan_then_cut)
+        with pytest.raises(FormatError, match="truncated at recording 2"):
+            load_dataset(path)
 
 
 class TestCheckpoint:

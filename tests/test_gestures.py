@@ -270,10 +270,12 @@ class TestSynthDataset:
 
 
 def frames_of(records):
-    """The frames field of a record array, each row's frames at byte 16 of its record."""
+    """The frames field of a record array, each row's frames at byte 11 of its
+    71,747-byte record, as in a TGK1 file."""
+    assert RECORDING.fields["frames"][1] == 11 and RECORDING.itemsize == 71_747
     start = records.__array_interface__["data"][0]
     for i, frames in enumerate(records["frames"]):
-        assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 16
+        assert frames.__array_interface__["data"][0] == start + i * RECORDING.itemsize + 11
         assert frames.flags.c_contiguous
     return records["frames"]
 

@@ -349,7 +349,7 @@ class TestSplitDataset:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_select_bytes(self, recordings, saved_recordings, data):
-        # empty, repeated and unsorted id lists: whole rows, padding included,
+        # empty, repeated and unsorted id lists: whole rows, every byte,
         # of a synthesized and of a loaded array
         for records in (recordings, load_dataset(saved_recordings)):
             ids = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=12))

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import taxelkit
 from taxelkit import dataio, pipeline, workers
 from taxelkit.cli import main
-from taxelkit.dataio import DatasetReader, FormatError, dataset_id, record_headers, save_dataset
-from taxelkit.gestures import N_CLASSES, RECORDING
+from taxelkit.dataio import DatasetReader, FormatError, dataset_id, save_dataset
+from taxelkit.gestures import N_CLASSES, RECORD_HEADER, RECORDING
 from taxelkit.pipeline import (SUM_BLOCK, AblationMode, TensorView, assemble_tensor,
                                fit_normalization)
 
@@ -83,7 +83,8 @@ def test_forked_passes_match_serial(files, n, n_workers, dtype):
         fork_every_chunk(mp, n_workers)
         forked = passes(path, records, n, dtype)
     assert forked == serial
-    assert serial[:2] == [record_headers(records[:n]).tobytes(), dataset_id(records[:n])]
+    headers = records[:n][list(RECORD_HEADER.names)].astype(RECORD_HEADER)
+    assert serial[:2] == [headers.tobytes(), dataset_id(headers)]
     assert_all_reaped()
 
 
