@@ -260,6 +260,10 @@ def _load_model(ckpt_path):
         raise dataio.FormatError(f"{ckpt_path}: header has {header_c_in} input channels, "
                                  f"manifest {c_in}")
     for name, value in params.items():
+        non_finite = np.count_nonzero(~np.isfinite(value))
+        if non_finite:
+            raise dataio.FormatError(f"{ckpt_path}: parameter {name} has {non_finite} "
+                                     f"non-finite values")
         with np.errstate(over="ignore"):
             inexact = np.count_nonzero(value.astype(np.float32) != value)
         if inexact:

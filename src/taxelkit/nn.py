@@ -265,48 +265,67 @@ class CnnModel:
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None):
         """Returns (logits, cache). With a dropout generator the pass trains
         (a fresh dropout mask is drawn from it); without one it is inference.
-        The cache is good for backward until this model's next forward."""
+        The cache is good for backward until this model's next forward. It is
+        a tuple of what each layer's backward reads, first layer first, so a
+        backward takes its entries from the end. Each layer's output ``a``
+        replaces its input, so the pass holds no activation that no later
+        layer or backward reads."""
         if x.ndim != 4 or x.shape[1:] != (self.in_channels, ROWS, COLS):
             raise ShapeError(f"expected (N, {self.in_channels}, {ROWS}, {COLS}), got {x.shape}")
         p = self.params
-        c1, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"], self._work)
-        r1, r1_mask = relu_forward(c1)
+        a, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"], self._work)
+        a, r1_mask = relu_forward(a)
         drop_mask = (None if dropout_rng is None
-                     else _batch_minor(dropout_mask(r1.shape, DROPOUT_P, dropout_rng, self.dtype)))
-        d1 = dropout_forward(r1, drop_mask)
-        pool, pool_cache = maxpool2_forward(d1)
+                     else _batch_minor(dropout_mask(a.shape, DROPOUT_P, dropout_rng, self.dtype)))
+        a = dropout_forward(a, drop_mask)
+        a, pool_cache = maxpool2_forward(a)
+        pool_shape = a.shape
         # a C-order copy, features in (k, h, w) order: the reshape alone is a
         # transposed view, on which the FC GEMMs run about 3x slower and round
         # differently
-        flat = np.ascontiguousarray(pool.reshape(pool.shape[0], -1))
-        h1, fc1_cache = linear_forward(flat, p["fc1_w"], p["fc1_b"])
-        a1, a1_mask = relu_forward(h1)
-        logits, fc2_cache = linear_forward(a1, p["fc2_w"], p["fc2_b"])
-        cache = (conv_cache, r1_mask, drop_mask, pool_cache, pool.shape,
+        a = np.ascontiguousarray(a.reshape(a.shape[0], -1))
+        a, fc1_cache = linear_forward(a, p["fc1_w"], p["fc1_b"])
+        a, a1_mask = relu_forward(a)
+        logits, fc2_cache = linear_forward(a, p["fc2_w"], p["fc2_b"])
+        cache = (conv_cache, r1_mask, drop_mask, pool_cache, pool_shape,
                  fc1_cache, a1_mask, fc2_cache)
         return logits, cache
 
     def backward(self, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+        """Parameter gradients from dloss/dlogits and a forward's cache, which
+        is left as it is."""
         if cache is None:
             raise ValueError("backward requires the cache from a forward pass")
-        (conv_cache, r1_mask, drop_mask, pool_cache, pool_shape,
-         fc1_cache, a1_mask, fc2_cache) = cache
+        return self._backward(dlogits, list(cache))
+
+    def _backward(self, dlogits: np.ndarray, cache: list) -> dict[str, np.ndarray]:
+        """backward over a list of the cache's entries, which it empties: each
+        entry is popped when its layer runs, and each layer's input gradient
+        ``d`` replaces the one before it. Given the only references, the
+        conv's weight-gradient GEMM runs beside the finished gradients and its
+        own dy alone."""
         grads: dict[str, np.ndarray] = {}
-        da1, grads["fc2_w"], grads["fc2_b"] = linear_backward(dlogits, fc2_cache)
-        dh1 = relu_backward(da1, a1_mask)
-        dflat, grads["fc1_w"], grads["fc1_b"] = linear_backward(dh1, fc1_cache)
-        dpool = _batch_minor(dflat.reshape(pool_shape))
-        dd1 = maxpool2_backward(dpool, pool_cache)
-        dr1 = dropout_backward(dd1, drop_mask)
-        dc1 = relu_backward(dr1, r1_mask)
-        _, grads["conv_w"], grads["conv_b"] = conv2d_backward(dc1, conv_cache)
+        d, grads["fc2_w"], grads["fc2_b"] = linear_backward(dlogits, cache.pop())
+        d = relu_backward(d, cache.pop())
+        d, grads["fc1_w"], grads["fc1_b"] = linear_backward(d, cache.pop())
+        d = _batch_minor(d.reshape(cache.pop()))  # to the pool's (N, K, H, W) shape
+        d = maxpool2_backward(d, cache.pop())
+        d = dropout_backward(d, cache.pop())
+        d = relu_backward(d, cache.pop())
+        _, grads["conv_w"], grads["conv_b"] = conv2d_backward(d, cache.pop())
         return grads
 
     def loss_and_grads(self, x, labels, dropout_rng=None):
-        """Mean loss and parameter gradients; dropout_rng as in forward."""
+        """Mean loss and parameter gradients; dropout_rng as in forward. The
+        batch and the logits are dropped once used, and the backward gets the
+        only references to the cache's entries, so a step holds no array it
+        no longer needs."""
         logits, cache = self.forward(x, dropout_rng)
+        del x  # the conv copied it into its workspace
         loss, dlogits = softmax_cross_entropy(logits, labels)
-        return loss, self.backward(dlogits, cache)
+        del logits
+        cache = list(cache)
+        return loss, self._backward(dlogits, cache)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference argmax class per sample; ties resolve to the lowest index."""

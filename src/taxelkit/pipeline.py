@@ -353,7 +353,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x545241494E]))
     history: list[EpochRecord] = []
     best_acc = -1.0
-    best_params = model.clone_params()
+    best_params = model.clone_params()  # overwritten in place when validation improves
     for epoch in range(config.epochs):
         t0 = time.perf_counter()
         perm = rng.permutation(len(train_x))
@@ -365,6 +365,7 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
                 raise TrainingDivergedError(
                     f"loss became {loss} at epoch {epoch}, batch {i // config.batch_size}")
             adam.step(model.params, grads)
+            del grads  # applied: the next batch is read and run without them
             losses.append(loss)
         val_acc = float(np.mean(_predict_batched(model, val_x) == val_y)) if len(val_y) else 0.0
         history.append(EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)), val_acc=val_acc))
@@ -374,7 +375,8 @@ def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np
                  seconds, len(train_x) / seconds)
         if val_acc > best_acc:
             best_acc = val_acc
-            best_params = model.clone_params()
+            for name, value in model.params.items():
+                np.copyto(best_params[name], value)
     model.set_params(best_params)
     return model, history
 

@@ -478,19 +478,34 @@ class TestCheckpointManifest:
         ckpt.write_bytes(bytes(data))
         assert self.eval_exit(trained, tiny_config, capsys) == 5
 
-    @pytest.mark.parametrize("bump", ["next_float64", "overflow", "nan"])
+    @staticmethod
+    def set_last_parameter(trained, value) -> None:
+        """Overwrite the checkpoint's last fc2_b value."""
+        ckpt = trained / "model.tgkm"
+        data = bytearray(ckpt.read_bytes())
+        struct.pack_into("<d", data, len(data) - 8, value)
+        ckpt.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("bump", ["next_float64", "overflow"])
     def test_parameter_not_float32_exact(self, trained, tiny_config, capsys, caplog, bump):
         # train writes float32 values as float64; eval runs the model in
         # float32 and refuses a value it would have to round
-        ckpt = trained / "model.tgkm"
-        data = bytearray(ckpt.read_bytes())
+        data = (trained / "model.tgkm").read_bytes()
         (last,) = struct.unpack_from("<d", data, len(data) - 8)  # the last fc2_b value
-        value = {"next_float64": np.nextafter(last, np.inf), "overflow": 1e300,
-                 "nan": np.nan}[bump]
-        struct.pack_into("<d", data, len(data) - 8, value)
-        ckpt.write_bytes(bytes(data))
+        self.set_last_parameter(
+            trained, {"next_float64": np.nextafter(last, np.inf), "overflow": 1e300}[bump])
         assert self.eval_exit(trained, tiny_config, capsys) == 5
         assert "parameter fc2_b" in caplog.text and "float32-exact" in caplog.text
+        assert not (trained / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_parameter_not_finite(self, trained, tiny_config, capsys, caplog, value):
+        # an infinity is float32-exact, and the model would predict with it;
+        # NaN is refused as what it is, not as a value eval would round
+        self.set_last_parameter(trained, value)
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert "parameter fc2_b has 1 non-finite values" in caplog.text
+        assert "float32-exact" not in caplog.text
         assert not (trained / "evaluation.json").exists()
 
     @pytest.mark.parametrize("mode", ["normal-only", "normal-and-shear"])

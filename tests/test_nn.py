@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -472,19 +473,71 @@ class TestWorkspace:
     def test_float32_training_step_allocates_no_im2col_buffer(self):
         self.assert_steps_allocate_no_im2col_buffer(np.float32)
 
+    def test_a_training_step_holds_only_live_arrays(self, monkeypatch):
+        # two epochs of float32 C = 366 steps through pipeline.train, four
+        # batches of 32 each, every batch a fresh array read from an in-memory
+        # TensorView. At each Adam step the memory held between steps is
+        # what is traced less that step's gradients. Above it, reading the
+        # next batch and running its step (and, at an epoch's end, validation)
+        # may trace no more than the conv's weight-gradient GEMM needs live:
+        # one step's gradients, the conv's dy and the (9K, C) dW the GEMM
+        # returns beside its (K, C, 3, 3) copy. The margin is one byte per
+        # conv unit, a ReLU mask's size, for the arrays of a few KiB (FC
+        # activations, biases, labels) and the forward's peak in maxpool, which
+        # holds the batch, the ReLU and dropout masks, maxpool's input and its
+        # work arrays. The previous step's gradients, the batch, the used
+        # cache entries, or a used activation or gradient of the conv's size
+        # left alive would each cross it
+        n, c, k = 4 * 32, 366, nn.CONV_CHANNELS
+        rng = np.random.default_rng(8)
+        frames = rng.normal(size=(n, 122, 49, 3)).astype(np.float32)
+        labels = rng.integers(0, 13, size=n)
+        mode = pipeline.AblationMode.NORMAL_AND_SHEAR
+        stats = pipeline.NormalizationStats(mode, mean=np.zeros(3), std=np.ones(3))
+        train_x = pipeline.TensorView(frames.__getitem__, range(n), mode, stats)
+        val_x = pipeline.TensorView(frames.__getitem__, range(32), mode, stats)
+        steps = []
+        step = AdamState.step
+
+        def traced_step(adam, params, grads):
+            current, peak = tracemalloc.get_traced_memory()
+            steps.append((current - sum(g.nbytes for g in grads.values()), peak))
+            step(adam, params, grads)
+            tracemalloc.reset_peak()
+        monkeypatch.setattr(AdamState, "step", traced_step)
+        config = pipeline.TrainConfig(epochs=2, batch_size=32, seed=0, lr=1e-3)
+        tracemalloc.start()
+        try:
+            _, history = pipeline.train(train_x, labels, val_x, labels[:32], config)
+        finally:
+            tracemalloc.stop()
+        assert len(steps) == 8 and len(history) == 2
+        itemsize = np.dtype(np.float32).itemsize
+        gradients = sum(math.prod(s) for s in nn.param_shapes(c).values()) * itemsize
+        units = 32 * k * 5 * 10  # of the conv's output
+        dw = 9 * k * c * itemsize
+        bound = gradients + units * itemsize + dw + units
+        for i, (held, peak) in enumerate(steps[1:], 1):  # the first step grows the buffers
+            assert peak - held <= bound, (i, (peak - held) / 2**20, bound / 2**20)
+
 
 LAYERS = ("conv2d_forward", "conv2d_backward", "maxpool2_forward", "maxpool2_backward",
           "relu_forward", "relu_backward", "dropout_mask", "dropout_forward",
           "dropout_backward", "linear_forward", "linear_backward", "softmax_cross_entropy")
 
 
+def all_arrays(value):
+    """Every array in a nested tuple or list, such as a forward's cache."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (tuple, list)):
+        return [a for v in value for a in all_arrays(v)]
+    return []
+
+
 def float_arrays(value):
     """Every floating-point array in a layer's result, caches included."""
-    if isinstance(value, np.ndarray):
-        return [value] if value.dtype.kind == "f" else []
-    if isinstance(value, (tuple, list)):
-        return [a for v in value for a in float_arrays(v)]
-    return []
+    return [a for a in all_arrays(value) if a.dtype.kind == "f"]
 
 
 class TestFloat32:
@@ -820,6 +873,28 @@ class TestCnnModel:
         x = RNG.normal(size=(5, 3, 5, 10))
         logits, _ = model.forward(x, np.random.default_rng(8))
         assert logits.tobytes() == self.plain_logits(model, x, np.random.default_rng(8)).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_leaves_the_forward_cache_usable(self, dtype):
+        # backward given the forward's own cache tuple: the gradients have
+        # loss_and_grads' bits, and every array in the tuple keeps its bytes,
+        # so a second backward over it gives the same bits again
+        rng = np.random.default_rng(13)
+        model = CnnModel(in_channels=122, seed=3, dtype=dtype)
+        x = rng.normal(size=(22, 122, 5, 10)).astype(dtype)
+        labels = rng.integers(0, 13, size=22)
+        loss, grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
+        logits, cache = model.forward(x, np.random.default_rng(5))
+        before = [a.tobytes() for a in all_arrays(cache)]
+        forward_loss, dlogits = softmax_cross_entropy(logits, labels)
+        assert forward_loss == loss
+        for _ in range(2):
+            again = model.backward(dlogits, cache)
+            assert [a.tobytes() for a in all_arrays(cache)] == before
+            assert list(again) == list(grads)
+            for name, value in grads.items():
+                assert again[name].dtype == dtype, name
+                assert again[name].tobytes() == value.tobytes(), (dtype, name)
 
 
 class TestAdam:

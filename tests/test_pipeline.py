@@ -615,6 +615,31 @@ class TestTrain:
         best = max(h.val_acc for h in history)
         assert np.mean(model.predict(x) == y) == pytest.approx(best)
 
+    def test_best_parameters_are_kept_in_one_set_of_arrays(self, monkeypatch):
+        # the best parameters are cloned once, before the first epoch, and
+        # each improving epoch overwrites those arrays in place: they and the
+        # returned model end with the bytes of the first best epoch's end
+        x, y = self.small_data(n=26)
+        clones, at_epoch_end = [], []
+        clone, predict = CnnModel.clone_params, pipeline._predict_batched
+
+        def cloning(model):
+            clones.append(clone(model))
+            return clones[-1]
+
+        def predicting(model, val_x):
+            at_epoch_end.append(clone(model))
+            return predict(model, val_x)
+        monkeypatch.setattr(CnnModel, "clone_params", cloning)
+        monkeypatch.setattr(pipeline, "_predict_batched", predicting)
+        model, history = train(x, y, x, y, TrainConfig(epochs=5, batch_size=8, seed=2, lr=1e-3))
+        accs = [h.val_acc for h in history]
+        assert sum(a > max(accs[:i], default=-1) for i, a in enumerate(accs)) >= 3
+        assert len(clones) == 1 and len(at_epoch_end) == 5
+        for name, value in at_epoch_end[accs.index(max(accs))].items():
+            assert clones[0][name].tobytes() == value.tobytes(), name
+            assert model.params[name].tobytes() == value.tobytes(), name
+
     def test_predictions_fit_the_training_workspace(self):
         # validation (47 rows) and evaluation (390 rows) predict in batches no
         # larger than the training batch, so the conv workspace keeps the
