@@ -61,7 +61,6 @@ N_CLASSES = len(GestureClass)
 class UserProfile:
     """Per-user modulation of gesture templates."""
 
-    user_id: int
     amplitude_scale: float
     speed_scale: float
     location_bias: tuple[float, float]  # cm
@@ -140,7 +139,6 @@ def user_profile(user_id: int, master_seed: int) -> UserProfile:
     """Deterministic per-user template modulation."""
     rng = np.random.default_rng(np.random.SeedSequence([master_seed, user_id, _TAG_PROFILE]))
     return UserProfile(
-        user_id=user_id,
         amplitude_scale=float(rng.uniform(0.7, 1.4)),
         speed_scale=float(rng.uniform(0.7, 1.4)),
         location_bias=(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(-1.0, 1.0))),

@@ -169,10 +169,10 @@ def relu_backward(dy: np.ndarray, mask: np.ndarray):
     return dy * mask
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
-    """Inverted-dropout mask, its uniforms drawn in ``dtype``, pre-scaled: 0 for
-    a dropped unit, 1/(1-p) for a survivor."""
-    return (rng.random(shape, dtype=dtype) >= p) * np.asarray(1 / (1 - p), dtype)
+def dropout_mask(shape, rng: np.random.Generator, dtype=np.float64) -> np.ndarray:
+    """Inverted-dropout mask at rate ``DROPOUT_P``, its uniforms drawn in
+    ``dtype``, pre-scaled: 0 for a dropped unit, 1/(1-DROPOUT_P) for a survivor."""
+    return (rng.random(shape, dtype=dtype) >= DROPOUT_P) * np.asarray(1 / (1 - DROPOUT_P), dtype)
 
 
 def dropout_forward(x: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
@@ -259,9 +259,6 @@ class CnnModel:
         limit = np.sqrt(6.0 / np.prod(shape[1:]))
         return rng.uniform(-limit, limit, size=shape)
 
-    def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {k: v.shape for k, v in self.params.items()}
-
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None):
         """Returns (logits, cache). With a dropout generator the pass trains
         (a fresh dropout mask is drawn from it); without one it is inference.
@@ -276,7 +273,7 @@ class CnnModel:
         a, conv_cache = conv2d_forward(x, p["conv_w"], p["conv_b"], self._work)
         a, r1_mask = relu_forward(a)
         drop_mask = (None if dropout_rng is None
-                     else _batch_minor(dropout_mask(a.shape, DROPOUT_P, dropout_rng, self.dtype)))
+                     else _batch_minor(dropout_mask(a.shape, dropout_rng, self.dtype)))
         a = dropout_forward(a, drop_mask)
         a, pool_cache = maxpool2_forward(a)
         pool_shape = a.shape

@@ -127,10 +127,9 @@ def _largest_remainder(quotas: np.ndarray, total) -> np.ndarray:
     return base
 
 
-def split_dataset(records: np.ndarray, seed: int,
-                  ratio: tuple[int, int, int] = SPLIT_RATIO) -> DatasetSplit:
-    """Per-user proportional split at the global train/val/test ratio, of a
-    dataset or a ``dataio.RECORD_HEADER`` array.
+def split_dataset(records: np.ndarray, seed: int) -> DatasetSplit:
+    """Per-user proportional split at the global train/val/test ratio
+    ``SPLIT_RATIO``, of a dataset or a ``dataio.RECORD_HEADER`` array.
 
     Each user's recordings are shuffled by the seed; per-user allocations use
     largest-remainder rounding, then a repair pass pins the global sizes.
@@ -141,11 +140,11 @@ def split_dataset(records: np.ndarray, seed: int,
     users, which, counts = np.unique(user_ids, return_inverse=True, return_counts=True)
     by_user = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
     n_total = len(user_ids)
-    r_tot = sum(ratio)
-    targets = _largest_remainder(np.array([n_total * r / r_tot for r in ratio]), n_total)
+    r_tot = sum(SPLIT_RATIO)
+    targets = _largest_remainder(np.array([n_total * r / r_tot for r in SPLIT_RATIO]), n_total)
 
     # per-user largest-remainder allocation: (users, 3), one row per user
-    quotas = counts[:, None] * np.array(ratio) / r_tot
+    quotas = counts[:, None] * np.array(SPLIT_RATIO) / r_tot
     alloc = _largest_remainder(quotas, counts)
 
     # repair pass: shift single recordings between splits until global totals match
@@ -196,8 +195,8 @@ def _pairwise(leaf, lo: int, n: int):
     return _pairwise(leaf, lo, n2) + _pairwise(leaf, lo + n2, n - n2)
 
 
-def _leaf_sums(x, term: Callable[[np.ndarray], np.ndarray], leaves: list[tuple[int, int]],
-               out: np.ndarray) -> None:
+def _leaf_sums(x: TensorView, term: Callable[[np.ndarray], np.ndarray],
+               leaves: list[tuple[int, int]], out: np.ndarray) -> None:
     """``out[j]``: the sum of ``term`` over leaf j's run of x's flattened
     elements (see ``_pairwise``), for a list of consecutive leaves. Each
     record the leaves lie in is read once, into a buffer of the most records
@@ -211,25 +210,21 @@ def _leaf_sums(x, term: Callable[[np.ndarray], np.ndarray], leaves: list[tuple[i
         first, stop = lo // size, (lo + m - 1) // size + 1
         kept = max(0, held.stop - first)
         buf[:kept] = buf[len(held) - kept:len(held)]
-        if isinstance(x, TensorView):
-            x.read_into(slice(first + kept, stop), buf[kept:stop - first])
-        else:
-            buf[kept:stop - first] = x[first + kept:stop]
+        x.read_into(slice(first + kept, stop), buf[kept:stop - first])
         held = range(first, stop)
         start = lo - first * size
         out[j] = np.add.reduce(term(flat[..., start:start + m]), axis=-1)[0]
 
 
-def _axis_sums(x, k: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per-axis sum of ``term(block)`` over ``x``, an (N, C, 5, 10) tensor or
-    view whose channel c reads force axis c % k, read by records and added
-    in the order numpy reduces the C-order tensor over every axis but the
-    force axis (numpy 2.x):
+def _axis_sums(x: TensorView, k: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per-axis sum of ``term(block)`` over ``x``, whose channel c reads
+    force axis c % k, read by records and added in the order numpy reduces
+    the C-order tensor ``x[:]`` over every axis but the force axis (numpy 2.x):
 
     - k > 1: each (recording, frame, axis) row of cells is summed pairwise,
       then the rows are added in row order; ``x`` is read in blocks of whole
-      records (``x[lo:hi]``), at most ``SUM_BLOCK`` elements or one record
-      each;
+      records, at most ``SUM_BLOCK`` elements or one record each, into one
+      buffer per chunk;
     - k = 1: the whole tensor is one run, summed by ``_pairwise``; the
       leaves are summed by ``_leaf_sums``.
 
@@ -253,15 +248,16 @@ def _axis_sums(x, k: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarra
     step = max(1, SUM_BLOCK // size)
 
     def row_sums(lo: int, hi: int) -> None:
+        buf = np.empty((step, c, h, w), dtype=x.dtype)
         for first in range(lo, hi, step):
             stop = min(first + step, hi)
-            block = x[first:stop].reshape(-1, k, h * w)
+            block = x.read_into(slice(first, stop), buf[:stop - first]).reshape(-1, k, h * w)
             np.add.reduce(term(block), axis=-1, out=part[first * rows:stop * rows])
     run_chunks(n, max(1, FIT_CHUNK // size), row_sums, errors=(OSError, FormatError))
     return np.add.reduce(part, axis=0)
 
 
-def _squared_deviations(x, mean: np.ndarray, k: int) -> np.ndarray:
+def _squared_deviations(x: TensorView, mean: np.ndarray, k: int) -> np.ndarray:
     """Per-axis sum of ``(x - mean)**2`` (see ``_axis_sums``), through one
     block-sized buffer, so the order is the one ``np.var`` adds in."""
     buf = np.empty(max(SUM_BLOCK, int(np.prod(x.shape[1:]))), dtype=x.dtype)
@@ -272,11 +268,11 @@ def _squared_deviations(x, mean: np.ndarray, k: int) -> np.ndarray:
     return _axis_sums(x, k, squares)
 
 
-def fit_normalization(x, mode: AblationMode) -> NormalizationStats:
-    """Per-axis mean and floored std of a training tensor or ``TensorView``,
-    bit for bit ``view.mean`` and ``view.std`` of the tensor over every axis
-    but the force axis, read in record blocks without a tensor-sized array."""
-    if not np.prod(x.shape):
+def fit_normalization(x: TensorView, mode: AblationMode) -> NormalizationStats:
+    """Per-axis mean and floored std of a training ``TensorView``, bit for bit
+    the ``mean`` and ``std`` of ``x[:]`` over every axis but the force axis,
+    read in record blocks without a tensor-sized array."""
+    if not len(x):
         raise ValueError("empty training tensor")
     k = mode.n_axes
     count = np.intp(np.prod(x.shape) // k)

@@ -11,7 +11,7 @@ from taxelkit.cli import main
 from taxelkit.gestures import synth_dataset
 from taxelkit.magnetics import DipoleParams, TaxelGeometry, dipole_flux, flux_sweep
 from taxelkit.nn import CnnModel, maxpool2_forward
-from taxelkit.pipeline import (AblationMode, TrainConfig, ablate,
+from taxelkit.pipeline import (AblationMode, TensorView, TrainConfig, ablate,
                                apply_normalization, assemble_tensor,
                                fit_normalization, select, split_dataset, train)
 
@@ -176,7 +176,9 @@ def test_criterion_8_memorization_sanity():
     t0 = time.time()
     recs = synth_dataset(n_users=1, n_blocks=5, reps_per_block=1, master_seed=3)[:64]
     x, y = assemble_tensor(recs, AblationMode.NORMAL_AND_SHEAR, dtype=np.float32)
-    stats = fit_normalization(x, AblationMode.NORMAL_AND_SHEAR)
+    stats = fit_normalization(TensorView(recs["frames"].__getitem__, range(64),
+                                         AblationMode.NORMAL_AND_SHEAR, dtype=np.float32),
+                              AblationMode.NORMAL_AND_SHEAR)
     view = x.reshape(64, 122, 3, 5, 10)
     ref = ((view - stats.mean[None, None, :, None, None])
            / stats.std[None, None, :, None, None]).reshape(x.shape)

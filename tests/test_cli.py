@@ -22,7 +22,7 @@ from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.gestures import RECORDING, synth_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
-from taxelkit.nn import CnnModel
+from taxelkit.nn import CnnModel, param_shapes
 
 
 @pytest.fixture()
@@ -737,7 +737,7 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     argv = ["--config", str(config), "--out", str(out)]
     assert main(["train", "--mode", "normal-only", *argv]) == 0
     assert main(["eval", *argv]) == 0
-    params, _ = dataio.load_checkpoint(out / "model.tgkm", model.shapes())
+    params, _ = dataio.load_checkpoint(out / "model.tgkm", param_shapes(model.in_channels))
     # the checkpoint stores the float32 model's values as float64, exactly
     assert all(np.array_equal(params[k], v) for k, v in model.params.items())
     assert all(params[k].astype(np.float32).tobytes() == v.tobytes()

@@ -16,7 +16,7 @@ from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, RECORD_HEADER, Dat
                              FormatError, dataset_id, load_checkpoint, load_dataset,
                              save_checkpoint, save_dataset)
 from taxelkit.gestures import N_CLASSES, RECORDING, study_protocol, synth_dataset
-from taxelkit.nn import CnnModel
+from taxelkit.nn import CnnModel, param_shapes
 from taxelkit.pipeline import select, split_dataset
 
 
@@ -301,7 +301,7 @@ class TestCheckpoint:
         model = CnnModel(in_channels=6, seed=0, conv_channels=4, hidden=5)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 6, path)
-        loaded, c_in = load_checkpoint(path, model.shapes())
+        loaded, c_in = load_checkpoint(path, param_shapes(6, conv_channels=4, hidden=5))
         assert c_in == 6
         for name, value in model.params.items():
             assert np.array_equal(loaded[name], value)
@@ -334,7 +334,7 @@ class TestCheckpoint:
         model = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 3, path)
-        wrong = dict(model.shapes())
+        wrong = param_shapes(3, conv_channels=2, hidden=4)
         first = next(iter(wrong))
         wrong[first] = tuple(d + 1 for d in wrong[first])
         with pytest.raises(FormatError):
@@ -344,7 +344,7 @@ class TestCheckpoint:
         model = CnnModel(in_channels=6, seed=3, conv_channels=4, hidden=5)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 6, path)
-        params, c_in = load_checkpoint(path, model.shapes())
+        params, c_in = load_checkpoint(path, param_shapes(6, conv_channels=4, hidden=5))
         clone = CnnModel(in_channels=c_in, seed=99, conv_channels=4, hidden=5)
         clone.set_params(params)
         x = np.random.default_rng(0).normal(size=(2, 6, 5, 10))
@@ -359,7 +359,7 @@ def saved_files(recordings, tmp_path_factory):
     save_dataset(recordings[:2], root / "data.tgk")
     model = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4)
     save_checkpoint(model.params, 3, root / "model.tgkm")
-    return root, model.shapes()
+    return root, param_shapes(3, conv_channels=2, hidden=4)
 
 
 class TestTruncation:

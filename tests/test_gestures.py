@@ -20,7 +20,7 @@ from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, RECORDING, G
 CELLS = [(r, c) for r in range(5) for c in range(10) if (r, c) != (4, 9)]
 POS = np.array([[c * 1.5, r * 1.5] for r, c in CELLS])
 
-QUIET = UserProfile(user_id=0, amplitude_scale=1.0, speed_scale=1.0,
+QUIET = UserProfile(amplitude_scale=1.0, speed_scale=1.0,
                     location_bias=(0.0, 0.0), noise_level=0.0, seed=1234)
 
 
@@ -103,7 +103,7 @@ class TestUserProfile:
 
     def test_invalid_scales_rejected(self):
         with pytest.raises(ValueError):
-            UserProfile(0, 3.0, 1.0, (0, 0), 0.0, 1)
+            UserProfile(3.0, 1.0, (0, 0), 0.0, 1)
 
 
 class TestSynthRecording:

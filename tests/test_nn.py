@@ -34,6 +34,10 @@ def numeric_grad(f, x, step=1e-6):
     return g
 
 
+def shapes_of(model):
+    return {k: v.shape for k, v in model.params.items()}
+
+
 def rel_err(a, b):
     denom = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
     return np.abs(a - b).max() / denom
@@ -603,8 +607,8 @@ class TestFloat32:
         # a checkpoint's model starts from its parameters: the same model as
         # drawing weights and overwriting them, without the draw
         drawn = CnnModel(in_channels=8, seed=2, conv_channels=6, hidden=5)
-        assert nn.param_shapes(8, conv_channels=6, hidden=5) == drawn.shapes()
-        assert nn.param_shapes(366) == CnnModel(in_channels=366).shapes()
+        assert nn.param_shapes(8, conv_channels=6, hidden=5) == shapes_of(drawn)
+        assert nn.param_shapes(366) == shapes_of(CnnModel(in_channels=366))
         overwritten = CnnModel(in_channels=8, conv_channels=6, hidden=5, dtype=np.float32)
         overwritten.set_params(drawn.params)
 
@@ -619,7 +623,7 @@ class TestFloat32:
             assert given.params[name].tobytes() == value.tobytes(), name
 
     def test_float32_dropout_mask_draws_float32_uniforms(self):
-        mask = dropout_mask((4, 50), nn.DROPOUT_P, np.random.default_rng(3), np.float32)
+        mask = dropout_mask((4, 50), np.random.default_rng(3), np.float32)
         uniforms = np.random.default_rng(3).random((4, 50), dtype=np.float32)
         assert mask.dtype == np.float32
         assert np.array_equal(mask, np.where(uniforms >= nn.DROPOUT_P, 2.0, 0.0))
@@ -667,7 +671,7 @@ class TestReluDropoutLinear:
 
     def test_dropout_inverted_scaling(self):
         x = np.ones((1000, 10))
-        mask = dropout_mask(x.shape, nn.DROPOUT_P, np.random.default_rng(0))
+        mask = dropout_mask(x.shape, np.random.default_rng(0))
         assert set(np.unique(mask)) == {0.0, 2.0}  # pre-scaled by 1/(1-p)
         y = dropout_forward(x, mask)
         # survivors are scaled by 2, zeros elsewhere; mean stays near 1
@@ -767,7 +771,7 @@ class TestCnnModel:
 
     def test_shapes(self):
         model = self.tiny()
-        assert model.shapes() == {
+        assert shapes_of(model) == {
             "conv_w": (4, 3, 3, 3), "conv_b": (4,),
             "fc1_w": (7, 4 * 4 * 9), "fc1_b": (7,),
             "fc2_w": (13, 7), "fc2_b": (13,),
@@ -776,7 +780,7 @@ class TestCnnModel:
     def test_full_scale_flat_dim(self):
         model = CnnModel(in_channels=122)
         assert model.flat_dim == 4392
-        assert model.shapes()["fc1_w"] == (100, 4392)
+        assert shapes_of(model)["fc1_w"] == (100, 4392)
 
     def test_forward_shape_and_determinism(self):
         model = self.tiny()
@@ -847,7 +851,7 @@ class TestCnnModel:
         h, _ = conv2d_forward(x, p["conv_w"], p["conv_b"])
         h = relu_forward(h)[0]
         if dropout_rng is not None:
-            h = dropout_forward(h, dropout_mask(h.shape, nn.DROPOUT_P, dropout_rng))
+            h = dropout_forward(h, dropout_mask(h.shape, dropout_rng))
         h, _ = maxpool2_forward(h)
         # flattened from a C-order copy, as the model does: a GEMM's bits depend
         # on its operands' memory order, and the maxpool output is batch-minor

@@ -19,8 +19,7 @@ from taxelkit import dataio, pipeline, workers
 from taxelkit.cli import main
 from taxelkit.dataio import DatasetReader, FormatError, dataset_id, save_dataset
 from taxelkit.gestures import N_CLASSES, RECORD_HEADER, RECORDING
-from taxelkit.pipeline import (SUM_BLOCK, AblationMode, TensorView, assemble_tensor,
-                               fit_normalization)
+from taxelkit.pipeline import SUM_BLOCK, AblationMode, TensorView, fit_normalization
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
                                 reason="the passes fork workers only where os.fork exists")
@@ -56,15 +55,58 @@ def assert_all_reaped() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
+class RowError(Exception):
+    """The typed failure of one row of a drawn pass."""
+
+
+@needs_fork
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(0, 64), chunk=st.integers(1, 16),
+       n_workers=st.sampled_from([1, 2, 3, 5]), untyped=st.booleans())
+def test_run_chunks_runs_each_row_once_and_fails_as_serial(data, n, chunk, n_workers, untyped):
+    # a row in `failing` raises RowError wherever it runs; with `untyped`,
+    # every forked worker raises KeyError in its first chunk
+    failing = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()), label="failing")
+    counts = workers.shared_array(n, np.int64)  # runs of each row, in every process
+    parent = os.getpid()
+
+    def work(lo: int, hi: int) -> None:
+        if untyped and os.getpid() != parent:
+            raise KeyError(lo)
+        for i in range(lo, hi):
+            if i in failing:
+                raise RowError(i)
+            counts[i] += 1
+
+    def run() -> None:
+        workers.run_chunks(n, chunk, work, errors=(RowError,))
+    forks = n_workers > 1 and n // chunk >= 2
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workers, "worker_count", lambda n: n_workers)
+        if untyped and forks:
+            with pytest.raises(RuntimeError, match=f"over {n} rows exited with status 1"):
+                run()
+        elif failing:
+            with pytest.raises(RowError) as error:
+                run()
+            assert error.value.args == (min(failing),)  # a serial pass's first failure
+        else:
+            run()
+            assert counts.tolist() == [1] * n
+    assert all(c <= 1 for c in counts.tolist()) and not any(counts[i] for i in failing)
+    assert_all_reaped()
+
+
 def passes(path, records, n: int, dtype) -> list:
     """The scan's header bytes and dataset_id, then each arm's fitted mean and
-    std bytes, of the reader's view and of a tensor of ``dtype``."""
+    std bytes, of the reader's view and of a view of ``dtype`` over the
+    records in memory."""
     with DatasetReader(path) as reader:
         out = [reader.headers.tobytes(), dataset_id(reader.headers)]
         for mode in AblationMode if n else []:
             view = TensorView(reader.read, range(n), mode)
-            tensor, _ = assemble_tensor(records[:n], mode, dtype=dtype)
-            for x in (view, tensor):
+            memory = TensorView(records["frames"].__getitem__, range(n), mode, dtype=dtype)
+            for x in (view, memory):
                 stats = fit_normalization(x, mode)
                 out += [stats.mean.tobytes(), stats.std.tobytes()]
     return out
