@@ -3,7 +3,7 @@ bias-free quadratic calibration, synthetic 13-class gesture datasets, and
 a from-scratch CNN classifier with a normal-vs-normal+shear ablation
 harness.
 """
-from .geometry import POSITIONS_CM, from_grid, to_grid
+from .geometry import POSITIONS_CM
 from .magnetics import (DipoleParams, StiffnessModel, TaxelGeometry, dipole_flux,
                         flux_sweep, force_to_displacement, simulate_taxel)
 from .calibration import (CalibrationModel, fit_taxel, predict_force,

@@ -42,10 +42,6 @@ class CalibrationModel:
     def to_json_dict(self, taxel_index: int) -> dict:
         return {"taxel_index": taxel_index, "coeffs": self.coeffs.ravel().tolist()}
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CalibrationModel":
-        return cls(coeffs=np.asarray(d["coeffs"], dtype=float).reshape(3, N_FEATURES))
-
 
 def quadratic_features(flux) -> np.ndarray:
     """[bx, by, bz, bx^2, by^2, bz^2, bx*by, bx*bz, by*bz] of (..., 3) flux, as (..., 9)."""
@@ -97,8 +93,3 @@ def save_models(models: dict[int, CalibrationModel], path) -> None:
     with dataio.replacing(path) as (fh,):
         fh.write(json.dumps(payload, indent=1).encode())
 
-
-def load_models(path) -> dict[int, CalibrationModel]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    return {d["taxel_index"]: CalibrationModel.from_json_dict(d) for d in payload}

@@ -247,11 +247,13 @@ def _load_model(ckpt_path):
     except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
         raise dataio.FormatError(f"{manifest_path}: unreadable manifest: {e!r}")
     axes = (mode.n_axes,)
-    if (c_in != pipeline.channels_for(mode) or stats.mean.shape != axes
-            or stats.std.shape != axes or isinstance(split_seed, bool)
-            or not isinstance(split_seed, int) or split_seed < 0):
+    # a JSON float (122.0) or bool can equal an int but is not one: ``type(...) is int``
+    if (type(c_in) is not int or c_in != pipeline.channels_for(mode) or stats.mean.shape != axes
+            or stats.std.shape != axes or type(split_seed) is not int or split_seed < 0):
         raise dataio.FormatError(f"{manifest_path}: c_in, normalization stats or split seed "
                                  f"do not fit mode {mode.value}")
+    if not all(isinstance(digest, str) for digest in trained_on):
+        raise dataio.FormatError(f"{manifest_path}: dataset_id and split_digest must be strings")
     if not (np.isfinite(stats.mean).all() and (np.isfinite(stats.std) & (stats.std > 0)).all()):
         raise dataio.FormatError(f"{manifest_path}: normalization stats must be finite float32 "
                                  f"values with std > 0")

@@ -21,23 +21,3 @@ NORMAL_MIN_N = -7.0
 POSITIONS_CM = np.stack(np.divmod(np.arange(N_TAXELS), COLS)[::-1], axis=1) * PITCH_CM
 POSITIONS_CM.flags.writeable = False
 
-
-def to_grid(frame: np.ndarray) -> np.ndarray:
-    """Scatter a (49, 3) frame of forces (N) onto a (3, 5, 10) force image.
-
-    Channel order is (x, y, z); the phantom cell stays zero.
-    """
-    forces = np.asarray(frame)
-    if forces.shape != (N_TAXELS, 3):
-        raise ValueError(f"expected (49, 3) forces, got {forces.shape}")
-    image = np.zeros((3, ROWS * COLS), dtype=forces.dtype)
-    image[:, :N_TAXELS] = forces.T
-    return image.reshape(3, ROWS, COLS)
-
-
-def from_grid(image: np.ndarray) -> np.ndarray:
-    """Gather the (49, 3) frame back out of a (3, 5, 10) force image."""
-    image = np.asarray(image)
-    if image.shape != (3, ROWS, COLS):
-        raise ValueError(f"expected (3, 5, 10) image, got {image.shape}")
-    return image.reshape(3, ROWS * COLS)[:, :N_TAXELS].T.copy()

@@ -263,8 +263,8 @@ class CnnModel:
         """Returns (logits, cache). With a dropout generator the pass trains
         (a fresh dropout mask is drawn from it); without one it is inference.
         The cache is good for backward until this model's next forward. It is
-        a tuple of what each layer's backward reads, first layer first, so a
-        backward takes its entries from the end. Each layer's output ``a``
+        a list of what each layer's backward reads, first layer first, so a
+        backward pops its entries from the end. Each layer's output ``a``
         replaces its input, so the pass holds no activation that no later
         layer or backward reads."""
         if x.ndim != 4 or x.shape[1:] != (self.in_channels, ROWS, COLS):
@@ -284,23 +284,17 @@ class CnnModel:
         a, fc1_cache = linear_forward(a, p["fc1_w"], p["fc1_b"])
         a, a1_mask = relu_forward(a)
         logits, fc2_cache = linear_forward(a, p["fc2_w"], p["fc2_b"])
-        cache = (conv_cache, r1_mask, drop_mask, pool_cache, pool_shape,
-                 fc1_cache, a1_mask, fc2_cache)
+        cache = [conv_cache, r1_mask, drop_mask, pool_cache, pool_shape,
+                 fc1_cache, a1_mask, fc2_cache]
         return logits, cache
 
-    def backward(self, dlogits: np.ndarray, cache) -> dict[str, np.ndarray]:
+    def backward(self, dlogits: np.ndarray, cache: list) -> dict[str, np.ndarray]:
         """Parameter gradients from dloss/dlogits and a forward's cache, which
-        is left as it is."""
-        if cache is None:
-            raise ValueError("backward requires the cache from a forward pass")
-        return self._backward(dlogits, list(cache))
-
-    def _backward(self, dlogits: np.ndarray, cache: list) -> dict[str, np.ndarray]:
-        """backward over a list of the cache's entries, which it empties: each
-        entry is popped when its layer runs, and each layer's input gradient
-        ``d`` replaces the one before it. Given the only references, the
-        conv's weight-gradient GEMM runs beside the finished gradients and its
-        own dy alone."""
+        it empties: each entry is popped when its layer runs, and each layer's
+        input gradient ``d`` replaces the one before it. Given the only
+        references, the conv's weight-gradient GEMM runs beside the finished
+        gradients and its own dy alone. A caller who needs the cache afterwards
+        passes ``list(cache)``."""
         grads: dict[str, np.ndarray] = {}
         d, grads["fc2_w"], grads["fc2_b"] = linear_backward(dlogits, cache.pop())
         d = relu_backward(d, cache.pop())
@@ -321,8 +315,7 @@ class CnnModel:
         del x  # the conv copied it into its workspace
         loss, dlogits = softmax_cross_entropy(logits, labels)
         del logits
-        cache = list(cache)
-        return loss, self._backward(dlogits, cache)
+        return loss, self.backward(dlogits, cache)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference argmax class per sample; ties resolve to the lowest index."""

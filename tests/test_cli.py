@@ -461,6 +461,29 @@ class TestCheckpointManifest:
         assert "split seed" in caplog.text
         assert not (trained / "evaluation.json").exists()
 
+    @pytest.mark.parametrize("as_type", [float, bool])
+    def test_manifest_c_in_not_an_int(self, trained, tiny_config, capsys, caplog, as_type):
+        # 366.0 equals the mode's channel count but cannot shape a parameter
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        manifest["c_in"] = as_type(manifest["c_in"])
+        path.write_text(json.dumps(manifest))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert f"{path}: c_in" in caplog.text
+        assert not (trained / "evaluation.json").exists()
+
+    @pytest.mark.parametrize("key", ["dataset_id", "split_digest"])
+    def test_manifest_digest_not_a_string(self, trained, tiny_config, capsys, caplog, key):
+        # a number matches no dataset's digest; it is a malformed manifest, not
+        # a checkpoint trained on another dataset (exit 6)
+        path = trained / "model.tgkm.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = 123
+        path.write_text(json.dumps(manifest))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert f"{path}: dataset_id and split_digest must be strings" in caplog.text
+        assert not (trained / "evaluation.json").exists()
+
     @pytest.mark.parametrize("key,value", [("norm_std", 0.0), ("norm_std", -1.0),
                                            ("norm_std", 1e300), ("norm_mean", 1e300)])
     def test_unusable_normalization_stats(self, trained, tiny_config, capsys, key, value):

@@ -1,14 +1,21 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxelkit.geometry import POSITIONS_CM, from_grid, to_grid
+from taxelkit.geometry import COLS, N_TAXELS, POSITIONS_CM, ROWS
+from taxelkit.gestures import N_FRAMES
+from taxelkit.pipeline import AblationMode, TensorView
+
+
+def batch(frames: np.ndarray, mode: AblationMode) -> np.ndarray:
+    """The TensorView batch the CNN reads for (n, 122, 49, 3) frames."""
+    return TensorView(frames.__getitem__, range(len(frames)), mode)[:]
 
 
 def taxel_cells():
-    """Taxel index -> (row, col), read off to_grid: taxel i carries the value i + 1."""
-    image = to_grid(np.repeat(np.arange(1.0, 50.0)[:, None], 3, axis=1))[2]
+    """Taxel index -> (row, col), read off a TensorView batch: taxel i carries the value i + 1."""
+    frames = np.broadcast_to(np.arange(1.0, N_TAXELS + 1)[:, None], (1, N_FRAMES, N_TAXELS, 3))
+    image = batch(frames, AblationMode.NORMAL_ONLY)[0, 0]
     return {int(v) - 1: cell for cell, v in np.ndenumerate(image) if v}
 
 
@@ -46,50 +53,18 @@ class TestTaxelIndex:
                                          for _, (r, c) in sorted(taxel_cells().items())]
 
 
-class TestToGrid:
-    def test_all_zero(self):
-        image = to_grid(np.zeros((49, 3)))
-        assert image.shape == (3, 5, 10)
-        assert not image.any()
-
-    def test_single_site(self):
-        forces = np.zeros((49, 3))
-        forces[0, 2] = 1.0
-        image = to_grid(forces)
-        assert image[2, 0, 0] == 1.0
-        image[2, 0, 0] = 0.0
-        assert not image.any()
-
-    def test_conservation(self):
-        rng = np.random.default_rng(0)
-        forces = rng.normal(size=(49, 3))
-        image = to_grid(forces)
-        # the phantom cell adds nothing, so absolute sums agree
-        assert np.isclose(np.abs(image).sum(), np.abs(forces).sum())
-
-    def test_phantom_cell_zero(self):
-        forces = np.ones((49, 3))
-        image = to_grid(forces)
-        assert (image[:, 4, 9] == 0).all()
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            to_grid(np.zeros((48, 3)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_round_trip(seed):
-    forces = np.random.default_rng(seed).normal(size=(49, 3))
-    assert np.array_equal(from_grid(to_grid(forces)), forces)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1),
-       st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False))
-def test_linearity(seed, a, b):
-    rng = np.random.default_rng(seed)
-    f, g = rng.normal(size=(49, 3)), rng.normal(size=(49, 3))
-    lhs = to_grid(a * f + b * g)
-    rhs = a * to_grid(f) + b * to_grid(g)
-    assert np.allclose(lhs, rhs, atol=1e-12)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(AblationMode), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_batch_layout(mode, n, seed):
+    # taxel i of frame f, axis a (one of the mode's last k axes) is at channel
+    # f*k + a - (3 - k), cell divmod(i, COLS); the phantom cell holds 0
+    frames = np.random.default_rng(seed).normal(size=(n, N_FRAMES, N_TAXELS, 3))
+    frames = frames.astype(np.float32)
+    x = batch(frames, mode)
+    k = mode.n_axes
+    assert x.shape == (n, N_FRAMES * k, ROWS, COLS) and x.dtype == np.float32
+    f, a, i = np.meshgrid(np.arange(N_FRAMES), np.arange(3 - k, 3), np.arange(N_TAXELS),
+                          indexing="ij")
+    row, col = np.divmod(i, COLS)
+    assert np.array_equal(x[:, f * k + a - (3 - k), row, col], frames[:, f, i, a])
+    assert not x[:, :, 4, 9].any()

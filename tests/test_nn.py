@@ -879,26 +879,26 @@ class TestCnnModel:
         assert logits.tobytes() == self.plain_logits(model, x, np.random.default_rng(8)).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_backward_leaves_the_forward_cache_usable(self, dtype):
-        # backward given the forward's own cache tuple: the gradients have
-        # loss_and_grads' bits, and every array in the tuple keeps its bytes,
-        # so a second backward over it gives the same bits again
+    def test_backward_matches_loss_and_grads_and_empties_the_cache(self, dtype):
+        # backward over a forward's cache gives loss_and_grads' bits and pops
+        # every entry; a backward over list(cache) first leaves the entries
+        # usable, so the second gives the same bits
         rng = np.random.default_rng(13)
         model = CnnModel(in_channels=122, seed=3, dtype=dtype)
         x = rng.normal(size=(22, 122, 5, 10)).astype(dtype)
         labels = rng.integers(0, 13, size=22)
         loss, grads = model.loss_and_grads(x, labels, np.random.default_rng(5))
         logits, cache = model.forward(x, np.random.default_rng(5))
-        before = [a.tobytes() for a in all_arrays(cache)]
         forward_loss, dlogits = softmax_cross_entropy(logits, labels)
         assert forward_loss == loss
-        for _ in range(2):
-            again = model.backward(dlogits, cache)
-            assert [a.tobytes() for a in all_arrays(cache)] == before
-            assert list(again) == list(grads)
+        copied = model.backward(dlogits, list(cache))
+        again = model.backward(dlogits, cache)
+        assert cache == []
+        for result in (copied, again):
+            assert list(result) == list(grads)
             for name, value in grads.items():
-                assert again[name].dtype == dtype, name
-                assert again[name].tobytes() == value.tobytes(), (dtype, name)
+                assert result[name].dtype == dtype, name
+                assert result[name].tobytes() == value.tobytes(), (dtype, name)
 
 
 class TestAdam:
