@@ -53,6 +53,36 @@ class TestTaxelIndex:
                                          for _, (r, c) in sorted(taxel_cells().items())]
 
 
+class TestToGrid:
+    """The scatter of taxel frames onto the 5 x 10 grid, as the TensorView batch does it."""
+
+    def test_single_site(self):
+        frames = np.zeros((1, N_FRAMES, N_TAXELS, 3), dtype=np.float32)
+        frames[0, 0, 0, 2] = 1.0
+        x = batch(frames, AblationMode.NORMAL_AND_SHEAR)
+        assert x[0, 2, 0, 0] == 1.0
+        x[0, 2, 0, 0] = 0.0
+        assert not x.any()
+
+    def test_phantom_cell_zero(self):
+        for mode in AblationMode:
+            x = batch(np.ones((2, N_FRAMES, N_TAXELS, 3), dtype=np.float32), mode)
+            assert (x[:, :, 4, 9] == 0).all()
+            assert x.sum() == x.shape[0] * x.shape[1] * N_TAXELS
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(AblationMode), st.integers(0, 2**32 - 1))
+def test_round_trip(mode, seed):
+    # gathering the 49 taxels back out of each (frame, axis) image gives the
+    # mode's axes of the frames unchanged
+    frames = np.random.default_rng(seed).normal(size=(2, N_FRAMES, N_TAXELS, 3))
+    frames = frames.astype(np.float32)
+    k = mode.n_axes
+    x = batch(frames, mode).reshape(2, N_FRAMES, k, ROWS * COLS)[..., :N_TAXELS]
+    assert np.array_equal(x.transpose(0, 1, 3, 2), frames[..., 3 - k:])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(AblationMode), st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_batch_layout(mode, n, seed):
