@@ -18,10 +18,9 @@ FEATURE_NAMES = ["bx", "by", "bz", "bx^2", "by^2", "bz^2", "bx*by", "bx*bz", "by
 
 
 class DegenerateFitError(ValueError):
-    """Feature matrix is rank-deficient; carries the unidentifiable directions."""
+    """Feature matrix is rank-deficient; the message names the unidentifiable directions."""
 
     def __init__(self, null_directions: np.ndarray):
-        self.null_directions = null_directions
         named = "; ".join(
             " + ".join(f"{v:+.3f}*{n}" for v, n in zip(vec, FEATURE_NAMES) if abs(v) > 1e-6)
             for vec in null_directions

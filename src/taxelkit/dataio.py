@@ -9,13 +9,14 @@ TGK1 layout:
     one ``gestures.RECORDING`` row
 
 TGKM layout:
-    magic "TGKM" | version u32 | c_in u32
-    parameters in declared order as float64
+    magic "TGKM" | version u32
+    parameters in declared order as float32; ``c_in`` is in the manifest only
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from contextlib import ExitStack, contextmanager
@@ -29,12 +30,13 @@ from .workers import run_chunks, shared_array
 
 DATASET_MAGIC = b"TGK1"
 CHECKPOINT_MAGIC = b"TGKM"
-FORMAT_VERSION = 1
+DATASET_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _DATASET_HEADER = struct.Struct("<4sIIII")
 _RECORD_SIZE = RECORDING.itemsize
 _FRAMES_AT = _DATASET_HEADER.size + RECORD_HEADER.itemsize  # offset of record 0's frames
-_CHECKPOINT_HEADER = struct.Struct("<4sII")
+_CHECKPOINT_HEADER = struct.Struct("<4sI")
 SCAN_CHUNK = 256  # records per chunk of the opening scan's workers, ~6 ms of scan
 
 
@@ -89,7 +91,7 @@ def writing_dataset(path, headers: np.ndarray, config: dict | None = None):
     n = len(headers)
     sidecar = {
         "format": "TGK1",
-        "version": FORMAT_VERSION,
+        "version": DATASET_VERSION,
         "n_recordings": n,
         "frames": N_FRAMES,
         "taxels": N_TAXELS,
@@ -97,7 +99,7 @@ def writing_dataset(path, headers: np.ndarray, config: dict | None = None):
     }
     with replacing(path, sidecar_path(path)) as (fh, side):
         fd = fh.fileno()
-        _pwrite(fd, _DATASET_HEADER.pack(DATASET_MAGIC, FORMAT_VERSION, n, N_FRAMES, N_TAXELS), 0)
+        _pwrite(fd, _DATASET_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, n, N_FRAMES, N_TAXELS), 0)
 
         def write(i: int, frames: np.ndarray) -> None:
             if not 0 <= i < n or frames.shape != (N_FRAMES, N_TAXELS, 3):
@@ -156,7 +158,7 @@ class DatasetReader:
         magic, version, n_rec, frames, taxels = _DATASET_HEADER.unpack(header)
         if magic != DATASET_MAGIC:
             raise FormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
+        if version != DATASET_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         if frames != N_FRAMES or taxels != N_TAXELS:
             raise FormatError(f"{path}: unexpected tensor dims {frames}x{taxels}")
@@ -227,38 +229,37 @@ def dataset_id(headers: np.ndarray) -> str:
 
 
 def save_checkpoint(params: dict[str, np.ndarray], c_in: int, path, config: dict | None = None) -> None:
-    """Write parameters in declared (insertion) order as float64."""
+    """Write parameters in declared (insertion) order as float32, and ``c_in``
+    and their shapes in the manifest."""
     manifest = {
         "format": "TGKM",
-        "version": FORMAT_VERSION,
+        "version": CHECKPOINT_VERSION,
         "c_in": c_in,
         "parameters": {name: list(value.shape) for name, value in params.items()},
         "config": config or {},
     }
     with replacing(path, sidecar_path(path)) as (fh, side):
-        fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, FORMAT_VERSION, c_in))
+        fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION))
         for value in params.values():
-            fh.write(np.ascontiguousarray(value, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
         side.write(json.dumps(manifest, indent=1).encode())
 
 
-def load_checkpoint(path, shapes: dict[str, tuple[int, ...]]) -> tuple[dict[str, np.ndarray], int]:
+def load_checkpoint(path, shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """A TGKM file's float32 parameters, shaped as ``shapes`` declares them;
+    a file whose size is not the header plus those parameters is malformed."""
     data = Path(path).read_bytes()
     if len(data) < _CHECKPOINT_HEADER.size:
         raise FormatError(f"{path}: truncated header")
-    magic, version, c_in = _CHECKPOINT_HEADER.unpack_from(data, 0)
+    magic, version = _CHECKPOINT_HEADER.unpack_from(data, 0)
     if magic != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
+    if version != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
-    offset = _CHECKPOINT_HEADER.size
-    params = {}
-    for name, shape in shapes.items():
-        count = int(np.prod(shape))
-        if offset + count * 8 > len(data):
-            raise FormatError(f"{path}: size does not match declared shapes")
-        params[name] = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
-    if offset != len(data):
-        raise FormatError(f"{path}: size does not match declared shapes")
-    return params, c_in
+    counts = [math.prod(shape) for shape in shapes.values()]
+    expected = _CHECKPOINT_HEADER.size + 4 * sum(counts)
+    if len(data) != expected:
+        raise FormatError(f"{path}: {len(data)} bytes, but the declared shapes need {expected}")
+    values = np.frombuffer(data, dtype="<f4", offset=_CHECKPOINT_HEADER.size).astype(np.float32)
+    return {name: part.reshape(shape) for (name, shape), part
+            in zip(shapes.items(), np.split(values, np.cumsum(counts)[:-1]))}

@@ -37,15 +37,12 @@ def _require_positive(obj, *names: str) -> None:
 class TaxelGeometry:
     """Structural dimensions of one taxel, mm."""
 
-    wall_thickness: float = 2.5
-    width: float = 12.0
     cavity_height: float = 1.5875  # 1/16 in
     magnet_height: float = 6.0
     chip_offset: float = CHIP_OFFSET_MM
 
     def __post_init__(self):
-        _require_positive(self, "wall_thickness", "width", "cavity_height", "magnet_height",
-                          "chip_offset")
+        _require_positive(self, "cavity_height", "magnet_height", "chip_offset")
 
     @property
     def sensor_standoff(self) -> float:

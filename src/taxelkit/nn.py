@@ -245,7 +245,6 @@ class CnnModel:
         self.in_channels = in_channels
         self.dtype = np.dtype(dtype)
         shapes = param_shapes(in_channels, conv_channels, hidden)
-        self.flat_dim = shapes["fc1_w"][1]
         if params is None:
             rng = np.random.default_rng(np.random.SeedSequence([seed, 0x494E4954]))
             # weights in declared order, each with fan-in = the product of its trailing dims

@@ -10,7 +10,7 @@ from taxelkit import calibration as cal
 from taxelkit.cli import main
 from taxelkit.gestures import synth_dataset
 from taxelkit.magnetics import DipoleParams, TaxelGeometry, dipole_flux, flux_sweep
-from taxelkit.nn import CnnModel, maxpool2_forward
+from taxelkit.nn import CnnModel, maxpool2_forward, param_shapes
 from taxelkit.pipeline import (AblationMode, TensorView, TrainConfig, ablate,
                                apply_normalization, assemble_tensor,
                                fit_normalization, select, split_dataset, train)
@@ -42,7 +42,7 @@ def test_criterion_1_shape_fidelity(full_recordings, full_split):
     dtype_ok = both.dtype == np.float32 and normal.dtype == np.float32
     pooled, _ = maxpool2_forward(np.zeros((1, 122, 5, 10)))
     flat = int(np.prod(pooled.shape[1:]))
-    flat_ok = flat == 4392 and CnnModel(in_channels=122).flat_dim == 4392
+    flat_ok = flat == 4392 and param_shapes(122)["fc1_w"][1] == 4392
     elapsed = time.time() - t0
     report(1, shapes_ok and dtype_ok and flat_ok and elapsed < 60,
            f"train tensors {both.shape} / {normal.shape}, post-pool features {flat}, "

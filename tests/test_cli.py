@@ -70,6 +70,9 @@ class TestConfig:
     def test_unknown_section_key(self):
         with pytest.raises(ConfigError, match="epocs"):
             RunConfig.from_dict({"train": {"epocs": 3}})
+        for key in ("wall_thickness", "width"):  # geometry keys that no computation read
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict({"geometry": {key: 2.5}})
 
     def test_unknown_top_level(self):
         with pytest.raises(ConfigError, match="trian"):
@@ -493,42 +496,42 @@ class TestCheckpointManifest:
         path.write_text(json.dumps(manifest))
         assert self.eval_exit(trained, tiny_config, capsys) == 5
 
-    def test_header_channels_disagree_with_manifest(self, trained, tiny_config, capsys):
+    def test_checkpoint_of_the_other_arm(self, trained, tiny_config, capsys, caplog):
+        # c_in is in the manifest only; a normal-only binary under this
+        # normal+shear manifest has a third of its conv_w, so its size is wrong
         ckpt = trained / "model.tgkm"
-        data = bytearray(ckpt.read_bytes())
-        assert struct.unpack_from("<I", data, 8) == (366,)
-        struct.pack_into("<I", data, 8, 122)
-        ckpt.write_bytes(bytes(data))
+        other = trained / "other" / "model.tgkm"
+        other.parent.mkdir()
+        dataio.save_checkpoint(CnnModel(in_channels=122, dtype=np.float32).params, 122, other)
+        ckpt.write_bytes(other.read_bytes())
         assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert f"{ckpt}: {other.stat().st_size} bytes, but the declared shapes need" in caplog.text
+        assert not (trained / "evaluation.json").exists()
+
+    def test_version_1_checkpoint(self, trained, tiny_config, capsys, caplog):
+        # the older layout: c_in in a 12-byte header, then the values as float64
+        params = dataio.load_checkpoint(trained / "model.tgkm", param_shapes(366))
+        (trained / "model.tgkm").write_bytes(
+            struct.pack("<4sII", b"TGKM", 1, 366)
+            + b"".join(v.astype("<f8").tobytes() for v in params.values()))
+        assert self.eval_exit(trained, tiny_config, capsys) == 5
+        assert "unsupported version 1" in caplog.text
+        assert not (trained / "evaluation.json").exists()
 
     @staticmethod
     def set_last_parameter(trained, value) -> None:
         """Overwrite the checkpoint's last fc2_b value."""
         ckpt = trained / "model.tgkm"
         data = bytearray(ckpt.read_bytes())
-        struct.pack_into("<d", data, len(data) - 8, value)
+        struct.pack_into("<f", data, len(data) - 4, value)
         ckpt.write_bytes(bytes(data))
-
-    @pytest.mark.parametrize("bump", ["next_float64", "overflow"])
-    def test_parameter_not_float32_exact(self, trained, tiny_config, capsys, caplog, bump):
-        # train writes float32 values as float64; eval runs the model in
-        # float32 and refuses a value it would have to round
-        data = (trained / "model.tgkm").read_bytes()
-        (last,) = struct.unpack_from("<d", data, len(data) - 8)  # the last fc2_b value
-        self.set_last_parameter(
-            trained, {"next_float64": np.nextafter(last, np.inf), "overflow": 1e300}[bump])
-        assert self.eval_exit(trained, tiny_config, capsys) == 5
-        assert "parameter fc2_b" in caplog.text and "float32-exact" in caplog.text
-        assert not (trained / "evaluation.json").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_parameter_not_finite(self, trained, tiny_config, capsys, caplog, value):
-        # an infinity is float32-exact, and the model would predict with it;
-        # NaN is refused as what it is, not as a value eval would round
+        # a float32 file can hold NaN and infinities, with which the model would predict
         self.set_last_parameter(trained, value)
         assert self.eval_exit(trained, tiny_config, capsys) == 5
         assert "parameter fc2_b has 1 non-finite values" in caplog.text
-        assert "float32-exact" not in caplog.text
         assert not (trained / "evaluation.json").exists()
 
     @pytest.mark.parametrize("mode", ["normal-only", "normal-and-shear"])
@@ -760,11 +763,9 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     argv = ["--config", str(config), "--out", str(out)]
     assert main(["train", "--mode", "normal-only", *argv]) == 0
     assert main(["eval", *argv]) == 0
-    params, _ = dataio.load_checkpoint(out / "model.tgkm", param_shapes(model.in_channels))
-    # the checkpoint stores the float32 model's values as float64, exactly
-    assert all(np.array_equal(params[k], v) for k, v in model.params.items())
-    assert all(params[k].astype(np.float32).tobytes() == v.tobytes()
-               for k, v in model.params.items())
+    params = dataio.load_checkpoint(out / "model.tgkm", param_shapes(model.in_channels))
+    # the checkpoint stores the float32 model's values bit for bit
+    assert all(params[k].tobytes() == v.tobytes() for k, v in model.params.items())
     manifest = json.loads((out / "model.tgkm.json").read_text())["config"]
     assert manifest["norm_mean"] == stats.mean.tolist()
     assert manifest["norm_std"] == stats.std.tolist()
@@ -1001,6 +1002,21 @@ class TestOutputPaths:
         os.symlink("loop.tgk", out / "loop.tgk")
         assert run(command, "--dataset", str(out / "loop.tgk"), "--out", str(out)) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, paths, first, second", [
+        (["train"], {"checkpoint": "history.csv"}, "history.csv", "history.csv"),
+        (["train"], {"checkpoint": "sub/../history.csv"}, "sub/../history.csv", "history.csv"),
+        (["synth"], {"dataset": "config_echo.json"}, "config_echo.json", "config_echo.json"),
+    ], ids=["train-checkpoint", "train-checkpoint-spelled", "synth-dataset"])
+    def test_outputs_collide(self, tmp_path, capsys, caplog, no_work, argv, paths, first, second):
+        # e.g. paths.checkpoint = history.csv: train would write its history over its checkpoint
+        out = tmp_path / "out"
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": paths}))
+        assert run(*argv, "--config", str(config), "--out", str(out)) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert f"two outputs are the same file: {out / first} and {out / second}" in caplog.text
+        assert not out.exists()  # no file written, the config echo included
 
     def test_parent_directories_created(self, tmp_path, tiny_config):
         config = tmp_path / "config.json"

@@ -298,31 +298,35 @@ class TestPackedRows:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        model = CnnModel(in_channels=6, seed=0, conv_channels=4, hidden=5)
+        model = CnnModel(in_channels=6, seed=0, conv_channels=4, hidden=5, dtype=np.float32)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 6, path)
-        loaded, c_in = load_checkpoint(path, param_shapes(6, conv_channels=4, hidden=5))
-        assert c_in == 6
+        loaded = load_checkpoint(path, param_shapes(6, conv_channels=4, hidden=5))
+        assert list(loaded) == list(model.params)
         for name, value in model.params.items():
-            assert np.array_equal(loaded[name], value)
-            assert loaded[name].dtype == np.float64
+            assert loaded[name].dtype == np.float32
+            assert loaded[name].tobytes() == value.tobytes()  # bit-exact
+            assert loaded[name].flags.writeable
 
     def test_manifest(self, tmp_path):
         model = CnnModel(in_channels=6, seed=0, conv_channels=4, hidden=5)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 6, path, config={"mode": "normal-only"})
         manifest = json.loads((tmp_path / "model.tgkm.json").read_text())
-        assert manifest["format"] == "TGKM"
+        assert manifest["format"] == "TGKM" and manifest["version"] == 2
         assert manifest["c_in"] == 6
         assert manifest["config"]["mode"] == "normal-only"
         assert manifest["parameters"] == {k: list(v.shape) for k, v in model.params.items()}
 
     def test_header(self, tmp_path):
-        model = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4)
+        # magic and version, then the float32 values; c_in is in the manifest only
+        model = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4, dtype=np.float32)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 3, path)
-        magic, version, c_in = struct.unpack_from("<4sII", path.read_bytes())
-        assert magic == CHECKPOINT_MAGIC and version == 1 and c_in == 3
+        data = path.read_bytes()
+        magic, version = struct.unpack_from("<4sI", data)
+        assert magic == CHECKPOINT_MAGIC and version == 2
+        assert data[8:] == b"".join(v.astype("<f4").tobytes() for v in model.params.values())
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.tgkm"
@@ -341,13 +345,13 @@ class TestCheckpoint:
             load_checkpoint(path, wrong)
 
     def test_model_restores_exactly(self, tmp_path):
-        model = CnnModel(in_channels=6, seed=3, conv_channels=4, hidden=5)
+        model = CnnModel(in_channels=6, seed=3, conv_channels=4, hidden=5, dtype=np.float32)
         path = tmp_path / "model.tgkm"
         save_checkpoint(model.params, 6, path)
-        params, c_in = load_checkpoint(path, param_shapes(6, conv_channels=4, hidden=5))
-        clone = CnnModel(in_channels=c_in, seed=99, conv_channels=4, hidden=5)
+        params = load_checkpoint(path, param_shapes(6, conv_channels=4, hidden=5))
+        clone = CnnModel(in_channels=6, seed=99, conv_channels=4, hidden=5, dtype=np.float32)
         clone.set_params(params)
-        x = np.random.default_rng(0).normal(size=(2, 6, 5, 10))
+        x = np.random.default_rng(0).normal(size=(2, 6, 5, 10)).astype(np.float32)
         logits_a, _ = model.forward(x)
         logits_b, _ = clone.forward(x)
         assert np.array_equal(logits_a, logits_b)
@@ -540,12 +544,14 @@ class TestInterruptedWrite:
 
     @pytest.mark.parametrize("room", [0, 11, 2_000])
     def test_checkpoint(self, tmp_path, full_disk, room):
+        # a 3,036-byte binary: the disk fills in conv_w (room 11) or fc1_w (room 2,000)
         path = tmp_path / "model.tgkm"
-        old = CnnModel(in_channels=3, seed=1, conv_channels=2, hidden=4)
+        old = CnnModel(in_channels=3, seed=1, conv_channels=4, hidden=4)
         save_checkpoint(old.params, 3, path)
+        assert path.stat().st_size == 3_036
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         full_disk(room)
-        new = CnnModel(in_channels=3, seed=2, conv_channels=2, hidden=4)
+        new = CnnModel(in_channels=3, seed=2, conv_channels=4, hidden=4)
         with pytest.raises(OSError, match="No space"):
             save_checkpoint(new.params, 3, path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

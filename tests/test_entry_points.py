@@ -1,7 +1,8 @@
 """Every top-level function, class and constant, and every public method of a
 top-level class, that a taxelkit module defines is named somewhere else in
 ``src/taxelkit`` or in ``bench/``, so no entry point is kept for the tests
-alone.
+alone. Every public attribute that a top-level class assigns on ``self`` is
+read somewhere in those files, so no member is kept that nothing reads.
 
 A stdlib ``tokenize`` scan: a definition counts as named where its name is a
 name token, or the whole of a string literal (a ``getattr`` target such as a
@@ -9,6 +10,10 @@ name token, or the whole of a string literal (a ``getattr`` target such as a
 Comments and docstrings do not name anything. The package ``__init__`` is
 neither scanned for definitions nor counted as a use, since its imports are
 the public re-exports.
+
+The attribute scan is an ``ast`` scan: an attribute counts as read where its
+name is loaded as an attribute (``model.in_channels``) or is the whole of a
+string literal (a ``getattr`` target).
 """
 import ast
 import io
@@ -87,3 +92,53 @@ def test_modules_found():
 def test_every_entry_point_is_named():
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES + BENCH}
     assert unnamed(sources, [str(p.relative_to(ROOT)) for p in MODULES]) == []
+
+
+def self_attributes(source: str) -> list[tuple[str, str]]:
+    """(class, attribute) of each public attribute that a top-level class of
+    a source assigns on ``self``, sorted."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                        and not sub.attr.startswith("_")):
+                    found.add((node.name, sub.attr))
+    return sorted(found)
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Each attribute name a source loads, and each of its whole string
+    literals (not the pieces of an f-string)."""
+    tree = ast.parse(source)
+    pieces = {id(value) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+              for value in node.values}
+    return ({node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+            | {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+               and isinstance(node.value, str) and id(node) not in pieces})
+
+
+def unread(sources: dict[str, str], defining: list[str]) -> list[str]:
+    """``file: Class.attribute`` of each public attribute that a top-level
+    class of the ``defining`` files assigns on ``self`` and no source reads."""
+    reads = set().union(*(attribute_reads(source) for source in sources.values()))
+    return [f"{path}: {cls}.{attr}" for path in defining
+            for cls, attr in self_attributes(sources[path]) if attr not in reads]
+
+
+def test_scan_finds_an_unread_attribute():
+    module = ("class Model:\n    def __init__(self, n):\n        self.n = n\n"
+              "        self.dead = n\n        self.named = n\n        self._cache = None\n"
+              "        self.dead += 1\n\n    def size(self):\n        return self.n\n\n\n"
+              "class Error(ValueError):\n    def __init__(self, axes):\n"
+              "        self.axes = axes\n        super().__init__(f'axes {axes}')\n")
+    caller = "# model.dead\nimport module\ngetattr(module.Model(1), 'named')\nprint(f'axes')\n"
+    assert unread({"module.py": module, "caller.py": caller}, ["module.py"]) == [
+        "module.py: Error.axes", "module.py: Model.dead"]
+
+
+def test_every_self_attribute_is_read():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES + BENCH}
+    assert unread(sources, [str(p.relative_to(ROOT)) for p in MODULES]) == []
