@@ -31,10 +31,10 @@ log = logging.getLogger("taxelkit")
 SPLIT_RATIO = (3081, 390, 390)
 
 STD_FLOOR = 1e-8
-SUM_BLOCK = 1 << 16  # elements per block of fit_normalization's sums
-# Tensor elements per chunk of fit_normalization's workers: about 7 ms of a
-# pass at C = 366 (114 records), more than forking a ~80 MB process costs.
-FIT_CHUNK = 32 * SUM_BLOCK
+# Records per chunk of fit_normalization's workers, about 3.5 ms of reads and
+# sums: the desk set's 374 training records, three chunks, fit in about 9 ms
+# on two CPUs against 11.5 ms in one process.
+FIT_CHUNK = 114
 
 # Bounds the conv workspace a prediction grows: its stacked-tap products hold
 # 9*K*50 values per sample. 32 is the default training batch, so a prediction
@@ -83,19 +83,14 @@ class TensorView:
         return len(self.ids)
 
     def __getitem__(self, index) -> np.ndarray:
-        batch = np.empty((len(self.ids[index]), *self.shape[1:]), dtype=self.dtype)
-        return self.read_into(index, batch)
-
-    def read_into(self, index, out: np.ndarray) -> np.ndarray:
-        """``view[index]``, written into ``out``, a C-order array of the
-        batch's shape and the view's dtype, and returned."""
         ids = self.ids[index]
+        batch = np.empty((len(ids), *self.shape[1:]), dtype=self.dtype)
         k = self.mode.n_axes
-        rows = out.reshape(len(ids), N_FRAMES, k, ROWS * COLS)
+        rows = batch.reshape(len(ids), N_FRAMES, k, ROWS * COLS)
         rows[..., N_TAXELS:] = 0
         for slot, i in zip(rows[..., :N_TAXELS], ids.tolist()):  # (122, k, 49) each
             slot[...] = self.read(i)[:, :, 3 - k:].transpose(0, 2, 1)
-        return out if self.stats is None else apply_normalization(self.stats, out)
+        return batch if self.stats is None else apply_normalization(self.stats, batch)
 
 
 def assemble_tensor(records: np.ndarray, mode: AblationMode,
@@ -178,114 +173,38 @@ def select(records: np.ndarray, ids: list[int]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-force-axis mean/std pooled over recordings, frames, and taxels."""
+    """Per-force-axis mean/std pooled over recordings, frames and grid cells."""
 
     mode: AblationMode
     mean: np.ndarray  # (3,) or (1,)
     std: np.ndarray
 
 
-def _pairwise(leaf, lo: int, n: int):
-    """numpy's pairwise sum of a run of n elements from ``lo``, split by halves
-    ``n2 = n // 2 - (n // 2) % 8`` down to ``leaf(lo, n)`` sums of at most
-    ``SUM_BLOCK`` elements. Module-level, so no closure cycle keeps the run alive."""
-    if n <= SUM_BLOCK:
-        return leaf(lo, n)
-    n2 = n // 2 - (n // 2) % 8
-    return _pairwise(leaf, lo, n2) + _pairwise(leaf, lo + n2, n - n2)
+def fit_normalization(read: Callable[[int], np.ndarray], ids, mode: AblationMode
+                      ) -> NormalizationStats:
+    """Per-axis float64 mean and floored std of the records ``ids`` names,
+    pooled over recordings, frames and all 50 grid cells (the phantom cell
+    counts as its zero). One pass: ``run_chunks``' workers read each record
+    once into a float64 row per axis and write its sums and sums of squares
+    to row j of a shared array, which is added here in record order, so the
+    bits do not depend on the worker count and both arms get the same z
+    stats."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if not len(ids):
+        raise ValueError("empty training split")
+    sums = shared_array((len(ids), 2, 3), np.float64)  # per record: sums, sums of squares
 
-
-def _leaf_sums(x: TensorView, term: Callable[[np.ndarray], np.ndarray],
-               leaves: list[tuple[int, int]], out: np.ndarray) -> None:
-    """``out[j]``: the sum of ``term`` over leaf j's run of x's flattened
-    elements (see ``_pairwise``), for a list of consecutive leaves. Each
-    record the leaves lie in is read once, into a buffer of the most records
-    one leaf spans: a record that a leaf shares with the leaf before it is
-    kept in the buffer, not read again."""
-    size = int(np.prod(x.shape[1:]))  # elements per record
-    buf = np.empty((SUM_BLOCK // size + 2, *x.shape[1:]), dtype=x.dtype)
-    flat = buf.reshape(1, 1, -1)
-    held = range(0)  # the records in buf's first rows
-    for j, (lo, m) in enumerate(leaves):
-        first, stop = lo // size, (lo + m - 1) // size + 1
-        kept = max(0, held.stop - first)
-        buf[:kept] = buf[len(held) - kept:len(held)]
-        x.read_into(slice(first + kept, stop), buf[kept:stop - first])
-        held = range(first, stop)
-        start = lo - first * size
-        out[j] = np.add.reduce(term(flat[..., start:start + m]), axis=-1)[0]
-
-
-def _axis_sums(x: TensorView, k: int, term: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per-axis sum of ``term(block)`` over ``x``, whose channel c reads
-    force axis c % k, read by records and added in the order numpy reduces
-    the C-order tensor ``x[:]`` over every axis but the force axis (numpy 2.x):
-
-    - k > 1: each (recording, frame, axis) row of cells is summed pairwise,
-      then the rows are added in row order; ``x`` is read in blocks of whole
-      records, at most ``SUM_BLOCK`` elements or one record each, into one
-      buffer per chunk;
-    - k = 1: the whole tensor is one run, summed by ``_pairwise``; the
-      leaves are summed by ``_leaf_sums``.
-
-    The row sums or leaf sums are made in chunks on ``workers.run_chunks``'
-    workers, into an array in a shared mapping, and added here in the same
-    order as in one process. ``term`` maps a ``(rows, k, cells)`` block to
-    the values to add.
-    """
-    n, c, h, w = x.shape
-    size = c * h * w  # elements per record
-    if k == 1:
-        leaves = _pairwise(lambda lo, m: [(lo, m)], 0, n * size)  # list + list: in order
-        sums = shared_array((len(leaves), 1), x.dtype)
-        run_chunks(len(leaves), max(1, FIT_CHUNK * len(leaves) // (n * size)),
-                   lambda lo, hi: _leaf_sums(x, term, leaves[lo:hi], sums[lo:hi]),
-                   errors=(OSError, FormatError))
-        at = {lo: j for j, (lo, _) in enumerate(leaves)}
-        return _pairwise(lambda lo, m: sums[at[lo]].copy(), 0, n * size)
-    rows = c // k  # (frame, axis) rows per record
-    part = shared_array((n * rows, k), x.dtype)
-    step = max(1, SUM_BLOCK // size)
-
-    def row_sums(lo: int, hi: int) -> None:
-        buf = np.empty((step, c, h, w), dtype=x.dtype)
-        for first in range(lo, hi, step):
-            stop = min(first + step, hi)
-            block = x.read_into(slice(first, stop), buf[:stop - first]).reshape(-1, k, h * w)
-            np.add.reduce(term(block), axis=-1, out=part[first * rows:stop * rows])
-    run_chunks(n, max(1, FIT_CHUNK // size), row_sums, errors=(OSError, FormatError))
-    return np.add.reduce(part, axis=0)
-
-
-def _squared_deviations(x: TensorView, mean: np.ndarray, k: int) -> np.ndarray:
-    """Per-axis sum of ``(x - mean)**2`` (see ``_axis_sums``), through one
-    block-sized buffer, so the order is the one ``np.var`` adds in."""
-    buf = np.empty(max(SUM_BLOCK, int(np.prod(x.shape[1:]))), dtype=x.dtype)
-
-    def squares(block):
-        d = np.subtract(block, mean[:, None], out=buf[:block.size].reshape(block.shape))
-        return np.multiply(d, d, out=d)
-    return _axis_sums(x, k, squares)
-
-
-def fit_normalization(x: TensorView, mode: AblationMode) -> NormalizationStats:
-    """Per-axis mean and floored std of a training ``TensorView``, bit for bit
-    the ``mean`` and ``std`` of ``x[:]`` over every axis but the force axis,
-    read in record blocks without a tensor-sized array."""
-    if not len(x):
-        raise ValueError("empty training tensor")
+    def record_sums(lo: int, hi: int) -> None:
+        axes = np.empty((3, N_FRAMES * N_TAXELS))
+        for j, i in enumerate(ids[lo:hi].tolist(), lo):
+            axes.T[...] = read(i).reshape(-1, 3)
+            np.add.reduce(axes, axis=1, out=sums[j, 0])
+            np.add.reduce(np.multiply(axes, axes, out=axes), axis=1, out=sums[j, 1])
+    run_chunks(len(ids), FIT_CHUNK, record_sums, errors=(OSError, FormatError))
     k = mode.n_axes
-    count = np.intp(np.prod(x.shape) // k)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        mean = _axis_sums(x, k, lambda block: block)
-        np.true_divide(mean, count, out=mean, casting="unsafe")
-        var = _squared_deviations(x, mean, k)
-        np.true_divide(var, count, out=var, casting="unsafe")
-        std = np.maximum(np.sqrt(var, out=var), STD_FLOOR)
-    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-        raise FloatingPointError(f"normalization stats overflow {x.dtype}: "
-                                 f"mean {mean.tolist()}, std {std.tolist()}")
-    return NormalizationStats(mode=mode, mean=mean, std=std)
+    mean, squares = np.add.reduce(sums, axis=0)[:, 3 - k:] / (len(ids) * N_FRAMES * ROWS * COLS)
+    std = np.sqrt(np.maximum(squares - mean * mean, 0.0))
+    return NormalizationStats(mode=mode, mean=mean, std=np.maximum(std, STD_FLOOR))
 
 
 def apply_normalization(stats: NormalizationStats, tensor: np.ndarray) -> np.ndarray:
@@ -312,7 +231,7 @@ def prepare_views(read: Callable[[int], np.ndarray], labels: np.ndarray,
     on the first list's records (the training split) and returned for the
     others. Nothing tensor-sized is allocated."""
     if stats is None:
-        stats = fit_normalization(TensorView(read, id_lists[0], mode), mode)
+        stats = fit_normalization(read, id_lists[0], mode)
     labels = np.asarray(labels, dtype=np.int64)
     return [(TensorView(read, ids, mode, stats), labels[np.asarray(ids, dtype=np.intp)])
             for ids in id_lists], stats

@@ -11,9 +11,8 @@ from taxelkit.cli import main
 from taxelkit.gestures import synth_dataset
 from taxelkit.magnetics import DipoleParams, TaxelGeometry, dipole_flux, flux_sweep
 from taxelkit.nn import CnnModel, maxpool2_forward, param_shapes
-from taxelkit.pipeline import (AblationMode, TensorView, TrainConfig, ablate,
-                               apply_normalization, assemble_tensor,
-                               fit_normalization, select, split_dataset, train)
+from taxelkit.pipeline import (AblationMode, TrainConfig, ablate, apply_normalization,
+                               assemble_tensor, fit_normalization, select, split_dataset, train)
 
 FULL_SEED = 0
 
@@ -176,12 +175,10 @@ def test_criterion_8_memorization_sanity():
     t0 = time.time()
     recs = synth_dataset(n_users=1, n_blocks=5, reps_per_block=1, master_seed=3)[:64]
     x, y = assemble_tensor(recs, AblationMode.NORMAL_AND_SHEAR, dtype=np.float32)
-    stats = fit_normalization(TensorView(recs["frames"].__getitem__, range(64),
-                                         AblationMode.NORMAL_AND_SHEAR, dtype=np.float32),
-                              AblationMode.NORMAL_AND_SHEAR)
+    stats = fit_normalization(recs["frames"].__getitem__, range(64), AblationMode.NORMAL_AND_SHEAR)
     view = x.reshape(64, 122, 3, 5, 10)
-    ref = ((view - stats.mean[None, None, :, None, None])
-           / stats.std[None, None, :, None, None]).reshape(x.shape)
+    mean, std = (v.astype(np.float32)[None, None, :, None, None] for v in (stats.mean, stats.std))
+    ref = ((view - mean) / std).reshape(x.shape)
     x = apply_normalization(stats, x)  # in place
     assert x.tobytes() == ref.tobytes()
     model, history = train(x, y, x, y, TrainConfig(epochs=50, batch_size=32, seed=0, lr=1e-3))

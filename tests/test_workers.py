@@ -19,7 +19,7 @@ from taxelkit import dataio, pipeline, workers
 from taxelkit.cli import main
 from taxelkit.dataio import DatasetReader, FormatError, dataset_id, save_dataset
 from taxelkit.gestures import N_CLASSES, RECORD_HEADER, RECORDING
-from taxelkit.pipeline import SUM_BLOCK, AblationMode, TensorView, fit_normalization
+from taxelkit.pipeline import AblationMode, fit_normalization
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
                                 reason="the passes fork workers only where os.fork exists")
@@ -44,7 +44,7 @@ def files(tmp_path_factory):
 
 
 def fork_every_chunk(mp, n_workers: int) -> None:
-    """Run each pass on n_workers workers, in chunks of one record or leaf."""
+    """Run each pass on n_workers workers, in chunks of one record."""
     mp.setattr(workers, "worker_count", lambda n: n_workers)
     mp.setattr(dataio, "SCAN_CHUNK", 1)
     mp.setattr(pipeline, "FIT_CHUNK", 1)
@@ -99,15 +99,14 @@ def test_run_chunks_runs_each_row_once_and_fails_as_serial(data, n, chunk, n_wor
 
 def passes(path, records, n: int, dtype) -> list:
     """The scan's header bytes and dataset_id, then each arm's fitted mean and
-    std bytes, of the reader's view and of a view of ``dtype`` over the
-    records in memory."""
+    std bytes, of the reader's records and of the records' frames as ``dtype``
+    in memory."""
     with DatasetReader(path) as reader:
         out = [reader.headers.tobytes(), dataset_id(reader.headers)]
+        memory = records["frames"][:n].astype(dtype)
         for mode in AblationMode if n else []:
-            view = TensorView(reader.read, range(n), mode)
-            memory = TensorView(records["frames"].__getitem__, range(n), mode, dtype=dtype)
-            for x in (view, memory):
-                stats = fit_normalization(x, mode)
+            for read in (reader.read, memory.__getitem__):
+                stats = fit_normalization(read, range(n), mode)
                 out += [stats.mean.tobytes(), stats.std.tobytes()]
     return out
 
@@ -172,9 +171,9 @@ def test_dataset_truncated_after_the_scan_exits_5(files, tmp_path, monkeypatch, 
     path.write_bytes((files[0] / "41.tgk").read_bytes())
     fit = pipeline.fit_normalization
 
-    def truncate_then_fit(x, mode):
+    def truncate_then_fit(read, ids, mode):
         os.truncate(path, 20 + 5 * _RECORD_BYTES)
-        return fit(x, mode)
+        return fit(read, ids, mode)
     monkeypatch.setattr(pipeline, "fit_normalization", truncate_then_fit)
     fork_every_chunk(monkeypatch, n_workers)
     assert main(["train", "--dataset", str(path), "--mode", mode,
@@ -186,29 +185,23 @@ def test_dataset_truncated_after_the_scan_exits_5(files, tmp_path, monkeypatch, 
 
 @needs_fork
 @pytest.mark.parametrize("n_workers", [1, 2, 3])
-def test_normal_only_fit_reads_each_record_once(files, tmp_path, monkeypatch, n_workers):
-    # each of the two passes reads every record once, plus at most the one
-    # record that a chunk shares with the chunk before it
+@pytest.mark.parametrize("mode", list(AblationMode), ids=lambda mode: mode.value)
+def test_fit_reads_each_record_once(files, tmp_path, monkeypatch, mode, n_workers):
     frames = np.tile(files[1], 3)["frames"]  # 123 records
     ids = np.random.default_rng(0).permutation(len(frames))
     log = os.open(tmp_path / "reads", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
-    def read(i):  # an appended byte per call, so the workers' calls count too
-        os.write(log, b"r")
+    def read(i):  # an appended id per call, so the workers' calls count too
+        os.write(log, struct.pack("<H", i))
         return frames[i]
     monkeypatch.setattr(workers, "worker_count", lambda n: n_workers)
-    monkeypatch.setattr(pipeline, "FIT_CHUNK", 2 * SUM_BLOCK)  # eight chunks of two leaves
+    monkeypatch.setattr(pipeline, "FIT_CHUNK", 16)  # seven chunks
     try:
-        fit_normalization(TensorView(read, ids, AblationMode.NORMAL_ONLY), AblationMode.NORMAL_ONLY)
+        fit_normalization(read, ids, mode)
     finally:
         os.close(log)
-    total = len(ids) * 122 * 50
-    leaves = pipeline._pairwise(lambda lo, m: 1, 0, total)
-    chunks = leaves // (pipeline.FIT_CHUNK * leaves // total) if n_workers > 1 else 1
-    reads = (tmp_path / "reads").stat().st_size
-    assert 2 * len(ids) <= reads <= 2 * (len(ids) + chunks - 1), (reads, chunks)
-    if n_workers == 1:
-        assert reads == 2 * len(ids)
+    reads = np.frombuffer((tmp_path / "reads").read_bytes(), "<u2")
+    assert sorted(reads.tolist()) == list(range(len(frames)))
 
 
 _COMMANDS = """
