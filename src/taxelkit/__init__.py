@@ -8,7 +8,7 @@ from .magnetics import (DipoleParams, StiffnessModel, TaxelGeometry, dipole_flux
                         flux_sweep, force_to_displacement, simulate_taxel)
 from .calibration import (CalibrationModel, fit_taxel, predict_force,
                           quadratic_features, rms_error)
-from .gestures import (RECORDING, GestureClass, UserProfile, synth_dataset,
+from .gestures import (RECORDING, GestureClass, SynthSection, UserProfile, synth_dataset,
                        synth_recording, user_profile)
 from .nn import AdamState, CnnModel, softmax_cross_entropy
 from .pipeline import (AblationMode, ConfusionMatrix, DatasetSplit, TrainConfig,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import calibration as cal
 from . import dataio, gestures, magnetics, pipeline, svgplot
-from .config import FULL_SCALE_SYNTH, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 from .geometry import N_TAXELS
 from .gestures import GestureClass
 from .nn import CnnModel, param_shapes
@@ -169,13 +169,13 @@ def cmd_calibrate(args, cfg: RunConfig) -> int:
 
 def _synth_section(args, cfg: RunConfig):
     """The synth section that ``--full-scale`` or the config selects."""
-    return FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
+    return gestures.FULL_SCALE_SYNTH if getattr(args, "full_scale", False) else cfg.synth
 
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     path, _ = _outdir(args, cfg, cfg.paths.dataset, dataio.sidecar_path(cfg.paths.dataset))
     s = _synth_section(args, cfg)
-    headers = gestures.study_protocol(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
+    headers = gestures.study_protocol(s, cfg.seed)
     config = {**asdict(s), "master_seed": cfg.seed}
     # every worker writes its own rows into the file, so no process holds the frame block
     with dataio.writing_dataset(path, headers, config) as write:
@@ -209,17 +209,15 @@ def cmd_train(args, cfg: RunConfig) -> int:
     names = cfg.paths.checkpoint, dataio.sidecar_path(cfg.paths.checkpoint), "history.csv"
     ckpt, _, history_csv = _outdir(args, cfg, *names, inputs=[dataset])
     mode = pipeline.AblationMode(args.mode.replace("-", "_"))
-    tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                                 seed=cfg.seed)
     with _read_dataset(dataset) as reader:
         headers = reader.headers
         split = pipeline.split_dataset(headers, seed=cfg.seed)
         [(train_x, train_y), (val_x, val_y)], stats = pipeline.prepare_views(
             reader.read, headers["label"], [split.train, split.val], mode)
-        model, history = pipeline.train(train_x, train_y, val_x, val_y, tconf)
+        model, history = pipeline.train(train_x, train_y, val_x, val_y, cfg.train, cfg.seed)
     dataio.save_checkpoint(model.params, model.in_channels, ckpt, config={
-        "mode": mode.value, "split_seed": cfg.seed, "epochs": tconf.epochs,
-        "batch_size": tconf.batch_size,
+        "mode": mode.value, "split_seed": cfg.seed, "epochs": cfg.train.epochs,
+        "batch_size": cfg.train.batch_size,
         "norm_mean": stats.mean.tolist(), "norm_std": stats.std.tolist(),
         "dataset_id": dataio.dataset_id(headers), "split_digest": split.digest()})
     _write_history(history, history_csv)
@@ -313,15 +311,12 @@ def cmd_ablate(args, cfg: RunConfig) -> int:
         f"{stem}_{mode.value}.{ext}" for mode in pipeline.AblationMode
         for stem, ext in (("confusion", "csv"), ("confusion", "svg"), ("history", "csv"))),
         inputs=[args.dataset] if args.dataset else [])
-    tconf = pipeline.TrainConfig(epochs=cfg.train.epochs, batch_size=cfg.train.batch_size,
-                                 seed=cfg.seed)
     if args.dataset:  # both arms read their batches from the file, as train and eval do
         with _read_dataset(args.dataset) as reader:
-            report = pipeline.ablate(reader.headers, reader.read, tconf, split_seed=cfg.seed)
+            report = pipeline.ablate(reader.headers, reader.read, cfg.train, cfg.seed)
     else:
-        s = _synth_section(args, cfg)
-        recs = gestures.synth_dataset(s.n_users, s.n_blocks, s.reps_per_block, cfg.seed)
-        report = pipeline.ablate(recs, recs["frames"].__getitem__, tconf, split_seed=cfg.seed)
+        recs = gestures.synth_dataset(_synth_section(args, cfg), cfg.seed)
+        report = pipeline.ablate(recs, recs["frames"].__getitem__, cfg.train, cfg.seed)
     payload = {}
     for i, arm in enumerate((report.normal_only, report.normal_and_shear)):
         confusion_csv, confusion_svg, history_csv = arm_paths[3 * i:3 * i + 3]
@@ -451,7 +446,8 @@ def main(argv=None) -> int:
     if not isinstance(logging.getLevelName(level), int):  # an unknown name maps to a str
         print(f"config error: TAXELKIT_LOG={level!r} is not a logging level", file=sys.stderr)
         return 2
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s")
+    logging.basicConfig(format="%(levelname)s %(message)s")  # once a handler exists, a no-op
+    log.setLevel(level)
     args = build_parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()

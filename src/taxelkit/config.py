@@ -1,11 +1,12 @@
 """Run configuration: a JSON document with fixed sections and strict keys.
 
-The geometry, dipole and stiffness sections are the magnetics parameter
-dataclasses themselves, keyed by their field names (units in their
-docstrings). Unknown keys are rejected so typos fail loudly, and every
-section checks its values on construction, so a bad value is a ConfigError
-at load time. Every field has a default. Commands echo the effective config
-beside their outputs.
+Each section but ``paths`` is the dataclass its module computes with, keyed
+by its field names: geometry, dipole and stiffness are the magnetics
+parameters (units in their docstrings), synth is ``gestures.SynthSection``
+and train is ``pipeline.TrainConfig``. Unknown keys are rejected so typos
+fail loudly, and every section checks its values on construction, so a bad
+value is a ConfigError at load time. Every field has a default. Commands
+echo the effective config beside their outputs.
 """
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .gestures import protocol_size
+from .gestures import SynthSection, require_int
 from .magnetics import DipoleParams, StiffnessModel, TaxelGeometry
+from .pipeline import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -33,36 +35,6 @@ def _build(cls, data: dict, section: str):
         raise ConfigError(f"bad value in '{section}': {e}")
 
 
-def _require_int(value, name: str, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class SynthSection:
-    n_users: int = 4
-    n_blocks: int = 3
-    reps_per_block: int = 3
-
-    def __post_init__(self):
-        for f in fields(self):
-            _require_int(getattr(self, f.name), f.name, 1)
-        try:
-            protocol_size(self.n_users, self.n_blocks, self.reps_per_block)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    epochs: int = 60
-    batch_size: int = 32
-
-    def __post_init__(self):
-        _require_int(self.epochs, "epochs", 0)
-        _require_int(self.batch_size, "batch_size", 1)
-
-
 @dataclass(frozen=True)
 class PathsSection:
     out_dir: str = "out"
@@ -75,17 +47,13 @@ class PathsSection:
                 raise ValueError(f"{f.name} must be a non-empty string")
 
 
-# full-scale study protocol: 11 users x 9 blocks x 3 reps
-FULL_SCALE_SYNTH = SynthSection(n_users=11, n_blocks=9, reps_per_block=3)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     geometry: TaxelGeometry = field(default_factory=TaxelGeometry)
     dipole: DipoleParams = field(default_factory=DipoleParams)
     stiffness: StiffnessModel = field(default_factory=StiffnessModel)
     synth: SynthSection = field(default_factory=SynthSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainConfig = field(default_factory=TrainConfig)
     paths: PathsSection = field(default_factory=PathsSection)
     seed: int = 0
 
@@ -106,7 +74,10 @@ class RunConfig:
                 raw = dict(raw, direction=tuple(raw["direction"]))
             kwargs[name] = _build(section_cls, raw, name)
         seed = data.get("seed", 0)
-        _require_int(seed, "seed", 0)
+        try:
+            require_int(seed, "seed", 0)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         return cls(seed=seed, **kwargs)
 
     @classmethod

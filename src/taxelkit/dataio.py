@@ -184,7 +184,7 @@ class DatasetReader:
                     raise FormatError(f"{path}: recording {i} has unknown label {labels[i]}")
                 if not np.isfinite(row).all():
                     raise FormatError(f"{path}: recording {i} has non-finite forces")
-        run_chunks(n_rec, SCAN_CHUNK, scan, errors=(OSError, FormatError))
+        run_chunks(n_rec, SCAN_CHUNK, scan)
         headers.flags.writeable = False
         return headers
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -379,31 +379,45 @@ MAX_USERS = 1 << 16  # a TGK1 record stores its user id as u16
 MAX_RECORDINGS = (1 << 32) - 1  # and a TGK1 header the record count as u32
 
 
-def protocol_size(n_users: int, n_blocks: int, reps_per_block: int) -> int:
-    """Number of recordings in the study protocol; ValueError for counts below
-    1 or beyond what a TGK1 file can store."""
-    if min(n_users, n_blocks, reps_per_block) < 1:
-        raise ValueError("all counts must be >= 1")
-    if n_users > MAX_USERS:
-        raise ValueError(f"n_users {n_users} exceeds {MAX_USERS}, the most users "
-                         "a TGK1 file can number (u16 user id)")
-    n = n_users * n_blocks * reps_per_block * N_CLASSES
-    if n > MAX_RECORDINGS:
-        raise ValueError(f"{n} recordings exceed {MAX_RECORDINGS}, the most a TGK1 "
-                         "file can hold (u32 record count)")
-    return n
+def require_int(value, name: str, minimum: int) -> None:
+    """ValueError unless ``value`` is an int, not a bool, and >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
-def study_protocol(n_users: int, n_blocks: int, reps_per_block: int,
-                   master_seed: int) -> np.ndarray:
+@dataclass(frozen=True)
+class SynthSection:
+    """The config's ``synth`` section: a study protocol's counts, each >= 1 and
+    within what a TGK1 file can store, checked on construction."""
+
+    n_users: int = 4
+    n_blocks: int = 3
+    reps_per_block: int = 3
+
+    def __post_init__(self):
+        for f in fields(self):
+            require_int(getattr(self, f.name), f.name, 1)
+        if self.n_users > MAX_USERS:
+            raise ValueError(f"n_users {self.n_users} exceeds {MAX_USERS}, the most users "
+                             "a TGK1 file can number (u16 user id)")
+        n = self.n_users * self.n_blocks * self.reps_per_block * N_CLASSES
+        if n > MAX_RECORDINGS:
+            raise ValueError(f"{n} recordings exceed {MAX_RECORDINGS}, the most a TGK1 "
+                             "file can hold (u32 record count)")
+
+
+# the full-scale study: 11 users x 9 blocks x 3 reps, 3861 recordings
+FULL_SCALE_SYNTH = SynthSection(n_users=11, n_blocks=9, reps_per_block=3)
+
+
+def study_protocol(protocol: SynthSection, master_seed: int) -> np.ndarray:
     """The full study protocol as a RECORD_HEADER array: every user performs
     every class reps times per block, in a per-block pseudo-randomized order,
     and row i holds recording i's (label, user_id, seed)."""
-    protocol_size(n_users, n_blocks, reps_per_block)
     rows = []
-    for user in range(n_users):
-        for block in range(n_blocks):
-            order = [g for g in GestureClass for _ in range(reps_per_block)]
+    for user in range(protocol.n_users):
+        for block in range(protocol.n_blocks):
+            order = [g for g in GestureClass for _ in range(protocol.reps_per_block)]
             block_rng = np.random.default_rng(
                 np.random.SeedSequence([master_seed, user, block, _TAG_BLOCK]))
             block_rng.shuffle(order)
@@ -413,11 +427,10 @@ def study_protocol(n_users: int, n_blocks: int, reps_per_block: int,
     return np.array(rows, dtype=RECORD_HEADER)
 
 
-def synth_dataset(n_users: int, n_blocks: int, reps_per_block: int,
-                  master_seed: int) -> np.recarray:
+def synth_dataset(protocol: SynthSection, master_seed: int) -> np.recarray:
     """The study protocol's recordings as a read-only RECORDING record array,
     as load_dataset returns, filled in an anonymous shared mapping."""
-    headers = study_protocol(n_users, n_blocks, reps_per_block, master_seed)
+    headers = study_protocol(protocol, master_seed)
     records = workers.shared_array(len(headers), RECORDING)
     records[list(RECORD_HEADER.names)] = headers
     synth_frames(headers, master_seed, records["frames"].__setitem__)
@@ -437,9 +450,9 @@ def synth_frames(headers: np.ndarray, master_seed: int, sink: Sink) -> None:
 
     The rows run in chunks on ``workers.run_chunks``' forked workers, so the
     sink must be safe to call from any of them: a writer of a file at fixed
-    offsets, or the rows of an array in shared memory. A worker's OSError
-    (a failed write) is raised here; any other failure of a child prints
-    its traceback and raises RuntimeError.
+    offsets, or the rows of an array in shared memory. The first failing
+    row's exception, such as a failed write's OSError, is raised here, as a
+    serial loop would raise it.
     """
     profiles = {u: user_profile(u, master_seed) for u in set(headers["user_id"].tolist())}
     jobs = [(GestureClass(label), profiles[user], seed) for label, user, seed in headers.tolist()]
@@ -448,4 +461,4 @@ def synth_frames(headers: np.ndarray, master_seed: int, sink: Sink) -> None:
         for i in range(lo, hi):
             gesture, profile, seed = jobs[i]
             sink(i, synth_recording(gesture, profile, seed))
-    workers.run_chunks(len(jobs), SYNTH_CHUNK, work, errors=(OSError,))
+    workers.run_chunks(len(jobs), SYNTH_CHUNK, work)

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import FormatError
 from .geometry import COLS, N_TAXELS, ROWS
-from .gestures import N_CLASSES, N_FRAMES
+from .gestures import N_CLASSES, N_FRAMES, require_int
 from .nn import AdamState, CnnModel
 from .workers import run_chunks, shared_array
 
@@ -200,7 +199,7 @@ def fit_normalization(read: Callable[[int], np.ndarray], ids, mode: AblationMode
             axes.T[...] = read(i).reshape(-1, 3)
             np.add.reduce(axes, axis=1, out=sums[j, 0])
             np.add.reduce(np.multiply(axes, axes, out=axes), axis=1, out=sums[j, 1])
-    run_chunks(len(ids), FIT_CHUNK, record_sums, errors=(OSError, FormatError))
+    run_chunks(len(ids), FIT_CHUNK, record_sums)
     k = mode.n_axes
     mean, squares = np.add.reduce(sums, axis=0)[:, 3 - k:] / (len(ids) * N_FRAMES * ROWS * COLS)
     std = np.sqrt(np.maximum(squares - mean * mean, 0.0))
@@ -239,10 +238,14 @@ def prepare_views(read: Callable[[int], np.ndarray], labels: np.ndarray,
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The config's ``train`` section, checked on construction."""
+
     epochs: int = 60
     batch_size: int = 32
-    seed: int = 0
-    lr: float = 1e-4
+
+    def __post_init__(self):
+        require_int(self.epochs, "epochs", 0)
+        require_int(self.batch_size, "batch_size", 1)
 
 
 @dataclass(frozen=True)
@@ -260,12 +263,13 @@ def _predict_batched(model: CnnModel, x: np.ndarray) -> np.ndarray:
 
 
 def train(train_x: np.ndarray, train_y: np.ndarray, val_x: np.ndarray, val_y: np.ndarray,
-          config: TrainConfig) -> tuple[CnnModel, list[EpochRecord]]:
+          config: TrainConfig, seed: int, lr: float = 1e-4) -> tuple[CnnModel, list[EpochRecord]]:
     """Mini-batch Adam in the training tensor's dtype; returns the
-    best-validation-accuracy checkpoint."""
-    model = CnnModel(in_channels=train_x.shape[1], seed=config.seed, dtype=train_x.dtype)
-    adam = AdamState(lr=config.lr)
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x545241494E]))
+    best-validation-accuracy checkpoint. ``seed`` fixes the initial weights,
+    the batch order and the dropout masks."""
+    model = CnnModel(in_channels=train_x.shape[1], seed=seed, dtype=train_x.dtype)
+    adam = AdamState(lr=lr)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x545241494E]))
     history: list[EpochRecord] = []
     best_acc = -1.0
     best_params = model.clone_params()  # overwritten in place when validation improves
@@ -354,21 +358,22 @@ class AblationReport:
 
 
 def run_arm(headers: np.ndarray, read: Callable[[int], np.ndarray], split: DatasetSplit,
-            mode: AblationMode, config: TrainConfig) -> AblationArm:
+            mode: AblationMode, config: TrainConfig, seed: int) -> AblationArm:
     [(train_x, train_y), (val_x, val_y), (test_x, test_y)], _ = prepare_views(
         read, headers["label"], [split.train, split.val, split.test], mode)
-    model, history = train(train_x, train_y, val_x, val_y, config)
+    model, history = train(train_x, train_y, val_x, val_y, config, seed)
     return AblationArm(mode=mode, result=evaluate(model, test_x, test_y), history=history)
 
 
 def ablate(headers: np.ndarray, read: Callable[[int], np.ndarray], config: TrainConfig,
-           split_seed: int = 0) -> AblationReport:
-    """Train and evaluate both arms of a dataset on identical splits and seeds.
+           seed: int) -> AblationReport:
+    """Train and evaluate both arms of a dataset on the split ``seed`` draws,
+    each trained from ``seed``.
 
     ``headers`` is a dataset or its ``dataio.RECORD_HEADER`` array; ``read(id)``
     gives a record's frames, e.g. a ``dataio.DatasetReader``'s ``read``, or
     ``records["frames"].__getitem__``. Each arm reads its batches
     through ``TensorView``s, so neither holds a tensor."""
-    split = split_dataset(headers, seed=split_seed)
-    return AblationReport(*[run_arm(headers, read, split, mode, config)
+    split = split_dataset(headers, seed=seed)
+    return AblationReport(*[run_arm(headers, read, split, mode, config, seed)
                             for mode in AblationMode])

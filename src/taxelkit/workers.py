@@ -49,7 +49,7 @@ def shared_array(shape, dtype) -> np.ndarray:
     return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, size))
 
 
-def run_chunks(n: int, chunk: int, work: Work, errors: tuple[type[BaseException], ...]) -> None:
+def run_chunks(n: int, chunk: int, work: Work) -> None:
     """Call ``work(lo, hi)`` once for each of ``n // chunk`` (at most
     ``MAX_CHUNKS``) even, contiguous chunks of rows 0..n-1, on up to one
     worker per usable CPU (``worker_count``).
@@ -58,11 +58,12 @@ def run_chunks(n: int, chunk: int, work: Work, errors: tuple[type[BaseException]
     when a fork pays: a pass of fewer than two chunks, or one on a single CPU
     or without ``os.fork``, runs as one ``work(0, n)`` here, with no fork.
 
-    A worker whose chunk raises one of ``errors`` stops there. Once every
-    worker has stopped and been reaped, the error of the lowest such chunk
-    is raised here, so the pass fails as a serial run over the rows in order
-    would. Any other failure of a child prints its traceback and raises
-    RuntimeError; any other failure of this process is raised as it is.
+    A worker whose chunk raises an ``Exception`` stops there. Once every
+    worker has stopped and been reaped, the exception of the lowest such
+    chunk is raised here, whichever process ran it, so the pass fails as a
+    serial run over the rows in order would. A child that dies, or whose
+    exception does not pickle, prints its traceback (if any) and makes the
+    pass raise RuntimeError.
     """
     chunks = min(n // chunk, MAX_CHUNKS)
     n_workers = min(worker_count(chunks), chunks)
@@ -86,10 +87,10 @@ def run_chunks(n: int, chunk: int, work: Work, errors: tuple[type[BaseException]
                 os.close(report_w)
                 raise
             if pid == 0:
-                _child(work, bounds, first, queue, errors, report_w)
+                _child(work, bounds, first, queue, report_w)
             os.close(report_w)
             children.append((pid, report))
-        own = _run(work, bounds, 0, queue, errors)
+        own = _run(work, bounds, 0, queue)
     except BaseException:
         _drain(queue)  # the children stop after their current chunk
         raise
@@ -109,15 +110,15 @@ def run_chunks(n: int, chunk: int, work: Work, errors: tuple[type[BaseException]
         raise min(failures, key=lambda failure: failure[0])[1]
 
 
-def _run(work: Work, bounds: list[int], chunk: int, queue: int, errors):
+def _run(work: Work, bounds: list[int], chunk: int, queue: int):
     """One worker's chunks: ``chunk``, then each one it claims from the queue
-    until the queue is empty. Returns (chunk, error) for the chunk that raised
-    one of ``errors``, after draining the queue, since no later chunk can
-    change which error the pass raises; else None."""
+    until the queue is empty. Returns (chunk, exception) for the chunk that
+    raised, after draining the queue, since no later chunk can change which
+    exception the pass raises; else None."""
     while True:
         try:
             work(bounds[chunk], bounds[chunk + 1])
-        except errors as e:
+        except Exception as e:
             _drain(queue)
             return chunk, e
         claimed = os.read(queue, _INDEX.size)
@@ -131,16 +132,18 @@ def _drain(queue: int) -> None:
         pass
 
 
-def _child(work: Work, bounds: list[int], first: int, queue: int, errors, report: int):
-    """A forked worker's whole life: run its chunks, pickle a typed failure
-    into ``report``, then leave through os._exit."""
+def _child(work: Work, bounds: list[int], first: int, queue: int, report: int):
+    """A forked worker's whole life: run its chunks, pickle a failure into
+    ``report`` once it is known to unpickle, then leave through os._exit."""
     status = 1
     try:
-        failure = _run(work, bounds, first, queue, errors)
+        failure = _run(work, bounds, first, queue)
         if failure is None:
             status = 0
         else:
-            os.write(report, pickle.dumps(failure))
+            reported = pickle.dumps(failure)
+            pickle.loads(reported)  # the parent must be able to raise it
+            os.write(report, reported)
     except Exception:
         os.write(2, traceback.format_exc().encode())
     finally:

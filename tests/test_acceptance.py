@@ -8,7 +8,7 @@ import pytest
 
 from taxelkit import calibration as cal
 from taxelkit.cli import main
-from taxelkit.gestures import synth_dataset
+from taxelkit.gestures import SynthSection, synth_dataset
 from taxelkit.magnetics import DipoleParams, TaxelGeometry, dipole_flux, flux_sweep
 from taxelkit.nn import CnnModel, maxpool2_forward, param_shapes
 from taxelkit.pipeline import (AblationMode, TrainConfig, ablate, apply_normalization,
@@ -24,7 +24,8 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def full_recordings():
-    return synth_dataset(n_users=11, n_blocks=9, reps_per_block=3, master_seed=FULL_SEED)
+    return synth_dataset(SynthSection(n_users=11, n_blocks=9, reps_per_block=3),
+                         master_seed=FULL_SEED)
 
 
 @pytest.fixture(scope="session")
@@ -124,10 +125,11 @@ def test_criterion_4_dipole_analytics():
 
 def test_criterion_5_ablation_property():
     t0 = time.time()
-    recs = synth_dataset(n_users=4, n_blocks=3, reps_per_block=3, master_seed=FULL_SEED)
+    recs = synth_dataset(SynthSection(n_users=4, n_blocks=3, reps_per_block=3),
+                         master_seed=FULL_SEED)
     assert len(recs) == 468
-    config = TrainConfig(epochs=60, batch_size=32, seed=FULL_SEED)
-    rep = ablate(recs, recs["frames"].__getitem__, config, split_seed=FULL_SEED)
+    config = TrainConfig(epochs=60, batch_size=32)
+    rep = ablate(recs, recs["frames"].__getitem__, config, seed=FULL_SEED)
     acc_n = rep.normal_only.result.overall_accuracy
     acc_s = rep.normal_and_shear.result.overall_accuracy
     elapsed = time.time() - t0
@@ -173,7 +175,7 @@ def test_criterion_7_determinism(tmp_path):
 
 def test_criterion_8_memorization_sanity():
     t0 = time.time()
-    recs = synth_dataset(n_users=1, n_blocks=5, reps_per_block=1, master_seed=3)[:64]
+    recs = synth_dataset(SynthSection(n_users=1, n_blocks=5, reps_per_block=1), master_seed=3)[:64]
     x, y = assemble_tensor(recs, AblationMode.NORMAL_AND_SHEAR, dtype=np.float32)
     stats = fit_normalization(recs["frames"].__getitem__, range(64), AblationMode.NORMAL_AND_SHEAR)
     view = x.reshape(64, 122, 3, 5, 10)
@@ -181,7 +183,7 @@ def test_criterion_8_memorization_sanity():
     ref = ((view - mean) / std).reshape(x.shape)
     x = apply_normalization(stats, x)  # in place
     assert x.tobytes() == ref.tobytes()
-    model, history = train(x, y, x, y, TrainConfig(epochs=50, batch_size=32, seed=0, lr=1e-3))
+    model, history = train(x, y, x, y, TrainConfig(epochs=50, batch_size=32), seed=0, lr=1e-3)
     acc = float(np.mean(model.predict(np.asarray(x, dtype=np.float64)) == y))
     elapsed = time.time() - t0
     report(8, acc > 0.9 and len(history) <= 50 and elapsed < 120,

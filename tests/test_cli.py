@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import logging
 import mmap
 import os
 import shutil
@@ -18,9 +19,9 @@ from hypothesis import strategies as st
 import taxelkit
 from taxelkit import dataio, gestures, magnetics, pipeline, svgplot, workers
 from taxelkit.cli import _load_model, main
-from taxelkit.config import ConfigError, FULL_SCALE_SYNTH, RunConfig
+from taxelkit.config import ConfigError, RunConfig
 from taxelkit.dataio import load_dataset, save_dataset
-from taxelkit.gestures import RECORDING, synth_dataset
+from taxelkit.gestures import FULL_SCALE_SYNTH, RECORDING, SynthSection, synth_dataset
 from taxelkit.magnetics import DipoleParams, StiffnessModel, TaxelGeometry
 from taxelkit.nn import CnnModel, param_shapes
 
@@ -68,8 +69,9 @@ class TestConfig:
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_section_key(self):
-        with pytest.raises(ConfigError, match="epocs"):
-            RunConfig.from_dict({"train": {"epocs": 3}})
+        for key in ("epocs", "seed", "lr"):  # seed and lr are arguments of pipeline.train
+            with pytest.raises(ConfigError, match=key):
+                RunConfig.from_dict({"train": {key: 3}})
         for key in ("wall_thickness", "width"):  # geometry keys that no computation read
             with pytest.raises(ConfigError, match=key):
                 RunConfig.from_dict({"geometry": {key: 2.5}})
@@ -83,12 +85,17 @@ class TestConfig:
         assert cfg.geometry == TaxelGeometry()
         assert cfg.dipole == DipoleParams()
         assert cfg.stiffness == StiffnessModel()
+        assert cfg.synth == SynthSection()
+        assert cfg.train == pipeline.TrainConfig()
         cfg = RunConfig.from_dict({"geometry": {"magnet_height": 4.0},
                                    "dipole": {"moment": 0.02, "direction": [1, 0, 0]},
-                                   "stiffness": {"kz": 3.0}})
+                                   "stiffness": {"kz": 3.0},
+                                   "synth": {"n_users": 2}, "train": {"epochs": 5}})
         assert cfg.geometry == TaxelGeometry(magnet_height=4.0)
         assert cfg.dipole == DipoleParams(moment=0.02, direction=(1, 0, 0))
         assert cfg.stiffness == StiffnessModel(kz=3.0)
+        assert cfg.synth == SynthSection(n_users=2)
+        assert cfg.train == pipeline.TrainConfig(epochs=5)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize("section,key", [("geometry", "magnet_height_mm"),
@@ -248,6 +255,15 @@ class TestExitCodes:
     def test_known_log_level_any_case(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TAXELKIT_LOG", "warning")
         assert run("sweep", "--out", str(tmp_path / "o"), "--steps", "2") == 0
+
+    def test_log_level_holds_on_every_call(self, tmp_path, monkeypatch, caplog):
+        # one process, as under pytest or an embedding program: the second
+        # call's level holds although logging already has a handler
+        for level, infos in (("WARNING", 0), ("INFO", 1), ("WARNING", 0)):
+            monkeypatch.setenv("TAXELKIT_LOG", level)
+            caplog.clear()
+            assert run("sweep", "--out", str(tmp_path / "o"), "--steps", "2") == 0
+            assert sum(r.levelno == logging.INFO for r in caplog.records) == infos, level
 
     @pytest.mark.parametrize("bad", [
         {"geometry": {"magnet_height": -1}},
@@ -750,14 +766,14 @@ def test_train_and_eval_never_build_the_frame_block(tmp_path, monkeypatch):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
     out.mkdir()
-    save_dataset(synth_dataset(4, 3, 3, 0), out / "dataset.tgk")
+    save_dataset(synth_dataset(SynthSection(4, 3, 3), 0), out / "dataset.tgk")
     recs = load_dataset(out / "dataset.tgk")
     split = pipeline.split_dataset(recs, seed=0)
     mode = pipeline.AblationMode.NORMAL_ONLY
     [(train_x, train_y), (val_x, val_y), (test_x, test_y)], stats = pipeline.prepare_views(
         recs["frames"].__getitem__, recs["label"], [split.train, split.val, split.test], mode)
     model, history = pipeline.train(train_x, train_y, val_x, val_y,
-                                     pipeline.TrainConfig(epochs=1, seed=0))
+                                     pipeline.TrainConfig(epochs=1), seed=0)
     cm = pipeline.evaluate(model, test_x, test_y)
 
     def no_block(path):
@@ -802,7 +818,7 @@ def test_ablate_never_builds_the_frame_block(tmp_path, monkeypatch):
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 0}))
     streamed, in_memory = tmp_path / "streamed", tmp_path / "in_memory"
     streamed.mkdir()
-    save_dataset(synth_dataset(4, 3, 3, 0), streamed / "dataset.tgk")
+    save_dataset(synth_dataset(SynthSection(4, 3, 3), 0), streamed / "dataset.tgk")
 
     def no_block(path):
         raise AssertionError("ablate must not load the frame block")
@@ -827,8 +843,8 @@ def in_memory_dataset(tmp_path, n_users, n_blocks, reps_per_block, seed) -> dict
     out.mkdir()
     config = {"n_users": n_users, "n_blocks": n_blocks, "reps_per_block": reps_per_block,
               "master_seed": seed}
-    save_dataset(synth_dataset(n_users, n_blocks, reps_per_block, seed), out / "dataset.tgk",
-                 config=config)
+    save_dataset(synth_dataset(SynthSection(n_users, n_blocks, reps_per_block), seed),
+                 out / "dataset.tgk", config=config)
     return files(out)
 
 
@@ -939,7 +955,7 @@ def test_thirteen_recordings_match_the_in_memory_path(tmp_path, batch_size):
     assert run("ablate", *argv, "--out", str(in_memory)) == 0
     assert run("ablate", *argv, "--out", str(out / "streamed"), "--dataset", dataset) == 0
     assert files(out / "streamed") == files(in_memory)
-    recs = synth_dataset(1, 1, 1, 4)
+    recs = synth_dataset(SynthSection(1, 1, 1), 4)
     split = pipeline.split_dataset(recs, seed=4)
     assert [len(split.train), len(split.val), len(split.test)] == [11, 1, 1]
     for mode in pipeline.AblationMode:
@@ -953,7 +969,7 @@ def test_thirteen_recordings_match_the_in_memory_path(tmp_path, batch_size):
         [(train_x, train_y), (val_x, val_y)], _ = pipeline.prepare_views(
             recs["frames"].__getitem__, recs["label"], [split.train, split.val], mode)
         model, _ = pipeline.train(train_x, train_y, val_x, val_y,
-                                  pipeline.TrainConfig(epochs=2, batch_size=batch_size, seed=4))
+                                  pipeline.TrainConfig(epochs=2, batch_size=batch_size), seed=4)
         dataio.save_checkpoint(model.params, model.in_channels, tmp_path / "ref.tgkm")
         assert (arm / "model.tgkm").read_bytes() == (tmp_path / "ref.tgkm").read_bytes()
 
@@ -1126,8 +1142,8 @@ def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     config = root / "config.json"
     config.write_text(json.dumps({"train": {"epochs": 1}, "seed": 3}))
-    save_dataset(synth_dataset(n_users=2, n_blocks=1, reps_per_block=1, master_seed=3)[:2],
-                 root / "dataset.tgk")
+    recs = synth_dataset(SynthSection(n_users=2, n_blocks=1, reps_per_block=1), master_seed=3)
+    save_dataset(recs[:2], root / "dataset.tgk")
     assert main(["train", "--config", str(config), "--out", str(root)]) == 0
     return root
 

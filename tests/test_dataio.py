@@ -15,14 +15,14 @@ from taxelkit.cli import main
 from taxelkit.dataio import (CHECKPOINT_MAGIC, DATASET_MAGIC, RECORD_HEADER, DatasetReader,
                              FormatError, dataset_id, load_checkpoint, load_dataset,
                              save_checkpoint, save_dataset)
-from taxelkit.gestures import N_CLASSES, RECORDING, study_protocol, synth_dataset
+from taxelkit.gestures import N_CLASSES, RECORDING, SynthSection, study_protocol, synth_dataset
 from taxelkit.nn import CnnModel, param_shapes
 from taxelkit.pipeline import select, split_dataset
 
 
 @pytest.fixture(scope="module")
 def recordings():
-    return synth_dataset(n_users=2, n_blocks=1, reps_per_block=1, master_seed=42)
+    return synth_dataset(SynthSection(n_users=2, n_blocks=1, reps_per_block=1), master_seed=42)
 
 
 def headers_of(records: np.ndarray) -> np.ndarray:
@@ -105,7 +105,7 @@ class TestDataset:
         # so a change to either breaks every saved checkpoint; both hash only integers
         # (seeds, users, labels and row ids), never floats. train and eval take them
         # from the header array of the file, ablate's split from the record array.
-        desk = synth_dataset(4, 3, 3, 0)
+        desk = synth_dataset(SynthSection(4, 3, 3), 0)
         save_dataset(desk, tmp_path / "desk.tgk")
         with DatasetReader(tmp_path / "desk.tgk") as reader:
             headers = reader.headers
@@ -118,7 +118,7 @@ class TestDataset:
     def test_record_header_layout(self, recordings):
         # the header array is the file's 11-byte record headers, byte for byte,
         # and the first 11 bytes of each row of a dataset
-        headers = study_protocol(2, 1, 1, 42)
+        headers = study_protocol(SynthSection(2, 1, 1), 42)
         assert RECORD_HEADER.itemsize == 11
         assert headers.dtype == RECORD_HEADER
         assert headers.tobytes() == b"".join(struct.pack("<BHQ", int(r.label), r.user_id, r.seed)
@@ -272,7 +272,7 @@ class TestPackedRows:
                                                 "reps_per_block": 1}, "seed": seed}))
         assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
         raw = (out / "dataset.tgk").read_bytes()
-        records = synth_dataset(n_users, n_blocks, 1, seed)
+        records = synth_dataset(SynthSection(n_users, n_blocks, 1), seed)
         assert RECORDING.itemsize == 71_747
         assert raw[20:] == records.tobytes() == load_dataset(out / "dataset.tgk").tobytes()
         # empty, repeated and unsorted id lists select those rows of the file

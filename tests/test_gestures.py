@@ -12,7 +12,7 @@ from taxelkit.cli import main
 from taxelkit.dataio import load_dataset, save_dataset
 from taxelkit.geometry import NORMAL_MIN_N, SHEAR_MAX_N
 from taxelkit.gestures import (MAX_RECORDINGS, MAX_USERS, N_FRAMES, RECORDING, GestureClass,
-                               UserProfile, protocol_size, synth_dataset, synth_recording,
+                               SynthSection, UserProfile, synth_dataset, synth_recording,
                                user_profile)
 
 # (row, col) of each taxel in index order: the 5x10 grid in row-major order
@@ -208,7 +208,7 @@ class TestSynthRecording:
 
     def test_label_integrity(self):
         # each record's label is the class its frames were generated as
-        recs = synth_dataset(1, 1, 1, 3)
+        recs = synth_dataset(SynthSection(1, 1, 1), 3)
         assert sorted(recs["label"].tolist()) == list(range(13))
         for rec in recs:
             frames = synth_recording(GestureClass(rec.label), user_profile(rec.user_id, 3),
@@ -218,34 +218,34 @@ class TestSynthRecording:
 
 class TestSynthDataset:
     def test_single_block(self):
-        recs = synth_dataset(1, 1, 1, 0)
+        recs = synth_dataset(SynthSection(1, 1, 1), 0)
         assert len(recs) == 13
         assert sorted(int(r.label) for r in recs) == list(range(13))
 
     def test_counts_and_histogram(self):
-        recs = synth_dataset(3, 2, 2, 1)
+        recs = synth_dataset(SynthSection(3, 2, 2), 1)
         assert len(recs) == 3 * 2 * 2 * 13
         hist = np.bincount([int(r.label) for r in recs], minlength=13)
         assert (hist == 3 * 2 * 2).all()
 
     def test_block_orders_differ(self):
-        recs = synth_dataset(1, 2, 1, 5)
+        recs = synth_dataset(SynthSection(1, 2, 1), 5)
         first = [int(r.label) for r in recs[:13]]
         second = [int(r.label) for r in recs[13:]]
         assert first != second  # pseudo-randomized differently per block
 
     def test_determinism(self):
-        a = synth_dataset(2, 1, 1, 9)
-        b = synth_dataset(2, 1, 1, 9)
+        a = synth_dataset(SynthSection(2, 1, 1), 9)
+        b = synth_dataset(SynthSection(2, 1, 1), 9)
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.frames, rb.frames)
 
     def test_user_ids_and_recording_ids(self):
-        recs = synth_dataset(2, 1, 2, 3)
+        recs = synth_dataset(SynthSection(2, 1, 2), 3)
         assert [r.user_id for r in recs] == [0] * 26 + [1] * 26  # a recording's id is its row
 
     def test_desk_scale_matches_frame_major_reference(self):
-        recs = synth_dataset(4, 3, 3, 0)  # the default (desk) protocol: 468 recordings
+        recs = synth_dataset(SynthSection(), 0)  # the default (desk) protocol: 468 recordings
         assert len(recs) == 468
         for i, rec in enumerate(recs):
             ref = reference_frames(GestureClass(rec.label), user_profile(rec.user_id, 0),
@@ -254,19 +254,19 @@ class TestSynthDataset:
 
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
-            synth_dataset(0, 1, 1, 0)
+            SynthSection(0, 1, 1)
 
     @pytest.mark.parametrize("counts", [(MAX_USERS + 1, 1, 1), (MAX_USERS, MAX_USERS, 1)],
                              ids=["u16-user-id", "u32-record-count"])
     def test_counts_beyond_tgk1_rejected(self, counts):
         with pytest.raises(ValueError, match="TGK1"):
-            synth_dataset(*counts, 0)  # raises before any job is listed
+            SynthSection(*counts)  # refused when built, before any job is listed
 
     def test_protocol_size_limits(self):
-        assert protocol_size(MAX_USERS, 1, 1) == 13 * MAX_USERS
-        assert protocol_size(1, 1, MAX_RECORDINGS // 13) == MAX_RECORDINGS // 13 * 13
-        with pytest.raises(ValueError):
-            protocol_size(1, 1, MAX_RECORDINGS // 13 + 1)
+        SynthSection(MAX_USERS, 1, 1)  # the most users a TGK1 file numbers
+        SynthSection(1, 1, MAX_RECORDINGS // 13)  # and the most recordings, in whole blocks of 13
+        with pytest.raises(ValueError, match="TGK1"):
+            SynthSection(1, 1, MAX_RECORDINGS // 13 + 1)
 
 
 def frames_of(records):
@@ -287,11 +287,11 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sche
 class TestSharedBlockWorkers:
     @needs_fork
     def test_desk_scale_bytes_independent_of_worker_count(self, monkeypatch):
-        every_cpu = synth_dataset(4, 3, 3, 0)
+        every_cpu = synth_dataset(SynthSection(4, 3, 3), 0)
         monkeypatch.setattr(workers, "worker_count", lambda n: 5)  # five workers, 117 chunks
-        five = synth_dataset(4, 3, 3, 0)
+        five = synth_dataset(SynthSection(4, 3, 3), 0)
         monkeypatch.setattr(workers, "worker_count", lambda n: 1)
-        serial = synth_dataset(4, 3, 3, 0)
+        serial = synth_dataset(SynthSection(4, 3, 3), 0)
         for recs in (every_cpu, five):
             assert frames_of(recs).tobytes() == frames_of(serial).tobytes()
             assert recs.tobytes() == serial.tobytes()
@@ -299,7 +299,7 @@ class TestSharedBlockWorkers:
                 [(r.label, r.user_id, r.seed) for r in serial]
 
     def test_frames_are_read_only_rows_of_one_block(self, tmp_path):
-        recs = synth_dataset(1, 2, 1, 4)
+        recs = synth_dataset(SynthSection(1, 2, 1), 4)
         frames = frames_of(recs)
         assert isinstance(recs, np.recarray) and recs.dtype == RECORDING
         assert frames.shape == (26, N_FRAMES, 49, 3) and frames.dtype == np.dtype("<f4")
@@ -311,28 +311,30 @@ class TestSharedBlockWorkers:
     @needs_fork
     def test_fewer_recordings_than_cpus(self, monkeypatch):
         monkeypatch.setattr(workers, "worker_count", lambda n: 1)
-        serial = synth_dataset(1, 1, 1, 0)
+        serial = synth_dataset(SynthSection(1, 1, 1), 0)
         monkeypatch.undo()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
         assert workers.worker_count(13) == 13  # capped at one worker per recording
-        assert frames_of(synth_dataset(1, 1, 1, 0)).tobytes() == frames_of(serial).tobytes()
+        one_block = synth_dataset(SynthSection(1, 1, 1), 0)
+        assert frames_of(one_block).tobytes() == frames_of(serial).tobytes()
 
     @needs_fork
     def test_failing_child_raises_in_parent(self, monkeypatch, capfd):
+        # a child's exception of any type is raised in the parent as it is
         parent, real = os.getpid(), gestures.synth_recording
 
         def fail_in_child(*args, **kwargs):
             if os.getpid() != parent:
-                raise RuntimeError("injected child failure")
+                raise KeyError("injected child failure")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(gestures, "synth_recording", fail_in_child)
         monkeypatch.setattr(workers, "worker_count", lambda n: 3)
-        with pytest.raises(RuntimeError, match="exited with status 1"):
-            synth_dataset(1, 1, 1, 0)
+        with pytest.raises(KeyError, match="injected child failure"):
+            synth_dataset(SynthSection(1, 1, 1), 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)  # every child was reaped
-        assert "injected child failure" in capfd.readouterr().err
+        assert "Traceback" not in capfd.readouterr().err
 
     @needs_fork
     def test_failing_child_write_exits_3(self, tmp_path, monkeypatch, capfd, caplog):
@@ -375,6 +377,6 @@ class TestSharedBlockWorkers:
         monkeypatch.setattr(gestures, "synth_recording", fail_in_parent)
         monkeypatch.setattr(workers, "worker_count", lambda n: 3)
         with pytest.raises(KeyError, match="injected parent failure"):
-            synth_dataset(1, 1, 1, 0)
+            synth_dataset(SynthSection(1, 1, 1), 0)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

@@ -353,7 +353,7 @@ class TestReferenceEquivalence:
         train_y = rng.integers(0, 13, size=54)
         val_x = rng.normal(size=(9, channels, 5, 10)).astype(np.float32)
         val_y = rng.integers(0, 13, size=9)
-        config = pipeline.TrainConfig(epochs=2, batch_size=32, seed=3, lr=1e-3)
+        config = pipeline.TrainConfig(epochs=2, batch_size=32)
         results = {}
         for ref in (False, True):
             if ref:
@@ -364,7 +364,8 @@ class TestReferenceEquivalence:
                     monkeypatch.setattr(nn, name, kernel)
             for dtype in (np.float64, np.float32):
                 results[ref, dtype] = pipeline.train(train_x.astype(dtype), train_y,
-                                                     val_x.astype(dtype), val_y, config)
+                                                     val_x.astype(dtype), val_y, config,
+                                                     seed=3, lr=1e-3)
         for dtype in (np.float64, np.float32):
             (model, history), (ref_model, ref_history) = results[False, dtype], results[True, dtype]
             assert [h.train_loss.hex() for h in history] == \
@@ -509,10 +510,11 @@ class TestWorkspace:
             step(adam, params, grads)
             tracemalloc.reset_peak()
         monkeypatch.setattr(AdamState, "step", traced_step)
-        config = pipeline.TrainConfig(epochs=2, batch_size=32, seed=0, lr=1e-3)
+        config = pipeline.TrainConfig(epochs=2, batch_size=32)
         tracemalloc.start()
         try:
-            _, history = pipeline.train(train_x, labels, val_x, labels[:32], config)
+            _, history = pipeline.train(train_x, labels, val_x, labels[:32], config,
+                                        seed=0, lr=1e-3)
         finally:
             tracemalloc.stop()
         assert len(steps) == 8 and len(history) == 2

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from taxelkit import pipeline
 from taxelkit.dataio import DatasetReader, load_dataset, save_dataset
-from taxelkit.gestures import RECORDING, synth_dataset
+from taxelkit.gestures import RECORDING, SynthSection, synth_dataset
 from taxelkit.pipeline import (SPLIT_RATIO, STD_FLOOR, AblationMode, ConfusionMatrix,
                                DatasetSplit, NormalizationStats, TensorView, TrainConfig,
                                TrainingDivergedError, apply_normalization, assemble_tensor,
@@ -121,7 +121,7 @@ def reference_split(records, seed, ratio=SPLIT_RATIO):
 @pytest.fixture(scope="module")
 def recordings():
     # 4 users x 2 blocks x 1 rep x 13 classes = 104 recordings
-    return synth_dataset(n_users=4, n_blocks=2, reps_per_block=1, master_seed=7)
+    return synth_dataset(SynthSection(n_users=4, n_blocks=2, reps_per_block=1), master_seed=7)
 
 
 class TestAssembleTensor:
@@ -598,18 +598,24 @@ class TestTrain:
         x[np.arange(n), y % cin, 2, y % 10] += 4.0
         return x, y
 
+    @pytest.mark.parametrize("key,value", [("batch_size", 0), ("epochs", -1), ("epochs", 1.5),
+                                           ("batch_size", True)])
+    def test_config_refuses_bad_values_when_built(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: value})
+
     def test_zero_epochs(self):
         x, y = self.small_data()
-        model, history = train(x, y, x, y, TrainConfig(epochs=0, seed=1))
+        model, history = train(x, y, x, y, TrainConfig(epochs=0), seed=1)
         assert history == []
         fresh = CnnModel(in_channels=6, seed=1)
         assert np.array_equal(model.params["conv_w"], fresh.params["conv_w"])
 
     def test_deterministic(self):
         x, y = self.small_data()
-        cfg = TrainConfig(epochs=2, batch_size=8, seed=5)
-        m1, h1 = train(x, y, x, y, cfg)
-        m2, h2 = train(x, y, x, y, cfg)
+        cfg = TrainConfig(epochs=2, batch_size=8)
+        m1, h1 = train(x, y, x, y, cfg, seed=5)
+        m2, h2 = train(x, y, x, y, cfg, seed=5)
         assert h1 == h2
         for k in m1.params:
             assert np.array_equal(m1.params[k], m2.params[k])
@@ -617,22 +623,22 @@ class TestTrain:
     def test_logs_one_line_per_epoch(self, caplog):
         x, y = self.small_data()
         with caplog.at_level(logging.INFO, logger="taxelkit"):
-            train(x, y, x, y, TrainConfig(epochs=3, batch_size=8, seed=5))
+            train(x, y, x, y, TrainConfig(epochs=3, batch_size=8), seed=5)
         lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("epoch ")]
         assert [line.split()[1] for line in lines] == ["1/3", "2/3", "3/3"]
         assert all("val acc" in line and "samples/s" in line for line in lines)
 
     def test_learns_separable_toy(self):
         x, y = self.small_data(n=52)
-        cfg = TrainConfig(epochs=20, batch_size=16, seed=0, lr=1e-3)
-        model, history = train(x, y, x, y, cfg)
+        cfg = TrainConfig(epochs=20, batch_size=16)
+        model, history = train(x, y, x, y, cfg, seed=0, lr=1e-3)
         assert history[-1].train_loss < history[0].train_loss
         assert np.mean(model.predict(x) == y) > 0.9
 
     def test_best_checkpoint_returned(self):
         x, y = self.small_data(n=26)
-        cfg = TrainConfig(epochs=5, batch_size=8, seed=2, lr=1e-3)
-        model, history = train(x, y, x, y, cfg)
+        cfg = TrainConfig(epochs=5, batch_size=8)
+        model, history = train(x, y, x, y, cfg, seed=2, lr=1e-3)
         best = max(h.val_acc for h in history)
         assert np.mean(model.predict(x) == y) == pytest.approx(best)
 
@@ -653,7 +659,7 @@ class TestTrain:
             return predict(model, val_x)
         monkeypatch.setattr(CnnModel, "clone_params", cloning)
         monkeypatch.setattr(pipeline, "_predict_batched", predicting)
-        model, history = train(x, y, x, y, TrainConfig(epochs=5, batch_size=8, seed=2, lr=1e-3))
+        model, history = train(x, y, x, y, TrainConfig(epochs=5, batch_size=8), seed=2, lr=1e-3)
         accs = [h.val_acc for h in history]
         assert sum(a > max(accs[:i], default=-1) for i, a in enumerate(accs)) >= 3
         assert len(clones) == 1 and len(at_epoch_end) == 5
@@ -667,7 +673,7 @@ class TestTrain:
         # 32-sample sizes a training step grew it to
         x, y = self.small_data(n=40, cin=4)
         val_x, val_y = self.small_data(n=47, cin=4, seed=1)
-        model, _ = train(x, y, val_x, val_y, TrainConfig(epochs=1, batch_size=32, seed=0))
+        model, _ = train(x, y, val_x, val_y, TrainConfig(epochs=1, batch_size=32), seed=0)
         evaluate(model, *self.small_data(n=390, cin=4, seed=2))
         sizes = {name: buf.size for name, buf in model._work._bufs.items()}
         assert sizes == {"input": 4 * 32 * 5 * 10, "taps": 9 * CONV_CHANNELS * 32 * 5 * 10}
@@ -676,7 +682,7 @@ class TestTrain:
         x, y = self.small_data(n=13)
         x[0, 0, 0, 0] = np.nan  # poison the forward pass
         with pytest.raises(TrainingDivergedError):
-            train(x, y, x, y, TrainConfig(epochs=1, batch_size=13, seed=0, lr=1e-4))
+            train(x, y, x, y, TrainConfig(epochs=1, batch_size=13), seed=0, lr=1e-4)
 
 
 class TestConfusionAndEvaluate:

@@ -65,7 +65,9 @@ class RowError(Exception):
        n_workers=st.sampled_from([1, 2, 3, 5]), untyped=st.booleans())
 def test_run_chunks_runs_each_row_once_and_fails_as_serial(data, n, chunk, n_workers, untyped):
     # a row in `failing` raises RowError wherever it runs; with `untyped`,
-    # every forked worker raises KeyError in its first chunk
+    # every forked worker raises KeyError(lo) in its first chunk, so a forked
+    # pass's first failure in row order is chunk 1's KeyError unless a row of
+    # chunk 0, the parent's first chunk, fails before it
     failing = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()), label="failing")
     counts = workers.shared_array(n, np.int64)  # runs of each row, in every process
     parent = os.getpid()
@@ -78,22 +80,46 @@ def test_run_chunks_runs_each_row_once_and_fails_as_serial(data, n, chunk, n_wor
                 raise RowError(i)
             counts[i] += 1
 
-    def run() -> None:
-        workers.run_chunks(n, chunk, work, errors=(RowError,))
-    forks = n_workers > 1 and n // chunk >= 2
+    chunks = min(n // chunk, workers.MAX_CHUNKS)
+    forks = n_workers > 1 and chunks >= 2
+    child_row = n // chunks if untyped and forks else n  # where chunk 1 starts
+    first = min(failing, default=n)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workers, "worker_count", lambda n: n_workers)
-        if untyped and forks:
-            with pytest.raises(RuntimeError, match=f"over {n} rows exited with status 1"):
-                run()
-        elif failing:
+        if first < child_row:
             with pytest.raises(RowError) as error:
-                run()
-            assert error.value.args == (min(failing),)  # a serial pass's first failure
+                workers.run_chunks(n, chunk, work)
+            assert error.value.args == (first,)  # a serial pass's first failure
+        elif child_row < n:
+            with pytest.raises(KeyError) as error:
+                workers.run_chunks(n, chunk, work)
+            assert error.value.args == (child_row,)
         else:
-            run()
+            workers.run_chunks(n, chunk, work)
             assert counts.tolist() == [1] * n
     assert all(c <= 1 for c in counts.tolist()) and not any(counts[i] for i in failing)
+    assert_all_reaped()
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not unpickle: pickle calls it with args, its first argument only."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+@needs_fork
+def test_child_exception_that_does_not_unpickle_fails_the_pass(capfd):
+    parent = os.getpid()
+
+    def work(lo: int, hi: int) -> None:
+        if os.getpid() != parent:
+            raise TwoArgError(lo, hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workers, "worker_count", lambda n: 2)
+        with pytest.raises(RuntimeError, match="over 4 rows exited with status 1"):
+            workers.run_chunks(4, 2, work)
+    assert "TwoArgError" in capfd.readouterr().err  # the child's traceback
     assert_all_reaped()
 
 
